@@ -25,14 +25,14 @@ from .models import (Diagnostics, ModelSpec, compute_res, extract_l1l1,
 from .operators import (AugmentedOperator, DenseOperator,
                         PartialDCTOperator, PartialWalshHadamardOperator,
                         SensingOperator, SpectralEstimate, as_complex_vector,
-                        build_augmented, estimate_lambda_max, fwht,
+                        estimate_lambda_max, fwht, make_operator,
                         make_partial_dct, make_partial_wht,
                         orthonormal_gaussian_operator)
 from .prox import (project_halfspace, project_l2_ball, project_linf_ball,
                    shrink, shrink_l2)
-from .solvers import (DadmParams, DadmState, FistaState, PadmParams,
+from .solvers import (SOLVERS, DadmParams, DadmState, FistaState, PadmParams,
                       PadmState, RunRecord, SolverOptions, dadm_bp_step,
                       dadm_bpdn_step, dadm_nonorth_step, dadm_qp_step,
                       dadm_solve, fista_solve, fista_step, ist_solve,
                       ist_step, padm_bp_step, padm_bpdn_step, padm_qp_step,
-                      padm_solve)
+                      padm_solve, solve)

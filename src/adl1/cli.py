@@ -27,16 +27,15 @@ from .io import (
     write_vector,
     write_vector_csv,
 )
-from .models import ModelSpec, relerr
+from .models import FAMILIES, ModelSpec, relerr
 from .operators import (
+    OPERATOR_KINDS,
     DenseOperator,
     PartialDCTOperator,
     PartialWalshHadamardOperator,
-    make_partial_dct,
-    make_partial_wht,
-    orthonormal_gaussian_operator,
+    make_operator,
 )
-from .solvers import SolverOptions, dadm_solve, fista_solve, ist_solve, padm_solve
+from .solvers import SOLVERS, SolverOptions, solve
 
 
 def _load_vector_file(path):
@@ -51,25 +50,20 @@ def _build_operator(spec, default_seed):
         path = spec["file"]
         matrix = read_matrix_csv(path) if path.endswith(".csv") else read_matrix(path)
         return DenseOperator(matrix, orthonormal_rows=bool(spec.get("orthonormal_rows", False)))
+    if kind not in OPERATOR_KINDS:
+        raise ConfigError("unknown operator kind %r (dense, %s)" % (kind, ", ".join(OPERATOR_KINDS)))
     n = int(spec["n"])
     seed = spec.get("seed", default_seed)
-    if kind in ("wht", "dct"):
-        if "rows" in spec:
-            rows = np.asarray(spec["rows"], dtype=np.int64)
-            if "signs" in spec:
-                signs = np.asarray(spec["signs"], dtype=np.float64)
-            else:
-                rng = np.random.default_rng(spec.get("sign_seed", seed))
-                signs = rng.choice(np.array([-1.0, 1.0]), size=n)
-            cls = PartialWalshHadamardOperator if kind == "wht" else PartialDCTOperator
-            return cls(n, rows, signs)
-        rng = np.random.default_rng(seed)
-        maker = make_partial_wht if kind == "wht" else make_partial_dct
-        return maker(n, int(spec["m"]), rng)
-    if kind == "orthgauss":
-        rng = np.random.default_rng(seed)
-        return orthonormal_gaussian_operator(int(spec["m"]), n, rng)
-    raise ConfigError("unknown operator kind %r (dense, wht, dct, orthgauss)" % (kind,))
+    if kind in ("wht", "dct") and "rows" in spec:
+        rows = np.asarray(spec["rows"], dtype=np.int64)
+        if "signs" in spec:
+            signs = np.asarray(spec["signs"], dtype=np.float64)
+        else:
+            rng = np.random.default_rng(spec.get("sign_seed", seed))
+            signs = rng.choice(np.array([-1.0, 1.0]), size=n)
+        cls = PartialWalshHadamardOperator if kind == "wht" else PartialDCTOperator
+        return cls(n, rows, signs)
+    return make_operator(kind, n, int(spec["m"]), np.random.default_rng(seed))
 
 
 def _build_b(spec, A, default_seed):
@@ -106,22 +100,10 @@ def _build_model(spec, flags):
         spec["nonneg"] = True
     if flags.weights:
         spec["weights"] = flags.weights
-    family = spec.get("family", "bp")
-    weights = spec.get("weights")
-    if isinstance(weights, str):
-        weights = np.real(_load_vector_file(weights))
-    elif weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-    kw = {"nonneg": bool(spec.get("nonneg", False)), "weights": weights}
-    if family == "bp":
-        return ModelSpec.bp(**kw)
-    if family == "bpdn":
-        return ModelSpec.bpdn(float(spec["delta"]), **kw)
-    if family == "qp":
-        return ModelSpec.qp(float(spec["mu"]), **kw)
-    if family == "l1l1":
-        return ModelSpec.l1l1(float(spec["nu"]), **kw)
-    raise ConfigError("unknown model family %r (bp, bpdn, qp, l1l1)" % (family,))
+    spec.setdefault("family", "bp")
+    if isinstance(spec.get("weights"), str):
+        spec["weights"] = np.real(_load_vector_file(spec["weights"]))
+    return ModelSpec.from_dict(spec)
 
 
 def _build_options(spec, flags, x_true):
@@ -153,16 +135,7 @@ def cmd_solve(args):
     name = args.solver or (config.get("solver") or {}).get("name", "dadm")
 
     t0 = time.perf_counter()
-    if name == "padm":
-        rec = padm_solve(model, A, b, opts)
-    elif name == "dadm":
-        rec = dadm_solve(model, A, b, opts)
-    elif name in ("ist", "fista"):
-        if model.family != "qp":
-            raise ConfigError("%s requires the qp model family" % name)
-        rec = (ist_solve if name == "ist" else fista_solve)(A, b, model.mu, opts)
-    else:
-        raise ConfigError("unknown solver %r (padm, dadm, ist, fista)" % (name,))
+    rec = solve(name, model, A, b, opts)
     seconds = time.perf_counter() - t0
 
     outdir = args.out or config.get("out", "adl1-run")
@@ -213,8 +186,8 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="solve one problem from a JSON config")
     ps.add_argument("config")
-    ps.add_argument("--solver", choices=("padm", "dadm", "ist", "fista"))
-    ps.add_argument("--model", choices=("bp", "bpdn", "qp", "l1l1"))
+    ps.add_argument("--solver", choices=SOLVERS)
+    ps.add_argument("--model", choices=FAMILIES)
     ps.add_argument("--mu", type=float)
     ps.add_argument("--delta", type=float)
     ps.add_argument("--nu", type=float)

@@ -4,15 +4,14 @@ trial aggregation, and CSV/JSON persistence.
 Reproducibility contract: every artifact embeds the resolved config, its hash,
 and the base seed. Trial t of cell c always draws from
 SeedSequence(entropy=seed, spawn_key=(c, t)), so results are independent of
-execution order and thread count. Within one instance the generator is
-consumed in a fixed order: operator, spike support, spike values, noise.
+execution order. Within one instance the generator is consumed in a fixed
+order: operator, spike support, spike values, noise.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,14 +20,8 @@ import numpy as np
 from .errors import ConfigError
 from .io import canonical_json, config_hash, write_csv
 from .models import ModelSpec, relerr
-from .operators import (
-    SensingOperator,
-    as_complex_vector,
-    make_partial_dct,
-    make_partial_wht,
-    orthonormal_gaussian_operator,
-)
-from .solvers import SolverOptions, dadm_solve, fista_solve, ist_solve, padm_solve
+from .operators import SensingOperator, as_complex_vector, make_operator
+from .solvers import SOLVERS, SolverOptions, solve
 
 PROTOCOLS = ("model-choice", "err-vs-opt", "race-qp", "race-bpdn", "race-bp")
 
@@ -41,8 +34,6 @@ RACE_GRID_BP = RACE_GRID[:5]
 # parameter 0 runs plain basis pursuit for every model family.
 PARAM_GRID = tuple(round(v, 10) for v in np.linspace(0.0, 1.0, 21))
 MODEL_FAMILIES = ("bp_nu", "qp", "l1l1")
-
-ENV_THREADS = "ADL1_NUM_THREADS"
 
 CSV_HEADER = ("cell", "solver", "iter", "aat", "relerr_pct", "res", "seconds")
 CSV_HEADER_TRIALS = ("cell", "solver", "trial", "iter", "aat", "relerr_pct", "res", "seconds")
@@ -160,20 +151,10 @@ def add_noise(b_clean, sigma, impulse_fraction, seed, target_snr_db=None):
     return b, p_white, p_impulse
 
 
-_OPERATOR_KINDS = ("wht", "dct", "orthgauss")
-
-
 def make_instance(kind, n, m, k, noise, seed, field="real"):
     """Build a seeded ProblemInstance; x_true is stored in the scale of b."""
-    if kind not in _OPERATOR_KINDS:
-        raise ConfigError("unknown operator kind %r (choose from %s)" % (kind, ", ".join(_OPERATOR_KINDS)))
     rng = _as_rng(seed)
-    if kind == "wht":
-        A = make_partial_wht(n, m, rng)
-    elif kind == "dct":
-        A = make_partial_dct(n, m, rng)
-    else:
-        A = orthonormal_gaussian_operator(m, n, rng)
+    A = make_operator(kind, n, m, rng)
     x_true = gen_spikes(n, k, rng, field=field)
     b_clean = A.apply(x_true)
     b, p_white, p_impulse, scale = _apply_noise(
@@ -232,8 +213,9 @@ class ExperimentConfig:
                 sigma=0.0 if p == "race-bp" else 1e-3,
                 mu=1e-4 if p == "race-qp" else None,
                 delta_rule="noise-norm" if p == "race-bpdn" else None,
+                # ist and fista cover only the qp model
                 solvers=list(self.solvers if self.solvers is not None else
-                             {"race-qp": ("padm", "dadm", "ist", "fista"),
+                             {"race-qp": SOLVERS,
                               "race-bpdn": ("padm", "dadm"),
                               "race-bp": ("dadm",)}[p]),
                 stop="relchg",
@@ -274,24 +256,9 @@ class ExperimentConfig:
         return cfg
 
 
-def _thread_count():
-    raw = os.environ.get(ENV_THREADS, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError("%s must be an integer, got %r" % (ENV_THREADS, raw))
-
-
 def _map_trials(fn, trials):
-    """Run fn(0..trials-1); results are always reduced in trial order."""
-    workers = _thread_count()
-    if workers <= 1 or trials <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, t) for t in range(trials)]
-        return [f.result() for f in futures]
+    """Run fn(0), ..., fn(trials - 1) in order; returns their results."""
+    return [fn(t) for t in range(trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +370,47 @@ def _final_relres(A, b, x):
     return float(r / nb) if nb > 0 else float(r)
 
 
-def _solve_one(solver, model, inst, opts, mu=None):
-    if solver == "padm":
-        return padm_solve(model, inst.A, inst.b, opts)
-    if solver == "dadm":
-        return dadm_solve(model, inst.A, inst.b, opts)
-    if solver in ("ist", "fista"):
-        if mu is None:
-            raise ConfigError("%s solves the quadratic-penalty model only" % solver)
-        fn = ist_solve if solver == "ist" else fista_solve
-        return fn(inst.A, inst.b, mu, opts)
-    raise ConfigError("unknown solver %r" % (solver,))
+def _options(cfg, inst):
+    return SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"], stop=cfg["stop"],
+                         x_true=inst.x_true)
+
+
+def _trial_row(cfg, inst, cell, solver, trial, model):
+    """Solve one trial and return its CSV row.
+
+    The row's ``seconds`` stays 0.0 unless the config asks for timing; the
+    measured wall time rides along as ``_measured`` for ``_add_trials``.
+    """
+    opts = _options(cfg, inst)
+    t0 = time.perf_counter()
+    rec = solve(solver, model, inst.A, inst.b, opts)
+    dt = time.perf_counter() - t0
+    return {
+        "cell": cell, "solver": solver, "trial": trial,
+        "iter": rec.iterations, "aat": rec.aat,
+        "relerr_pct": relerr(rec.x, inst.x_true),
+        "res": _final_relres(inst.A, inst.b, rec.x),
+        "seconds": dt if cfg["timing"] else 0.0,
+        "_measured": dt,
+    }
+
+
+def _add_trials(result, per_trial_rows):
+    """Append trial rows to the result, moving each measured time to a timing row."""
+    for rows in per_trial_rows:
+        for r in rows:
+            result.timing_rows.append({
+                "cell": r["cell"], "solver": r["solver"], "trial": r["trial"],
+                "seconds": r.pop("_measured"),
+            })
+            result.trial_rows.append(r)
 
 
 def run_solver_race(config: ExperimentConfig) -> ExperimentResult:
     cfg = config.resolved()
     if not cfg["protocol"].startswith("race"):
         raise ConfigError("run_solver_race needs a race-* protocol, got %s" % cfg["protocol"])
-    n, trials, timing = cfg["n"], cfg["trials"], cfg["timing"]
+    n, trials = cfg["n"], cfg["trials"]
     result = ExperimentResult(config=cfg)
     for ci, (mn, km) in enumerate(cfg["grid"]):
         m = int(round(mn * n))
@@ -431,37 +421,15 @@ def run_solver_race(config: ExperimentConfig) -> ExperimentResult:
         def one_trial(ti, _ci=ci, _m=m, _k=k, _cell=cell, _noise=noise):
             ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(_ci, ti))
             inst = make_instance(cfg["kind"], n, _m, _k, _noise, ss, field=cfg["field"])
-            rows = []
-            for solver in cfg["solvers"]:
-                if cfg["protocol"] == "race-qp":
-                    model = ModelSpec.qp(cfg["mu"])
-                elif cfg["protocol"] == "race-bpdn":
-                    model = ModelSpec.bpdn(float(np.linalg.norm(inst.p_white)))
-                else:
-                    model = ModelSpec.bp()
-                opts = SolverOptions(
-                    tol=cfg["tol"], max_iter=cfg["max_iter"], stop=cfg["stop"], x_true=inst.x_true
-                )
-                t0 = time.perf_counter()
-                rec = _solve_one(solver, model, inst, opts, mu=cfg.get("mu"))
-                dt = time.perf_counter() - t0
-                rows.append({
-                    "cell": _cell, "solver": solver, "trial": ti,
-                    "iter": rec.iterations, "aat": rec.aat,
-                    "relerr_pct": relerr(rec.x, inst.x_true),
-                    "res": _final_relres(inst.A, inst.b, rec.x),
-                    "seconds": dt if timing else 0.0,
-                    "_measured": dt,
-                })
-            return rows
+            if cfg["protocol"] == "race-qp":
+                model = ModelSpec.qp(cfg["mu"])
+            elif cfg["protocol"] == "race-bpdn":
+                model = ModelSpec.bpdn(float(np.linalg.norm(inst.p_white)))
+            else:
+                model = ModelSpec.bp()
+            return [_trial_row(cfg, inst, _cell, solver, ti, model) for solver in cfg["solvers"]]
 
-        for rows in _map_trials(one_trial, trials):
-            for r in rows:
-                result.timing_rows.append({
-                    "cell": r["cell"], "solver": r["solver"], "trial": r["trial"],
-                    "seconds": r.pop("_measured"),
-                })
-                result.trial_rows.append(r)
+        _add_trials(result, _map_trials(one_trial, trials))
     result.mean_rows = _aggregate(result.trial_rows)
     return result
 
@@ -485,41 +453,19 @@ def run_model_choice_sweep(config: ExperimentConfig) -> ExperimentResult:
     cfg = config.resolved()
     if cfg["protocol"] != "model-choice":
         raise ConfigError("run_model_choice_sweep needs the model-choice protocol")
-    n, m, k, trials, timing = cfg["n"], cfg["m"], cfg["k"], cfg["trials"], cfg["timing"]
+    n, m, k, trials = cfg["n"], cfg["m"], cfg["k"], cfg["trials"]
     noise = NoiseSpec(impulse_fraction=cfg["impulse_fraction"])
     solver = cfg["solvers"][0]
 
     def one_trial(ti):
         ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(0, ti))
         inst = make_instance(cfg["kind"], n, m, k, noise, ss, field=cfg["field"])
-        rows = []
-        for family in cfg["families"]:
-            for param in cfg["grid"]:
-                model = model_for_param(family, param)
-                opts = SolverOptions(
-                    tol=cfg["tol"], max_iter=cfg["max_iter"], stop=cfg["stop"], x_true=inst.x_true
-                )
-                t0 = time.perf_counter()
-                rec = _solve_one(solver, model, inst, opts)
-                dt = time.perf_counter() - t0
-                rows.append({
-                    "cell": "%s:%.2f" % (family, param), "solver": solver, "trial": ti,
-                    "iter": rec.iterations, "aat": rec.aat,
-                    "relerr_pct": relerr(rec.x, inst.x_true),
-                    "res": _final_relres(inst.A, inst.b, rec.x),
-                    "seconds": dt if timing else 0.0,
-                    "_measured": dt,
-                })
-        return rows
+        return [_trial_row(cfg, inst, "%s:%.2f" % (family, param), solver, ti,
+                           model_for_param(family, param))
+                for family in cfg["families"] for param in cfg["grid"]]
 
     result = ExperimentResult(config=cfg)
-    for rows in _map_trials(one_trial, trials):
-        for r in rows:
-            result.timing_rows.append({
-                "cell": r["cell"], "solver": r["solver"], "trial": r["trial"],
-                "seconds": r.pop("_measured"),
-            })
-            result.trial_rows.append(r)
+    _add_trials(result, _map_trials(one_trial, trials))
     # figure-axis order: cells grouped by family then parameter, not by trial
     result.trial_rows.sort(key=lambda r: (cfg["families"].index(r["cell"].split(":")[0]),
                                           float(r["cell"].split(":")[1]), r["trial"]))
@@ -536,11 +482,9 @@ def run_error_vs_optimality(config: ExperimentConfig) -> ExperimentResult:
         noise = NoiseSpec() if case == "noiseless" else NoiseSpec(target_snr_db=40.0)
         ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(ci, 0))
         inst = make_instance(cfg["kind"], cfg["n"], cfg["m"], cfg["k"], noise, ss, field=cfg["field"])
-        opts = SolverOptions(
-            tol=cfg["tol"], max_iter=cfg["max_iter"], stop=cfg["stop"], x_true=inst.x_true
-        )
+        opts = _options(cfg, inst)
         t0 = time.perf_counter()
-        rec = dadm_solve(ModelSpec.bp(), inst.A, inst.b, opts)
+        rec = solve("dadm", ModelSpec.bp(), inst.A, inst.b, opts)
         dt = time.perf_counter() - t0
         for i, diag in enumerate(rec.history):
             result.mean_rows.append({

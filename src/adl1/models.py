@@ -27,6 +27,7 @@ __all__ = [
     "ModelSpec",
     "Diagnostics",
     "compute_res",
+    "data_norm",
     "relchg",
     "relerr",
     "snr_db",
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 FAMILIES = ("bp", "bpdn", "qp", "l1l1")
+# The one parameter each family takes ("" for none).
+_PARAM = {"bp": "", "bpdn": "delta", "qp": "mu", "l1l1": "nu"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +77,7 @@ class ModelSpec:
             object.__setattr__(self, "weights", w)
 
     def _param_name(self):
-        return {"bp": "", "bpdn": "delta", "qp": "mu", "l1l1": "nu"}[self.family]
+        return _PARAM[self.family]
 
     @classmethod
     def bp(cls, nonneg=False, weights=None):
@@ -126,6 +129,9 @@ class ModelSpec:
         for name in ("mu", "delta", "nu"):
             if name in d:
                 kwargs[name] = float(d.pop(name))
+        param = _PARAM[family]
+        if param and param not in kwargs:
+            raise ConfigError(f"the {family} model config needs {param!r}")
         if d:
             raise ConfigError(f"unknown model config keys: {sorted(d)}")
         return cls(family, nonneg=nonneg, weights=weights, **kwargs)
@@ -210,15 +216,34 @@ def snr_db(b, p):
     return float(20.0 * np.log10(num / den))
 
 
+def data_norm(b):
+    """||b||, the scale of the primal residue.
+
+    Returns 1.0 with a warning when b is zero, so the residue falls back to
+    the absolute norm.
+    """
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        warnings.warn("b is zero; primal residue uses the absolute norm", RuntimeWarning, stacklevel=3)
+        return 1.0
+    return b_norm
+
+
 def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
-                Ax=None, Aty=None, x_prev=None, x_true=None):
+                Ax=None, Aty=None, x_prev=None, x_true=None, b_norm=None, signal=None):
     """Optimality diagnostics for a primal-dual iterate (x, y, z).
+
+    Every solver's per-iteration history row is computed here.
 
     Parameters
     ----------
     x, y, z : ndarray
         Primal iterate, multiplier, and dual auxiliary (z approximates A*y
-        inside the unit-magnitude ball).
+        inside the unit-magnitude ball). y is None for a method without a
+        multiplier (the proximal-gradient baselines): then r_p, r_d, gap and
+        res are all NaN. z is None when the dual residue is not measured
+        (the primal solver under the relchg stop): then r_d, gap and res
+        are NaN.
     A : SensingOperator
     b : ndarray
     mu : float
@@ -234,6 +259,11 @@ def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
         Cached products A x and A* y; computed when omitted.
     x_prev, x_true : ndarray, keyword
         Fill ``relchg`` and ``relerr`` (percent) when available.
+    b_norm : float, keyword
+        ``data_norm(b)``, when the caller computed it once for many iterates.
+    signal : callable, keyword
+        Maps x to the signal that ``relerr`` compares with x_true (for the
+        reformulated l1/l1 model, the signal block); defaults to x itself.
 
     Returns
     -------
@@ -243,39 +273,39 @@ def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
     """
     if Ax is None:
         Ax = A.apply(x)
-    if Aty is None:
-        Aty = A.adjoint(y)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        warnings.warn("b is zero; primal residue uses the absolute norm", RuntimeWarning, stacklevel=2)
-        b_norm = 1.0
-
     misfit = Ax - b
-    if mu > 0:
-        rp_norm = float(np.linalg.norm(misfit + mu * y))
-    elif delta > 0:
-        rp_norm = max(0.0, float(np.linalg.norm(misfit)) - delta)
-    else:
-        rp_norm = float(np.linalg.norm(misfit))
-    r_p = rp_norm / b_norm
-
-    r_d = float(np.linalg.norm(Aty - z)) / np.sqrt(A.m)
+    r_p = r_d = gap = res = np.nan
+    if y is not None:
+        if b_norm is None:
+            b_norm = data_norm(b)
+        if mu > 0:
+            rp_norm = float(np.linalg.norm(misfit + mu * y))
+        elif delta > 0:
+            rp_norm = max(0.0, float(np.linalg.norm(misfit)) - delta)
+        else:
+            rp_norm = float(np.linalg.norm(misfit))
+        r_p = rp_norm / b_norm
 
     x_l1 = l1_norm(x, weights)
-    if mu > 0:
-        y_sq = float(np.linalg.norm(y) ** 2)
-        delta_gap = float(np.real(np.vdot(b, y))) - mu * y_sq - x_l1
-        f_p = x_l1 + 0.5 * mu * y_sq
-        gap = abs(delta_gap) / (f_p if f_p > 0 else 1.0)
-        objective = x_l1 + 0.5 * float(np.linalg.norm(misfit) ** 2) / mu
-        res = max(r_p, r_d, gap)
-    else:
-        gap = np.nan
-        objective = x_l1
-        res = max(r_p, r_d)
+    if z is not None:
+        if Aty is None:
+            Aty = A.adjoint(y)
+        r_d = float(np.linalg.norm(Aty - z)) / np.sqrt(A.m)
+        if mu > 0:
+            y_sq = float(np.linalg.norm(y) ** 2)
+            delta_gap = float(np.real(np.vdot(b, y))) - mu * y_sq - x_l1
+            f_p = x_l1 + 0.5 * mu * y_sq
+            gap = abs(delta_gap) / (f_p if f_p > 0 else 1.0)
+            res = max(r_p, r_d, gap)
+        else:
+            res = max(r_p, r_d)
+    objective = x_l1 + 0.5 * float(np.linalg.norm(misfit) ** 2) / mu if mu > 0 else x_l1
 
     chg = relchg(x, x_prev) if x_prev is not None else np.nan
-    err = relerr(x, x_true) if x_true is not None else np.nan
+    if x_true is None:
+        err = np.nan
+    else:
+        err = relerr(x if signal is None else signal(x), x_true)
     return Diagnostics(r_p=r_p, r_d=r_d, gap=gap, res=res,
                        relchg=chg, objective=objective, relerr=err)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError
 
 __all__ = [
     "SensingOperator",
@@ -32,7 +32,12 @@ __all__ = [
     "make_partial_wht",
     "make_partial_dct",
     "orthonormal_gaussian_operator",
+    "OPERATOR_KINDS",
+    "make_operator",
 ]
+
+# Kinds of randomly drawn operator that ``make_operator`` builds.
+OPERATOR_KINDS = ("wht", "dct", "orthgauss")
 
 
 def as_complex_vector(x, length=None):
@@ -275,11 +280,6 @@ class AugmentedOperator(SensingOperator):
         return np.concatenate([self.base.adjoint(y), self.nu * y]) * self._scale
 
 
-def build_augmented(op, nu):
-    """Functional constructor for [A, nu I] / sqrt(1 + nu^2)."""
-    return AugmentedOperator(op, nu)
-
-
 @dataclass(frozen=True)
 class SpectralEstimate:
     """Result of a power-iteration estimate of lambda_max(A*A)."""
@@ -353,3 +353,19 @@ def orthonormal_gaussian_operator(m, n, rng):
     g = rng.standard_normal((m, n))
     q, _ = np.linalg.qr(g.T)  # q: n x m, orthonormal columns
     return DenseOperator(q.T, orthonormal_rows=True)
+
+
+def make_operator(kind, n, m, rng):
+    """Draw a random m x n operator of a kind in OPERATOR_KINDS from ``rng``.
+
+    ``wht`` is the partial Walsh-Hadamard operator (n a power of two),
+    ``dct`` the partial DCT, ``orthgauss`` the orthonormalized Gaussian
+    ensemble. Raises ConfigError for any other kind.
+    """
+    if kind == "wht":
+        return make_partial_wht(n, m, rng)
+    if kind == "dct":
+        return make_partial_dct(n, m, rng)
+    if kind == "orthgauss":
+        return orthonormal_gaussian_operator(m, n, rng)
+    raise ConfigError("unknown operator kind %r (choose from %s)" % (kind, ", ".join(OPERATOR_KINDS)))

@@ -1,17 +1,46 @@
 """Solver entry points and step functions."""
 
+from ..errors import ConfigError
 from .baselines import FistaState, fista_solve, fista_step, ist_solve, ist_step
-from .common import CountingOperator, RunRecord, SolverOptions
+from .common import CountingOperator, RunRecord, SolverOptions, run_solve
 from .dual import (GOLDEN_RATIO, DadmParams, DadmState, dadm_bp_step,
                    dadm_bpdn_step, dadm_nonorth_step, dadm_qp_step, dadm_solve)
 from .primal import (PadmParams, PadmState, padm_bp_step, padm_bpdn_step,
                      padm_qp_step, padm_solve)
 
 __all__ = [
-    "CountingOperator", "RunRecord", "SolverOptions",
+    "SOLVERS", "solve",
+    "CountingOperator", "RunRecord", "SolverOptions", "run_solve",
     "PadmParams", "PadmState", "padm_bp_step", "padm_bpdn_step",
     "padm_qp_step", "padm_solve",
     "GOLDEN_RATIO", "DadmParams", "DadmState", "dadm_bp_step",
     "dadm_bpdn_step", "dadm_nonorth_step", "dadm_qp_step", "dadm_solve",
     "FistaState", "fista_step", "ist_step", "fista_solve", "ist_solve",
 ]
+
+# Every solver name, in the order the solver races report them.
+SOLVERS = ("padm", "dadm", "ist", "fista")
+
+
+def solve(name, model, A, b, opts=None):
+    """Solve ``model`` (a ModelSpec) on the data b = A x with the named solver.
+
+    The one entry point the CLI and the experiment harness share. ``ist``
+    and ``fista`` cover only the plain quadratic-penalty model: no weights,
+    no nonnegativity. Any other model, or an unknown name, raises
+    ConfigError.
+
+    Returns
+    -------
+    RunRecord
+    """
+    if name not in SOLVERS:
+        raise ConfigError("unknown solver %r (choose from %s)" % (name, ", ".join(SOLVERS)))
+    # Looked up per call rather than in a table built at import, so a
+    # rebound module attribute (a tracing wrapper) is what runs.
+    fn = globals()[name + "_solve"]
+    if name in ("padm", "dadm"):
+        return fn(model, A, b, opts)
+    if model.family != "qp" or model.nonneg or model.weights is not None:
+        raise ConfigError("%s solves the plain qp model only, not %s" % (name, model.describe()))
+    return fn(A, b, model.mu, opts)

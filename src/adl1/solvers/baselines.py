@@ -6,10 +6,7 @@ t = (1 + sqrt(1 + 4 t_prev^2))/2, taking the gradient step from y instead.
 tau = 1 is the default and is valid whenever lambda_max(A*A) <= 1.
 
 The shrink threshold tau*mu is the one consistent with the objective
-||x||_1 + ||Ax-b||^2/(2 mu). A historically circulated variant divides by mu
-instead; it is available behind ``literal_threshold=True`` for side-by-side
-comparison but is not useful (with small mu it thresholds every iterate to
-zero).
+||x||_1 + ||Ax-b||^2/(2 mu).
 
 Momentum is applied to the cached products as well (A y = A x + w (A x -
 A x_prev)), so both methods cost one forward and one adjoint application per
@@ -18,16 +15,14 @@ iteration including the objective evaluation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..models import Diagnostics, l1_norm, relchg, relerr
 from ..operators import as_complex_vector
 from ..prox import shrink
-from .common import CountingOperator, RunRecord, SolverOptions, check_finite
+from .common import SolverOptions, check_finite, run_solve
 
 __all__ = ["FistaState", "fista_step", "ist_step", "fista_solve", "ist_solve"]
 
@@ -48,7 +43,7 @@ class FistaState:
     Ax_prev: np.ndarray | None = None
 
 
-def _prox_grad_step(state, A, b, mu, tau, literal_threshold, accelerate):
+def _prox_grad_step(state, A, b, mu, tau, accelerate):
     if not (mu > 0):
         raise ConfigError("baseline solvers need mu > 0")
     if not (tau > 0):
@@ -68,22 +63,21 @@ def _prox_grad_step(state, A, b, mu, tau, literal_threshold, accelerate):
     y = state.x + w * (state.x - state.x_prev)
     Ay = Ax + w * (Ax - Ax_prev)
     grad = A.adjoint(Ay - b)
-    thresh = tau / mu if literal_threshold else tau * mu
-    x_new = shrink(y - tau * grad, thresh)
+    x_new = shrink(y - tau * grad, tau * mu)
     Ax_new = A.apply(x_new)
     check_finite(x_new, x_new, state.k + 1)
     return FistaState(x=x_new, x_prev=state.x, t=t_new, k=state.k + 1,
                       Ax=Ax_new, Ax_prev=Ax)
 
 
-def fista_step(state, A, b, mu, tau=1.0, literal_threshold=False):
+def fista_step(state, A, b, mu, tau=1.0):
     """One accelerated step. Returns a new state with t advanced."""
-    return _prox_grad_step(state, A, b, mu, tau, literal_threshold, accelerate=True)
+    return _prox_grad_step(state, A, b, mu, tau, accelerate=True)
 
 
-def ist_step(state, A, b, mu, tau=1.0, literal_threshold=False):
+def ist_step(state, A, b, mu, tau=1.0):
     """One plain proximal-gradient step (momentum weight pinned at zero)."""
-    return _prox_grad_step(state, A, b, mu, tau, literal_threshold, accelerate=False)
+    return _prox_grad_step(state, A, b, mu, tau, accelerate=False)
 
 
 def _baseline_solve(name, step, A, b, mu, opts):
@@ -91,38 +85,13 @@ def _baseline_solve(name, step, A, b, mu, opts):
     if opts.stop != "relchg":
         raise ConfigError("baseline solvers stop on relative change only")
     b = as_complex_vector(b, A.m)
-    counting = CountingOperator(A)
     tau = 1.0 if opts.tau is None else float(opts.tau)
 
-    if opts.x0 is None:
-        x0 = np.zeros(A.n, dtype=np.complex128)
-        Ax0 = np.zeros(A.m, dtype=np.complex128)
-    else:
-        x0 = as_complex_vector(opts.x0, A.n)
-        Ax0 = counting.apply(x0)
-    state = FistaState(x=x0, x_prev=x0, t=1.0, k=0, Ax=Ax0, Ax_prev=Ax0)
+    def start(x0, Ax0, y0, A):
+        return FistaState(x=x0, x_prev=x0, t=1.0, k=0, Ax=Ax0, Ax_prev=Ax0)
 
-    history, aat_history = [], []
-    status = "max_iter"
-    t0 = time.perf_counter()
-    for _ in range(opts.max_iter):
-        x_prev = state.x
-        state = step(state, counting, b, mu, tau, opts.literal_threshold)
-        misfit = state.Ax - b
-        objective = l1_norm(state.x) + 0.5 * float(np.linalg.norm(misfit) ** 2) / mu
-        err = relerr(state.x, opts.x_true) if opts.x_true is not None else np.nan
-        diag = Diagnostics(r_p=np.nan, r_d=np.nan, gap=np.nan, res=np.nan,
-                           relchg=relchg(state.x, x_prev), objective=objective,
-                           relerr=err)
-        history.append(diag)
-        aat_history.append(counting.count)
-        if opts.stop_satisfied(diag):
-            status = "converged"
-            break
-    seconds = time.perf_counter() - t0
-    return RunRecord(solver=name, model=f"qp(mu={mu:g})", status=status,
-                     iterations=state.k, aat=counting.count, seconds=seconds,
-                     x=state.x, history=history, aat_history=aat_history)
+    return run_solve(name, f"qp(mu={mu:g})", A, b, opts, start=start,
+                     step=lambda state, A: step(state, A, b, mu, tau), mu=mu)
 
 
 def fista_solve(A, b, mu, opts=None):

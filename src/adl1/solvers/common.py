@@ -1,15 +1,18 @@
-"""Shared solver plumbing: options, run records, matvec accounting."""
+"""Shared solver plumbing: options, run records, matvec accounting, and the
+one solve loop every solver runs."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError, DivergenceError
-from ..models import Diagnostics
+from ..models import Diagnostics, compute_res, data_norm
+from ..operators import as_complex_vector
 
-__all__ = ["SolverOptions", "RunRecord", "CountingOperator"]
+__all__ = ["SolverOptions", "RunRecord", "CountingOperator", "run_solve"]
 
 STOP_RULES = ("relchg", "res")
 
@@ -36,7 +39,6 @@ class SolverOptions:
     x_true: np.ndarray | None = None
     enforce_step_condition: bool = True
     allow_nonorthonormal: bool = False
-    literal_threshold: bool = False
 
     def __post_init__(self):
         if self.stop not in STOP_RULES:
@@ -140,3 +142,75 @@ def check_finite(x, y, k):
         raise DivergenceError(f"primal iterate became nonfinite at iteration {k}")
     if not (np.all(np.isfinite(y.real)) and np.all(np.isfinite(y.imag))):
         raise DivergenceError(f"multiplier became nonfinite at iteration {k}")
+
+
+def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
+              weights=None, dual=None, signal=None, nonneg=False):
+    """Run the solve loop shared by every solver and return its RunRecord.
+
+    Each sweep steps, diagnoses the new iterate through ``compute_res``,
+    records the diagnostics and the running ``aat``, and stops when
+    ``opts.stop`` is met or after ``opts.max_iter`` sweeps.
+
+    Parameters
+    ----------
+    solver, model : str
+        Labels written into the record.
+    A, b
+        Operator and data the iteration works on (the augmented pair for
+        the l1/l1 model). A is wrapped here to count applications.
+    opts : SolverOptions
+    start : callable
+        ``start(x0, Ax0, y0, A)`` builds the initial state. x0 and A x0 are
+        zero unless ``opts.x0`` is given (its application is charged); y0 is
+        ``opts.y0`` as a validated vector, or None.
+    step : callable
+        ``step(state, A)`` returns the next state. Every state carries the
+        iterate ``x``, its cached product ``Ax`` and the sweep count ``k``.
+    mu, delta, weights
+        Model terms of the residues, as ``compute_res`` takes them.
+    dual : callable, optional
+        ``dual(state, A)`` returns ``(y, z, Aty)``, the multiplier, the dual
+        auxiliary and A* y; z and Aty may be None, leaving the dual residue,
+        gap and res NaN. Omitted for a method without a multiplier.
+    signal : callable, optional
+        Maps an iterate to the signal estimate: relerr is measured on it and
+        the record returns it (the l1/l1 model's signal block).
+    nonneg : bool
+        Clip the real part of the returned signal at zero.
+    """
+    counting = CountingOperator(A)
+    if opts.x0 is None:
+        x0 = np.zeros(A.n, dtype=np.complex128)
+        Ax0 = np.zeros(A.m, dtype=np.complex128)
+    else:
+        x0 = as_complex_vector(opts.x0, A.n)
+        Ax0 = counting.apply(x0)
+    y0 = None if opts.y0 is None else as_complex_vector(opts.y0, A.m)
+    state = start(x0, Ax0, y0, counting)
+    # Once per solve, so a zero-data warning fires once, not every sweep.
+    b_norm = None if dual is None else data_norm(b)
+
+    history, aat_history = [], []
+    status = "max_iter"
+    t0 = time.perf_counter()
+    for _ in range(opts.max_iter):
+        x_prev = state.x
+        state = step(state, counting)
+        y, z, Aty = (None, None, None) if dual is None else dual(state, counting)
+        diag = compute_res(state.x, y, z, counting, b, mu, delta=delta, weights=weights,
+                           Ax=state.Ax, Aty=Aty, x_prev=x_prev, x_true=opts.x_true,
+                           b_norm=b_norm, signal=signal)
+        history.append(diag)
+        aat_history.append(counting.count)
+        if opts.stop_satisfied(diag):
+            status = "converged"
+            break
+    seconds = time.perf_counter() - t0
+
+    x = state.x if signal is None else signal(state.x)
+    if nonneg:
+        x = np.maximum(x.real, 0.0).astype(np.complex128)
+    return RunRecord(solver=solver, model=model, status=status, iterations=state.k,
+                     aat=counting.count, seconds=seconds, x=x, history=history,
+                     aat_history=aat_history)

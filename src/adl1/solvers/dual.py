@@ -21,16 +21,15 @@ the half-space Re(z) <= w and clip the final output.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, StepSizeError
-from ..models import Diagnostics, l1_norm, reformulate_l1l1, relchg, relerr
+from ..models import extract_l1l1, reformulate_l1l1
 from ..operators import as_complex_vector
 from ..prox import project_halfspace, project_linf_ball, shrink_l2
-from .common import CountingOperator, RunRecord, SolverOptions, check_finite
+from .common import SolverOptions, check_finite, run_solve
 
 __all__ = ["DadmParams", "DadmState", "GOLDEN_RATIO",
            "dadm_bp_step", "dadm_bpdn_step", "dadm_qp_step",
@@ -184,34 +183,17 @@ def dadm_nonorth_step(state, A, b, p):
 _STEPS = {"bp": dadm_bp_step, "bpdn": dadm_bpdn_step, "qp": dadm_qp_step}
 
 
-def _dadm_diag(state, x_prev, A, b, p, family, extract, x_true):
-    misfit = state.Ax - b
-    x_l1 = l1_norm(state.x, p.weights)
-    if family == "qp":
-        rp_norm = float(np.linalg.norm(misfit + p.mu * state.y))
-    elif family == "bpdn":
-        rp_norm = max(0.0, float(np.linalg.norm(misfit)) - p.delta)
+def _dadm_start(x0, Ax0, y0, A):
+    if y0 is None:
+        y0 = np.zeros(A.m, dtype=np.complex128)
+        Aty0 = np.zeros(A.n, dtype=np.complex128)
     else:
-        rp_norm = float(np.linalg.norm(misfit))
-    b_norm = float(np.linalg.norm(b))
-    r_p = rp_norm / (b_norm if b_norm > 0 else 1.0)
-    r_d = float(np.linalg.norm(state.Aty - state.z)) / np.sqrt(A.m)
+        Aty0 = A.adjoint(y0)
+    return DadmState(x=x0, y=y0, z=np.zeros(A.n, dtype=np.complex128), k=0, Ax=Ax0, Aty=Aty0)
 
-    if family == "qp":
-        y_sq = float(np.linalg.norm(state.y) ** 2)
-        delta_gap = float(np.real(np.vdot(b, state.y))) - p.mu * y_sq - x_l1
-        f_p = x_l1 + 0.5 * p.mu * y_sq
-        gap = abs(delta_gap) / (f_p if f_p > 0 else 1.0)
-        objective = x_l1 + 0.5 * float(np.linalg.norm(misfit) ** 2) / p.mu
-        res = max(r_p, r_d, gap)
-    else:
-        gap = np.nan
-        objective = x_l1
-        res = max(r_p, r_d)
 
-    err = relerr(extract(state.x), x_true) if x_true is not None else np.nan
-    return Diagnostics(r_p=r_p, r_d=r_d, gap=gap, res=res,
-                       relchg=relchg(state.x, x_prev), objective=objective, relerr=err)
+def _dadm_dual(state, A):
+    return state.y, state.z, state.Aty
 
 
 def dadm_solve(model, A, b, opts=None):
@@ -233,33 +215,22 @@ def dadm_solve(model, A, b, opts=None):
     """
     opts = opts if opts is not None else SolverOptions()
     b = as_complex_vector(b, A.m)
-    n_signal = A.n
-
+    weights = model.weights
+    signal = None
     if model.family == "l1l1":
         op, data = reformulate_l1l1(A, b, model.nu)
         family = "bp"
-        if model.weights is None:
-            weights = None
-        else:
-            weights = np.concatenate([model.weights, np.ones(A.m)])
-        halfspace_prefix = n_signal if model.nonneg else 0
-        nu = model.nu
+        if weights is not None:
+            weights = np.concatenate([weights, np.ones(A.m)])
 
-        def extract(xh):
-            return xh[:n_signal] / nu
+        def signal(xh):
+            return extract_l1l1(xh, A.n, model.nu)
     else:
-        op, data = A, b
-        family = model.family
-        weights = model.weights
-        halfspace_prefix = n_signal if model.nonneg else 0
+        op, data, family = A, b, model.family
 
-        def extract(xh):
-            return xh
-
-    counting = CountingOperator(op)
     params = DadmParams.from_operator(
         op, data, gamma=opts.gamma, beta=opts.beta, mu=model.mu,
-        delta=model.delta, weights=weights, halfspace_prefix=halfspace_prefix)
+        delta=model.delta, weights=weights, halfspace_prefix=A.n if model.nonneg else 0)
 
     if op.orthonormal_rows:
         step = _STEPS[family]
@@ -272,40 +243,7 @@ def dadm_solve(model, A, b, opts=None):
             "dual solver needs an orthonormal-rows operator for exact steps; "
             "set allow_nonorthonormal=True to opt into the experimental variant")
 
-    n, m = op.n, op.m
-    if opts.x0 is None:
-        x0 = np.zeros(n, dtype=np.complex128)
-        Ax0 = np.zeros(m, dtype=np.complex128)
-    else:
-        x0 = as_complex_vector(opts.x0, n)
-        Ax0 = counting.apply(x0)
-    if opts.y0 is None:
-        y0 = np.zeros(m, dtype=np.complex128)
-        Aty0 = np.zeros(n, dtype=np.complex128)
-    else:
-        y0 = as_complex_vector(opts.y0, m)
-        Aty0 = counting.adjoint(y0)
-    state = DadmState(x=x0, y=y0, z=np.zeros(n, dtype=np.complex128), k=0,
-                      Ax=Ax0, Aty=Aty0)
-
-    history, aat_history = [], []
-    status = "max_iter"
-    t0 = time.perf_counter()
-    for _ in range(opts.max_iter):
-        x_prev = state.x
-        state = step(state, counting, data, params)
-        diag = _dadm_diag(state, x_prev, counting, data, params, family,
-                          extract, opts.x_true)
-        history.append(diag)
-        aat_history.append(counting.count)
-        if opts.stop_satisfied(diag):
-            status = "converged"
-            break
-    seconds = time.perf_counter() - t0
-
-    x_final = extract(state.x)
-    if model.nonneg:
-        x_final = np.maximum(x_final.real, 0.0).astype(np.complex128)
-    return RunRecord(solver="dadm", model=model.describe(), status=status,
-                     iterations=state.k, aat=counting.count, seconds=seconds,
-                     x=x_final, history=history, aat_history=aat_history)
+    return run_solve("dadm", model.describe(), op, data, opts, start=_dadm_start,
+                     step=lambda state, A: step(state, A, data, params),
+                     mu=params.mu, delta=params.delta, weights=params.weights,
+                     dual=_dadm_dual, signal=signal, nonneg=model.nonneg)

@@ -16,16 +16,14 @@ fallback solver for general dense operators.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ConfigError, StepSizeError
-from ..models import Diagnostics, compute_res, l1_norm, relchg, relerr
 from ..operators import as_complex_vector
 from ..prox import project_l2_ball, project_linf_ball, shrink
-from .common import CountingOperator, RunRecord, SolverOptions, check_finite
+from .common import SolverOptions, check_finite, run_solve
 
 __all__ = ["PadmParams", "PadmState", "padm_bp_step", "padm_bpdn_step", "padm_qp_step", "padm_solve"]
 
@@ -139,36 +137,6 @@ def padm_bp_step(state, A, b, p):
 _STEPS = {"bp": padm_bp_step, "bpdn": padm_bpdn_step, "qp": padm_qp_step}
 
 
-def _padm_diag(state, x_prev, A, b, p, model, opts):
-    misfit = state.Ax - b
-    if model.family == "qp":
-        rp_norm = float(np.linalg.norm(misfit + p.mu * state.y))
-        objective = l1_norm(state.x, p.weights) + 0.5 * float(np.linalg.norm(misfit) ** 2) / p.mu
-    elif model.family == "bpdn":
-        rp_norm = max(0.0, float(np.linalg.norm(misfit)) - p.delta)
-        objective = l1_norm(state.x, p.weights)
-    else:
-        rp_norm = float(np.linalg.norm(misfit))
-        objective = l1_norm(state.x, p.weights)
-    b_norm = float(np.linalg.norm(b))
-    r_p = rp_norm / (b_norm if b_norm > 0 else 1.0)
-
-    if opts.stop == "res":
-        # The primal solver has no dual auxiliary; measure dual feasibility
-        # of the multiplier directly. Costs one adjoint per iteration on top
-        # of the usual two applications.
-        Aty = A.adjoint(state.y)
-        z = project_linf_ball(Aty, 1.0 if p.weights is None else p.weights)
-        full = compute_res(state.x, state.y, z, A, b, p.mu, delta=p.delta,
-                           weights=p.weights, Ax=state.Ax, Aty=Aty,
-                           x_prev=x_prev,
-                           x_true=opts.x_true)
-        return full
-    err = relerr(state.x, opts.x_true) if opts.x_true is not None else np.nan
-    return Diagnostics(r_p=r_p, r_d=np.nan, gap=np.nan, res=np.nan,
-                       relchg=relchg(state.x, x_prev), objective=objective, relerr=err)
-
-
 def padm_solve(model, A, b, opts=None):
     """Run the primal solver on a bp, bpdn, or qp model.
 
@@ -194,36 +162,28 @@ def padm_solve(model, A, b, opts=None):
     if model.nonneg:
         raise ConfigError("nonnegative models run through the dual solver")
     b = as_complex_vector(b, A.m)
-    counting = CountingOperator(A)
     params = PadmParams.from_operator(
         A, b, tau=opts.tau, gamma=opts.gamma, beta=opts.beta,
         mu=model.mu, delta=model.delta, weights=model.weights,
         enforce=opts.enforce_step_condition)
-
-    n, m = A.n, A.m
-    if opts.x0 is None:
-        x0 = np.zeros(n, dtype=np.complex128)
-        Ax0 = np.zeros(m, dtype=np.complex128)
-    else:
-        x0 = as_complex_vector(opts.x0, n)
-        Ax0 = counting.apply(x0)
-    y0 = np.zeros(m, dtype=np.complex128) if opts.y0 is None else as_complex_vector(opts.y0, m)
-    state = PadmState(x=x0, r=np.zeros(m, dtype=np.complex128), y=y0, k=0, Ax=Ax0)
-
     step = _STEPS[model.family]
-    history, aat_history = [], []
-    status = "max_iter"
-    t0 = time.perf_counter()
-    for _ in range(opts.max_iter):
-        x_prev = state.x
-        state = step(state, counting, b, params)
-        diag = _padm_diag(state, x_prev, counting, b, params, model, opts)
-        history.append(diag)
-        aat_history.append(counting.count)
-        if opts.stop_satisfied(diag):
-            status = "converged"
-            break
-    seconds = time.perf_counter() - t0
-    return RunRecord(solver="padm", model=model.describe(), status=status,
-                     iterations=state.k, aat=counting.count, seconds=seconds,
-                     x=state.x, history=history, aat_history=aat_history)
+
+    def start(x0, Ax0, y0, A):
+        y0 = np.zeros(A.m, dtype=np.complex128) if y0 is None else y0
+        return PadmState(x=x0, r=np.zeros(A.m, dtype=np.complex128), y=y0, k=0, Ax=Ax0)
+
+    if opts.stop == "res":
+        # The primal solver has no dual auxiliary; measure dual feasibility
+        # of the multiplier directly. Costs one adjoint per iteration on top
+        # of the usual two applications.
+        def dual(state, A):
+            Aty = A.adjoint(state.y)
+            z = project_linf_ball(Aty, 1.0 if params.weights is None else params.weights)
+            return state.y, z, Aty
+    else:
+        def dual(state, A):
+            return state.y, None, None
+
+    return run_solve("padm", model.describe(), A, b, opts, start=start,
+                     step=lambda state, A: step(state, A, b, params),
+                     mu=params.mu, delta=params.delta, weights=params.weights, dual=dual)

@@ -7,6 +7,7 @@ from adl1.errors import ConfigError
 from adl1.models import ModelSpec
 from adl1.operators import make_partial_wht, orthonormal_gaussian_operator
 from adl1.prox import shrink
+from adl1.solvers import solve
 from adl1.solvers.baselines import FistaState, fista_solve, fista_step, ist_solve, ist_step
 from adl1.solvers.common import SolverOptions
 from adl1.solvers.dual import dadm_solve
@@ -103,16 +104,6 @@ def test_plain_variant_descends_monotonically(rng):
     assert np.all(np.diff(objs) <= 1e-12 * np.maximum(1.0, objs[:-1]))
 
 
-def test_literal_threshold_variant(rng):
-    op, b = _instance(rng)
-    mu = 1e-2
-    # tau/mu = 100 exceeds every |gradient| entry here: all mass is killed.
-    run_lit = ist_solve(op, b, mu, SolverOptions(max_iter=5, tol=0.0, literal_threshold=True))
-    assert np.all(run_lit.x == 0)
-    run_std = ist_solve(op, b, mu, SolverOptions(max_iter=5, tol=0.0))
-    assert np.any(run_std.x != 0)
-
-
 def test_res_stop_is_rejected(rng):
     op, b = _instance(rng)
     with pytest.raises(ConfigError):
@@ -123,6 +114,19 @@ def test_res_stop_is_rejected(rng):
         ist_solve(op, b, 0.0)
     with pytest.raises(ConfigError):
         ist_solve(op, b, 0.1, SolverOptions(tau=-1.0))
+
+
+def test_solve_rejects_models_the_baselines_do_not_solve(rng):
+    op, b = _instance(rng)
+    w = np.full(op.n, 2.0)
+    for name in ("ist", "fista"):
+        assert solve(name, ModelSpec.qp(0.1), op, b).solver == name
+        for model in (ModelSpec.qp(0.1, nonneg=True), ModelSpec.qp(0.1, weights=w),
+                      ModelSpec.qp(0.1, nonneg=True, weights=w), ModelSpec.bp()):
+            with pytest.raises(ConfigError, match="plain qp model only"):
+                solve(name, model, op, b)
+    with pytest.raises(ConfigError, match="padm, dadm, ist, fista"):
+        solve("admm", ModelSpec.qp(0.1), op, b)
 
 
 def test_matvec_accounting(rng):

@@ -1,0 +1,87 @@
+"""Golden artifacts: output bytes pinned across commits.
+
+Experiment CSVs and CLI solves are byte-deterministic for a fixed seed, so
+their sha256 digests are recorded here. Rerunning a protocol twice in one
+checkout (criterion 9, ``test_experiment_reruns_are_byte_identical``) cannot
+notice a refactor that moves a number; these digests do. A reordered
+floating-point expression, one more or one fewer iteration, or a changed
+random draw fails this file. A change that means to move an artifact
+updates the digest and says why.
+
+The experiment runs are tiny ``run_protocol`` runs at seed 1234; the solves
+run ``adl1 solve demos/tiny_bp.json`` with a few solver and model flags.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from adl1 import cli
+from adl1.harness import ExperimentConfig, run_protocol
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TINY_BP = os.path.join(ROOT, "demos", "tiny_bp.json")
+
+# protocol -> (ExperimentConfig overrides, means sha256, trials sha256 or None)
+PROTOCOL_DIGESTS = {
+    "race-qp": (
+        dict(n=64, trials=2, max_iter=200),
+        "2700f8928e88fa37fa4f8a082fcef037c83ceb3c7834b84eb6c52c9aef6a6abd",
+        "ceefb65168a486ca476259efae5ba1dd02ddd8ff8fcb1f9e58dda4dc43879742",
+    ),
+    "model-choice": (
+        dict(n=100, trials=1, max_iter=300),
+        "a88dc3d6da835cc8f8777968505dcfabbda80b13f7bd3da34bfdc9b4c10ceb76",
+        "7e467532e1b6631d13abc1100a2ade27e6121a01288ef34a79a0da27c294f7ef",
+    ),
+    "err-vs-opt": (
+        dict(n=100),
+        "ba0ffac600603f58ff83182b7e7029e411a90e823b342943e936ae6f9ea9d5f4",
+        None,  # err-vs-opt writes per-iteration means only
+    ),
+}
+
+# extra CLI flags -> (exit code, status, iterations, aat, model label, x.bin sha256)
+SOLVE_DIGESTS = {
+    (): (0, "converged", 173, 346, "bp()",
+         "cb18c1209649e8936776b0bade8ab007f8cffe1b6c0ac580dc00a1ebdc49a45c"),
+    ("--solver", "padm", "--stop", "res"): (
+        0, "converged", 251, 753, "bp()",
+        "1caf43e8c6bf559de4b9d5aad1fd5df119e7721261bfbc7c583a24c3b82c5e86"),
+    ("--model", "l1l1", "--nu", "0.5", "--nonneg", "--max-iter", "300"): (
+        2, "max_iter", 300, 600, "l1l1(nu=0.5)+nonneg",
+        "ccc2160050ea475edc139655c22ca915ccbc368d72c224c2657bf86afbdcf776"),
+    ("--solver", "fista", "--model", "qp", "--mu", "1e-3", "--eps", "1e-8"): (
+        0, "converged", 290, 580, "qp(mu=0.001)",
+        "d38f870ddfecdd5a749643758d9a2f70870bf5768d3664fa30e9e42b17cf0772"),
+}
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOL_DIGESTS))
+def test_experiment_csv_bytes_are_pinned(tmp_path, protocol):
+    overrides, means, trials = PROTOCOL_DIGESTS[protocol]
+    run_protocol(ExperimentConfig(protocol, seed=1234, **overrides)).write(str(tmp_path))
+    assert _sha256(tmp_path / (protocol + ".csv")) == means
+    trials_path = tmp_path / (protocol + "_trials.csv")
+    if trials is None:
+        assert not trials_path.exists()
+    else:
+        assert _sha256(trials_path) == trials
+
+
+@pytest.mark.parametrize("flags", sorted(SOLVE_DIGESTS), ids=lambda f: " ".join(f) or "default")
+def test_cli_solve_is_pinned(tmp_path, flags):
+    rc, status, iterations, aat, model, x_sha = SOLVE_DIGESTS[flags]
+    out = tmp_path / "run"
+    assert cli.main(["solve", TINY_BP, "--out", str(out), *flags]) == rc
+    run = json.loads((out / "run.json").read_text())
+    assert (run["status"], run["iterations"], run["aat"], run["model"]) == (
+        status, iterations, aat, model)
+    assert _sha256(out / "x.bin") == x_sha

@@ -1,9 +1,9 @@
 """Synthetic instance generation and the experiment protocols.
 
 The harness has one hard guarantee worth testing aggressively: a resolved
-config plus a seed pins every CSV cell bit for bit, independently of the
-worker-thread count. Everything else here checks the documented noise rules
-and the shape of the protocol outputs on desk-tiny instances.
+config plus a seed pins every CSV cell bit for bit. Everything else here
+checks the documented noise rules and the shape of the protocol outputs on
+desk-tiny instances.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from adl1.harness import (
     ExperimentConfig,
     NoiseSpec,
     _aggregate,
-    _thread_count,
     add_noise,
     gen_spikes,
     make_instance,
@@ -256,16 +255,6 @@ def test_race_rows_and_determinism():
         assert r["seconds"] == 0.0  # timing off keeps the CSV deterministic
     assert len(res.timing_rows) == len(res.trial_rows)
     assert all(t["seconds"] > 0.0 for t in res.timing_rows)
-
-
-def test_race_is_thread_count_invariant(monkeypatch):
-    base = run_solver_race(_tiny_race()).trial_rows
-    monkeypatch.setenv("ADL1_NUM_THREADS", "4")
-    assert _thread_count() == 4
-    assert run_solver_race(_tiny_race()).trial_rows == base
-    monkeypatch.setenv("ADL1_NUM_THREADS", "abc")
-    with pytest.raises(ConfigError, match="ADL1_NUM_THREADS"):
-        run_solver_race(_tiny_race())
 
 
 def test_mean_rows_are_trial_averages():

@@ -230,6 +230,12 @@ def test_solve_error_paths(tmp_path, capsys):
     rc = cli.main(["solve", str(path), "--solver", "ist", "--out", str(tmp_path / "o1")])
     assert rc == 1
     assert "adl1: error (ConfigError)" in capsys.readouterr().err
+    # ... and to its plain form: a nonnegative qp model is refused, not solved unconstrained
+    rc = cli.main(["solve", str(path), "--solver", "fista", "--model", "qp", "--mu", "1e-3",
+                   "--nonneg", "--out", str(tmp_path / "o2")])
+    assert rc == 1
+    assert "plain qp model only" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
 
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -11,7 +11,6 @@ from adl1.operators import (
     PartialDCTOperator,
     PartialWalshHadamardOperator,
     as_complex_vector,
-    build_augmented,
     estimate_lambda_max,
     fwht,
     make_partial_dct,
@@ -151,7 +150,7 @@ def test_lambda_max_is_memoized(rng):
 def test_augmented_operator_block_structure(rng):
     base = DenseOperator(_complex(rng, (4, 6)))
     nu = 0.7
-    op = build_augmented(base, nu)
+    op = AugmentedOperator(base, nu)
     assert op.shape == (4, 10)
     mat = materialize(op)
     expected = np.hstack([base.matrix, nu * np.eye(4)]) / np.sqrt(1 + nu * nu)

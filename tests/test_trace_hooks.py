@@ -1,0 +1,63 @@
+"""The benchmark's tracer must still find every adl1 function it hooks.
+
+``perfbench/tracer.py`` times adl1's layers from outside by rebinding module
+attributes by name: the solvers, ``models.compute_res``,
+``harness._map_trials`` and others. A rename, or a call that bypasses the
+module attribute (a name-to-function table built at import), does not fail
+any solver test; it silently empties a layer of the benchmark's report.
+These tests load the tracer from its path, unedited, and run one tiny CLI
+solve and one tiny experiment under it.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from adl1 import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER_PATH = os.path.join(ROOT, "perfbench", "tracer.py")
+TINY_BP = os.path.join(ROOT, "demos", "tiny_bp.json")
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("adl1_perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced(tracer_module, argv):
+    spans = tracer_module.Tracer()
+    trial_loop = sys.modules["adl1.harness"]._map_trials
+    with spans.installed():
+        assert sys.modules["adl1.harness"]._map_trials is not trial_loop
+        for _, modname, attr in tracer_module.FUNCTIONS:
+            assert hasattr(getattr(sys.modules[modname], attr), "__wrapped__"), attr
+        for solver in tracer_module.SOLVERS:
+            assert hasattr(getattr(sys.modules["adl1.solvers"], solver + "_solve"), "__wrapped__")
+        rc = cli.main(argv)
+    return rc, spans.metrics(0.0)
+
+
+def test_cli_solve_records_one_solver_span(tracer_module, tmp_path):
+    rc, metrics = _traced(tracer_module, ["solve", TINY_BP, "--out", str(tmp_path / "run")])
+    assert rc == 0
+    solves = {s: metrics["solvers.%s.solves" % s] for s in tracer_module.SOLVERS}
+    assert solves == {"padm": 0, "dadm": 1, "ist": 0, "fista": 0}
+    assert metrics["operators.apply.calls"] >= 1
+    assert metrics["models.compute_res.calls"] == metrics["solvers.dadm.iterations"]
+
+
+def test_experiment_reaches_every_solver_and_the_trial_loop(tracer_module, tmp_path):
+    argv = ["experiment", "race-qp", "--n", "64", "--trials", "1", "--max-iter", "20",
+            "--out", str(tmp_path / "race")]
+    rc, metrics = _traced(tracer_module, argv)
+    assert rc == 0
+    for solver in tracer_module.SOLVERS:
+        assert metrics["solvers.%s.solves" % solver] == 6, solver  # one per race cell
+    assert metrics["harness.pool.workers"] == 1
+    assert metrics["harness.make_instance.calls"] == 6
