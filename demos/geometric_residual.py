@@ -11,7 +11,7 @@ script measures it. Run it directly:
 import numpy as np
 
 from adl1 import ModelSpec, gen_spikes, make_partial_wht
-from adl1.solvers.dual import DadmParams, DadmState, dadm_bp_step
+from adl1.solvers.dual import DadmParams, DadmState, dadm_step
 
 n, m, k = 1024, 256, 40
 rng = np.random.default_rng(42)
@@ -23,12 +23,13 @@ r0 = np.linalg.norm(b)  # starting from x = 0
 for gamma in (0.5, 1.0, 1.618):
     params = DadmParams.from_operator(A, b, gamma=gamma)
     state = DadmState(x=np.zeros(n, np.complex128), y=np.zeros(m, np.complex128),
-                      z=np.zeros(n, np.complex128))
+                      z=np.zeros(n, np.complex128), Ax=np.zeros(m, np.complex128),
+                      Aty=np.zeros(n, np.complex128))
     print()
     print("gamma = %.3f   predicted ratio |1 - gamma| = %.3f" % (gamma, abs(1 - gamma)))
     print("%6s %14s %14s" % ("sweep", "||Ax - b||", "predicted"))
     for sweep in range(1, 13):
-        state = dadm_bp_step(state, A, b, params)
+        state = dadm_step(state, A, b, params)
         measured = np.linalg.norm(A.apply(state.x) - b)
         predicted = abs(1.0 - gamma) ** sweep * r0
         print("%6d %14.6e %14.6e" % (sweep, measured, predicted))

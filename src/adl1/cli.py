@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from .errors import AdlError, ConfigError
-from .harness import ExperimentConfig, PROTOCOLS, _apply_noise, gen_spikes, run_protocol
+from .harness import ExperimentConfig, NoiseSpec, PROTOCOLS, run_protocol, synthesize
 from .io import (
     canonical_json,
     config_hash,
@@ -27,7 +27,7 @@ from .io import (
     write_vector,
     write_vector_csv,
 )
-from .models import FAMILIES, ModelSpec, relerr
+from .models import FAMILIES, ModelSpec, relerr, relres
 from .operators import (
     OPERATOR_KINDS,
     DenseOperator,
@@ -74,17 +74,12 @@ def _build_b(spec, A, default_seed):
         return _load_vector_file(spec["file"]), None
     if "synthetic" in spec:
         syn = spec["synthetic"]
+        noise = NoiseSpec(sigma=float(syn.get("sigma", 0.0)),
+                          impulse_fraction=float(syn.get("impulse_fraction", 0.0)),
+                          target_snr_db=syn.get("target_snr_db"))
         rng = np.random.default_rng(syn.get("seed", default_seed))
-        x_true = gen_spikes(A.n, int(syn["k"]), rng, field=syn.get("field", "real"))
-        b_clean = A.apply(x_true)
-        b, _, _, scale = _apply_noise(
-            b_clean,
-            float(syn.get("sigma", 0.0)),
-            float(syn.get("impulse_fraction", 0.0)),
-            rng,
-            syn.get("target_snr_db"),
-        )
-        return b, x_true * scale
+        b, x_true, _, _ = synthesize(A, int(syn["k"]), noise, rng, field=syn.get("field", "real"))
+        return b, x_true
     raise ConfigError("b spec needs a 'file' path or a 'synthetic' block")
 
 
@@ -142,8 +137,6 @@ def cmd_solve(args):
     os.makedirs(outdir, exist_ok=True)
     write_vector(os.path.join(outdir, "x.bin"), rec.x)
     write_vector_csv(os.path.join(outdir, "x.csv"), rec.x)
-    nb = float(np.linalg.norm(b))
-    relres = float(np.linalg.norm(A.apply(rec.x) - b)) / nb if nb > 0 else float("nan")
     summary = {
         "solver": rec.solver,
         "model": rec.model,
@@ -151,7 +144,7 @@ def cmd_solve(args):
         "iterations": rec.iterations,
         "aat": rec.aat,
         "seconds": seconds,
-        "relres": relres,
+        "relres": relres(A, b, rec.x),
         "config": json.loads(canonical_json(config)),
         "config_hash": config_hash(config),
     }

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .io import canonical_json, config_hash, write_csv
-from .models import ModelSpec, relerr
+from .models import ModelSpec, relerr, relres
 from .operators import SensingOperator, as_complex_vector, make_operator
 from .solvers import SOLVERS, SolverOptions, solve
 
@@ -151,17 +151,26 @@ def add_noise(b_clean, sigma, impulse_fraction, seed, target_snr_db=None):
     return b, p_white, p_impulse
 
 
+def synthesize(A, k, noise, rng, field="real"):
+    """Plant k spikes, measure them through A and add ``noise``.
+
+    Draws from rng in that order: spike support, spike values, noise.
+    Returns (b, x_true, p_white, p_impulse) with x_true in the scale of b.
+    """
+    x_true = gen_spikes(A.n, k, rng, field=field)
+    b, p_white, p_impulse, scale = _apply_noise(
+        A.apply(x_true), noise.sigma, noise.impulse_fraction, rng, noise.target_snr_db
+    )
+    return b, x_true * scale, p_white, p_impulse
+
+
 def make_instance(kind, n, m, k, noise, seed, field="real"):
     """Build a seeded ProblemInstance; x_true is stored in the scale of b."""
     rng = _as_rng(seed)
     A = make_operator(kind, n, m, rng)
-    x_true = gen_spikes(n, k, rng, field=field)
-    b_clean = A.apply(x_true)
-    b, p_white, p_impulse, scale = _apply_noise(
-        b_clean, noise.sigma, noise.impulse_fraction, rng, noise.target_snr_db
-    )
+    b, x_true, p_white, p_impulse = synthesize(A, k, noise, rng, field=field)
     return ProblemInstance(
-        A=A, b=b, x_true=x_true * scale, noise=noise, seed=seed,
+        A=A, b=b, x_true=x_true, noise=noise, seed=seed,
         p_white=p_white, p_impulse=p_impulse,
     )
 
@@ -364,12 +373,6 @@ def _aggregate(trial_rows):
     return means
 
 
-def _final_relres(A, b, x):
-    nb = np.linalg.norm(b)
-    r = np.linalg.norm(A.apply(x) - b)
-    return float(r / nb) if nb > 0 else float(r)
-
-
 def _options(cfg, inst):
     return SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"], stop=cfg["stop"],
                          x_true=inst.x_true)
@@ -389,7 +392,7 @@ def _trial_row(cfg, inst, cell, solver, trial, model):
         "cell": cell, "solver": solver, "trial": trial,
         "iter": rec.iterations, "aat": rec.aat,
         "relerr_pct": relerr(rec.x, inst.x_true),
-        "res": _final_relres(inst.A, inst.b, rec.x),
+        "res": relres(inst.A, inst.b, rec.x),
         "seconds": dt if cfg["timing"] else 0.0,
         "_measured": dt,
     }

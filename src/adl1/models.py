@@ -28,6 +28,7 @@ __all__ = [
     "Diagnostics",
     "compute_res",
     "data_norm",
+    "relres",
     "relchg",
     "relerr",
     "snr_db",
@@ -227,6 +228,13 @@ def data_norm(b):
         warnings.warn("b is zero; primal residue uses the absolute norm", RuntimeWarning, stacklevel=3)
         return 1.0
     return b_norm
+
+
+def relres(A, b, x):
+    """||Ax - b|| / ||b||, or the absolute residual when b is zero, as in ``data_norm``."""
+    nb = np.linalg.norm(b)
+    r = np.linalg.norm(A.apply(x) - b)
+    return float(r / nb) if nb > 0 else float(r)
 
 
 def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,

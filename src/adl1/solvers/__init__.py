@@ -3,18 +3,16 @@
 from ..errors import ConfigError
 from .baselines import FistaState, fista_solve, fista_step, ist_solve, ist_step
 from .common import CountingOperator, RunRecord, SolverOptions, run_solve
-from .dual import (GOLDEN_RATIO, DadmParams, DadmState, dadm_bp_step,
-                   dadm_bpdn_step, dadm_nonorth_step, dadm_qp_step, dadm_solve)
-from .primal import (PadmParams, PadmState, padm_bp_step, padm_bpdn_step,
-                     padm_qp_step, padm_solve)
+from .dual import (GOLDEN_RATIO, DadmParams, DadmState, dadm_nonorth_step,
+                   dadm_solve, dadm_step)
+from .primal import PadmParams, PadmState, padm_solve, padm_step
 
 __all__ = [
     "SOLVERS", "solve",
     "CountingOperator", "RunRecord", "SolverOptions", "run_solve",
-    "PadmParams", "PadmState", "padm_bp_step", "padm_bpdn_step",
-    "padm_qp_step", "padm_solve",
-    "GOLDEN_RATIO", "DadmParams", "DadmState", "dadm_bp_step",
-    "dadm_bpdn_step", "dadm_nonorth_step", "dadm_qp_step", "dadm_solve",
+    "PadmParams", "PadmState", "padm_step", "padm_solve",
+    "GOLDEN_RATIO", "DadmParams", "DadmState", "dadm_step",
+    "dadm_nonorth_step", "dadm_solve",
     "FistaState", "fista_step", "ist_step", "fista_solve", "ist_solve",
 ]
 

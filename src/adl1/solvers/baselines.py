@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..operators import as_complex_vector
 from ..prox import shrink
-from .common import SolverOptions, check_finite, run_solve
+from .common import SolverOptions, run_solve
 
 __all__ = ["FistaState", "fista_step", "ist_step", "fista_solve", "ist_solve"]
 
@@ -37,10 +37,10 @@ class FistaState:
 
     x: np.ndarray
     x_prev: np.ndarray
+    Ax: np.ndarray
+    Ax_prev: np.ndarray
     t: float = 1.0
     k: int = 0
-    Ax: np.ndarray | None = None
-    Ax_prev: np.ndarray | None = None
 
 
 def _prox_grad_step(state, A, b, mu, tau, accelerate):
@@ -48,12 +48,6 @@ def _prox_grad_step(state, A, b, mu, tau, accelerate):
         raise ConfigError("baseline solvers need mu > 0")
     if not (tau > 0):
         raise ConfigError("tau must be positive")
-    Ax = state.Ax if state.Ax is not None else A.apply(state.x)
-    if state.x_prev is state.x:
-        Ax_prev = Ax
-    else:
-        Ax_prev = state.Ax_prev if state.Ax_prev is not None else A.apply(state.x_prev)
-
     if accelerate:
         t_new = 1.0 if state.k == 0 else (1.0 + np.sqrt(1.0 + 4.0 * state.t * state.t)) / 2.0
         w = (state.t - 1.0) / t_new
@@ -61,13 +55,12 @@ def _prox_grad_step(state, A, b, mu, tau, accelerate):
         t_new = 1.0
         w = 0.0
     y = state.x + w * (state.x - state.x_prev)
-    Ay = Ax + w * (Ax - Ax_prev)
+    Ay = state.Ax + w * (state.Ax - state.Ax_prev)
     grad = A.adjoint(Ay - b)
     x_new = shrink(y - tau * grad, tau * mu)
     Ax_new = A.apply(x_new)
-    check_finite(x_new, x_new, state.k + 1)
-    return FistaState(x=x_new, x_prev=state.x, t=t_new, k=state.k + 1,
-                      Ax=Ax_new, Ax_prev=Ax)
+    return FistaState(x=x_new, x_prev=state.x, Ax=Ax_new, Ax_prev=state.Ax,
+                      t=t_new, k=state.k + 1)
 
 
 def fista_step(state, A, b, mu, tau=1.0):
@@ -88,7 +81,7 @@ def _baseline_solve(name, step, A, b, mu, opts):
     tau = 1.0 if opts.tau is None else float(opts.tau)
 
     def start(x0, Ax0, y0, A):
-        return FistaState(x=x0, x_prev=x0, t=1.0, k=0, Ax=Ax0, Ax_prev=Ax0)
+        return FistaState(x=x0, x_prev=x0, Ax=Ax0, Ax_prev=Ax0)
 
     return run_solve(name, f"qp(mu={mu:g})", A, b, opts, start=start,
                      step=lambda state, A: step(state, A, b, mu, tau), mu=mu)

@@ -37,7 +37,6 @@ class SolverOptions:
     x0: np.ndarray | None = None
     y0: np.ndarray | None = None
     x_true: np.ndarray | None = None
-    enforce_step_condition: bool = True
     allow_nonorthonormal: bool = False
 
     def __post_init__(self):
@@ -137,10 +136,13 @@ class CountingOperator:
 
 
 def check_finite(x, y, k):
-    """Raise DivergenceError if an iterate went nonfinite at iteration k."""
-    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
+    """Raise DivergenceError if an iterate went nonfinite at iteration k.
+
+    y is the multiplier, or None for a method without one.
+    """
+    if not np.all(np.isfinite(x)):
         raise DivergenceError(f"primal iterate became nonfinite at iteration {k}")
-    if not (np.all(np.isfinite(y.real)) and np.all(np.isfinite(y.imag))):
+    if y is not None and not np.all(np.isfinite(y)):
         raise DivergenceError(f"multiplier became nonfinite at iteration {k}")
 
 
@@ -148,7 +150,8 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
               weights=None, dual=None, signal=None, nonneg=False):
     """Run the solve loop shared by every solver and return its RunRecord.
 
-    Each sweep steps, diagnoses the new iterate through ``compute_res``,
+    Each sweep steps, checks that the new iterate and multiplier are finite
+    (DivergenceError otherwise), diagnoses them through ``compute_res``,
     records the diagnostics and the running ``aat``, and stops when
     ``opts.stop`` is met or after ``opts.max_iter`` sweeps.
 
@@ -166,7 +169,8 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
         ``opts.y0`` as a validated vector, or None.
     step : callable
         ``step(state, A)`` returns the next state. Every state carries the
-        iterate ``x``, its cached product ``Ax`` and the sweep count ``k``.
+        iterate ``x``, its cached product ``Ax`` and the sweep count ``k``;
+        ``start`` fills every cached product a step reads.
     mu, delta, weights
         Model terms of the residues, as ``compute_res`` takes them.
     dual : callable, optional
@@ -198,6 +202,7 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
         x_prev = state.x
         state = step(state, counting)
         y, z, Aty = (None, None, None) if dual is None else dual(state, counting)
+        check_finite(state.x, y, state.k)
         diag = compute_res(state.x, y, z, counting, b, mu, delta=delta, weights=weights,
                            Ax=state.Ax, Aty=Aty, x_prev=x_prev, x_true=opts.x_true,
                            b_norm=b_norm, signal=signal)

@@ -29,11 +29,10 @@ from ..errors import ConfigError, StepSizeError
 from ..models import extract_l1l1, reformulate_l1l1
 from ..operators import as_complex_vector
 from ..prox import project_halfspace, project_linf_ball, shrink_l2
-from .common import SolverOptions, check_finite, run_solve
+from .common import SolverOptions, run_solve
 
 __all__ = ["DadmParams", "DadmState", "GOLDEN_RATIO",
-           "dadm_bp_step", "dadm_bpdn_step", "dadm_qp_step",
-           "dadm_nonorth_step", "dadm_solve"]
+           "dadm_step", "dadm_nonorth_step", "dadm_solve"]
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 DEFAULT_GAMMA = 1.618
@@ -88,9 +87,9 @@ class DadmState:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
+    Ax: np.ndarray
+    Aty: np.ndarray
     k: int = 0
-    Ax: np.ndarray | None = None
-    Aty: np.ndarray | None = None
 
 
 def _project_dual(v, p):
@@ -107,45 +106,29 @@ def _project_dual(v, p):
                            project_linf_ball(v[k:], w_tail)])
 
 
-def _fill_caches(state, A):
-    if state.Aty is None:
-        state.Aty = A.adjoint(state.y)
-    if state.Ax is None:
-        state.Ax = A.apply(state.x)
-    return state
+def dadm_step(state, A, b, p):
+    """One exact sweep of the model ``p`` describes.
 
-
-def _dadm_sweep(state, A, b, p, y_rule):
+    The models differ only in the y-update: qp when p.mu > 0, bpdn when
+    p.delta > 0, bp otherwise.
+    """
     if not A.orthonormal_rows:
         raise StepSizeError("exact dual steps require orthonormal rows (A A* = I); "
                             "see dadm_nonorth_step for the general-operator variant")
-    state = _fill_caches(state, A)
     z_new = _project_dual(state.Aty + state.x / p.beta, p)
     Az = A.apply(z_new)
-    y_new = y_rule(Az - (state.Ax - b) / p.beta, p)
+    v = Az - (state.Ax - b) / p.beta
+    if p.mu > 0:
+        y_new = (p.beta / (p.mu + p.beta)) * v
+    elif p.delta > 0:
+        y_new = shrink_l2(v, p.delta / p.beta)
+    else:
+        y_new = v
     Aty_new = A.adjoint(y_new)
     x_new = state.x - p.gamma * p.beta * (z_new - Aty_new)
     # Exact under A A* = I; keeps the sweep at two applications.
     Ax_new = state.Ax - p.gamma * p.beta * (Az - y_new)
-    check_finite(x_new, y_new, state.k + 1)
-    return DadmState(x=x_new, y=y_new, z=z_new, k=state.k + 1, Ax=Ax_new, Aty=Aty_new)
-
-
-def dadm_qp_step(state, A, b, p):
-    """One sweep for the quadratically penalized model (needs p.mu > 0)."""
-    if not (p.mu > 0):
-        raise StepSizeError("dadm_qp_step needs mu > 0")
-    return _dadm_sweep(state, A, b, p, lambda v, p: (p.beta / (p.mu + p.beta)) * v)
-
-
-def dadm_bpdn_step(state, A, b, p):
-    """One sweep for the delta-ball constrained model."""
-    return _dadm_sweep(state, A, b, p, lambda v, p: shrink_l2(v, p.delta / p.beta))
-
-
-def dadm_bp_step(state, A, b, p):
-    """One sweep for the equality-constrained model."""
-    return _dadm_sweep(state, A, b, p, lambda v, p: v)
+    return DadmState(x=x_new, y=y_new, z=z_new, Ax=Ax_new, Aty=Aty_new, k=state.k + 1)
 
 
 def dadm_nonorth_step(state, A, b, p):
@@ -157,7 +140,6 @@ def dadm_nonorth_step(state, A, b, p):
     """
     if p.delta > 0:
         raise ConfigError("the steepest-descent dual step supports only the bp and qp models")
-    state = _fill_caches(state, A)
     z_new = _project_dual(state.Aty + state.x / p.beta, p)
     g = p.mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
     g_sq = float(np.linalg.norm(g) ** 2)
@@ -176,11 +158,7 @@ def dadm_nonorth_step(state, A, b, p):
         y_new, Aty_new = state.y, state.Aty
     x_new = state.x - p.gamma * p.beta * (z_new - Aty_new)
     Ax_new = A.apply(x_new)
-    check_finite(x_new, y_new, state.k + 1)
-    return DadmState(x=x_new, y=y_new, z=z_new, k=state.k + 1, Ax=Ax_new, Aty=Aty_new)
-
-
-_STEPS = {"bp": dadm_bp_step, "bpdn": dadm_bpdn_step, "qp": dadm_qp_step}
+    return DadmState(x=x_new, y=y_new, z=z_new, Ax=Ax_new, Aty=Aty_new, k=state.k + 1)
 
 
 def _dadm_start(x0, Ax0, y0, A):
@@ -189,7 +167,7 @@ def _dadm_start(x0, Ax0, y0, A):
         Aty0 = np.zeros(A.n, dtype=np.complex128)
     else:
         Aty0 = A.adjoint(y0)
-    return DadmState(x=x0, y=y0, z=np.zeros(A.n, dtype=np.complex128), k=0, Ax=Ax0, Aty=Aty0)
+    return DadmState(x=x0, y=y0, z=np.zeros(A.n, dtype=np.complex128), Ax=Ax0, Aty=Aty0)
 
 
 def _dadm_dual(state, A):
@@ -219,24 +197,21 @@ def dadm_solve(model, A, b, opts=None):
     signal = None
     if model.family == "l1l1":
         op, data = reformulate_l1l1(A, b, model.nu)
-        family = "bp"
         if weights is not None:
             weights = np.concatenate([weights, np.ones(A.m)])
 
         def signal(xh):
             return extract_l1l1(xh, A.n, model.nu)
     else:
-        op, data, family = A, b, model.family
+        op, data = A, b
 
     params = DadmParams.from_operator(
         op, data, gamma=opts.gamma, beta=opts.beta, mu=model.mu,
         delta=model.delta, weights=weights, halfspace_prefix=A.n if model.nonneg else 0)
 
     if op.orthonormal_rows:
-        step = _STEPS[family]
+        step = dadm_step
     elif opts.allow_nonorthonormal:
-        if family == "bpdn":
-            raise ConfigError("the steepest-descent dual variant does not cover the bpdn model")
         step = dadm_nonorth_step
     else:
         raise ConfigError(

@@ -16,16 +16,16 @@ fallback solver for general dense operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, StepSizeError
 from ..operators import as_complex_vector
 from ..prox import project_l2_ball, project_linf_ball, shrink
-from .common import SolverOptions, check_finite, run_solve
+from .common import SolverOptions, run_solve
 
-__all__ = ["PadmParams", "PadmState", "padm_bp_step", "padm_bpdn_step", "padm_qp_step", "padm_solve"]
+__all__ = ["PadmParams", "PadmState", "padm_step", "padm_solve"]
 
 DEFAULT_TAU = 0.8
 DEFAULT_GAMMA = 1.199
@@ -37,8 +37,7 @@ class PadmParams:
 
     Build through ``from_operator`` in normal use: it fills the standard
     defaults (tau=0.8, gamma=1.199, beta=2m/||b||_1) and enforces the
-    convergence guard tau lambda_max + gamma < 2 unless explicitly
-    overridden.
+    convergence guard tau lambda_max + gamma < 2.
     """
 
     beta: float
@@ -63,25 +62,21 @@ class PadmParams:
 
     @classmethod
     def from_operator(cls, A, b, *, tau=None, gamma=None, beta=None,
-                      mu=0.0, delta=0.0, weights=None, enforce=True):
+                      mu=0.0, delta=0.0, weights=None):
         """Fill defaults from (A, b) and run the convergence guard.
 
-        Raises StepSizeError when tau lambda_max(A*A) + gamma >= 2, unless
-        ``enforce`` is False (the guard and its lambda_max estimate are then
-        skipped entirely).
+        Raises StepSizeError when tau lambda_max(A*A) + gamma >= 2.
         """
         tau = DEFAULT_TAU if tau is None else float(tau)
         gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
         if beta is None:
             b_l1 = float(np.sum(np.abs(b)))
             beta = 2.0 * A.m / b_l1 if b_l1 > 0 else 1.0
-        lam = None
-        if enforce:
-            lam = A.lambda_max()
-            if tau * lam + gamma >= 2.0:
-                raise StepSizeError(
-                    f"step sizes violate tau*lambda_max + gamma < 2: "
-                    f"{tau} * {lam:.6g} + {gamma} = {tau * lam + gamma:.6g}")
+        lam = A.lambda_max()
+        if tau * lam + gamma >= 2.0:
+            raise StepSizeError(
+                f"step sizes violate tau*lambda_max + gamma < 2: "
+                f"{tau} * {lam:.6g} + {gamma} = {tau * lam + gamma:.6g}")
         return cls(beta=float(beta), gamma=gamma, tau=tau, mu=float(mu),
                    delta=float(delta), weights=weights, lambda_max=lam)
 
@@ -93,48 +88,29 @@ class PadmState:
     x: np.ndarray
     r: np.ndarray
     y: np.ndarray
+    Ax: np.ndarray
     k: int = 0
-    Ax: np.ndarray | None = None
 
 
-def _padm_sweep(state, A, b, p, r_new):
-    Ax = state.Ax if state.Ax is not None else A.apply(state.x)
-    g = A.adjoint(Ax + r_new - b - state.y / p.beta)
+def padm_step(state, A, b, p):
+    """One sweep r -> x -> y of the model ``p`` describes.
+
+    The models differ only in the r-update: qp when p.mu > 0, bpdn when
+    p.delta > 0, bp (r pinned at zero) otherwise.
+    """
+    if p.mu > 0:
+        coeff = p.mu * p.beta / (1.0 + p.mu * p.beta)
+        r_new = coeff * (state.y / p.beta - (state.Ax - b))
+    elif p.delta > 0:
+        r_new = project_l2_ball(state.y / p.beta - (state.Ax - b), p.delta)
+    else:
+        r_new = np.zeros(A.m, dtype=np.complex128)
+    g = A.adjoint(state.Ax + r_new - b - state.y / p.beta)
     thresh = p.tau / p.beta if p.weights is None else (p.tau / p.beta) * p.weights
     x_new = shrink(state.x - p.tau * g, thresh)
     Ax_new = A.apply(x_new)
     y_new = state.y - p.gamma * p.beta * (Ax_new + r_new - b)
-    check_finite(x_new, y_new, state.k + 1)
-    return PadmState(x=x_new, r=r_new, y=y_new, k=state.k + 1, Ax=Ax_new)
-
-
-def padm_qp_step(state, A, b, p):
-    """One sweep for the quadratically penalized model (needs p.mu > 0)."""
-    if not (p.mu > 0):
-        raise StepSizeError("padm_qp_step needs mu > 0")
-    Ax = state.Ax if state.Ax is not None else A.apply(state.x)
-    if state.Ax is None:
-        state = replace(state, Ax=Ax)
-    coeff = p.mu * p.beta / (1.0 + p.mu * p.beta)
-    r_new = coeff * (state.y / p.beta - (Ax - b))
-    return _padm_sweep(state, A, b, p, r_new)
-
-
-def padm_bpdn_step(state, A, b, p):
-    """One sweep for the delta-ball constrained model."""
-    Ax = state.Ax if state.Ax is not None else A.apply(state.x)
-    if state.Ax is None:
-        state = replace(state, Ax=Ax)
-    r_new = project_l2_ball(state.y / p.beta - (Ax - b), p.delta)
-    return _padm_sweep(state, A, b, p, r_new)
-
-
-def padm_bp_step(state, A, b, p):
-    """One sweep for the equality-constrained model (r pinned at zero)."""
-    return _padm_sweep(state, A, b, p, np.zeros(A.m, dtype=np.complex128))
-
-
-_STEPS = {"bp": padm_bp_step, "bpdn": padm_bpdn_step, "qp": padm_qp_step}
+    return PadmState(x=x_new, r=r_new, y=y_new, Ax=Ax_new, k=state.k + 1)
 
 
 def padm_solve(model, A, b, opts=None):
@@ -157,20 +133,18 @@ def padm_solve(model, A, b, opts=None):
         Status "converged" when the stopping rule fired, else "max_iter".
     """
     opts = opts if opts is not None else SolverOptions()
-    if model.family not in _STEPS:
+    if model.family == "l1l1":
         raise ConfigError("the l1/l1 model runs through the dual solver after reformulation")
     if model.nonneg:
         raise ConfigError("nonnegative models run through the dual solver")
     b = as_complex_vector(b, A.m)
     params = PadmParams.from_operator(
         A, b, tau=opts.tau, gamma=opts.gamma, beta=opts.beta,
-        mu=model.mu, delta=model.delta, weights=model.weights,
-        enforce=opts.enforce_step_condition)
-    step = _STEPS[model.family]
+        mu=model.mu, delta=model.delta, weights=model.weights)
 
     def start(x0, Ax0, y0, A):
         y0 = np.zeros(A.m, dtype=np.complex128) if y0 is None else y0
-        return PadmState(x=x0, r=np.zeros(A.m, dtype=np.complex128), y=y0, k=0, Ax=Ax0)
+        return PadmState(x=x0, r=np.zeros(A.m, dtype=np.complex128), y=y0, Ax=Ax0)
 
     if opts.stop == "res":
         # The primal solver has no dual auxiliary; measure dual feasibility
@@ -185,5 +159,5 @@ def padm_solve(model, A, b, opts=None):
             return state.y, None, None
 
     return run_solve("padm", model.describe(), A, b, opts, start=start,
-                     step=lambda state, A: step(state, A, b, params),
+                     step=lambda state, A: padm_step(state, A, b, params),
                      mu=params.mu, delta=params.delta, weights=params.weights, dual=dual)

@@ -2,7 +2,7 @@
 
 Most of these are deliberately slow and simple: exhaustive enumeration or
 brute-force search, no reuse of the library's iterative code paths. The
-exception is ``l1l1_lp_oracle``, which hands the split LP to scipy's HiGHS
+exception is ``l1_lp_oracle``, which hands the split LP to scipy's HiGHS
 solver: not enumeration, but independent of the library, and it reaches
 sizes far beyond the n <= ~12 that enumeration allows. The solvers are
 tested against these, never against themselves.
@@ -92,17 +92,31 @@ def l1l1_oracle(A, b, nu):
     return z[:n] - z[n : 2 * n], val, unique
 
 
-def l1l1_lp_oracle(A, b, nu):
-    """min ||x||_1 + (1/nu)||Ax - b||_1 for real instances of any size.
+def l1_lp_oracle(A, b, nu=None, weights=None, nonneg=False):
+    """Weighted basis pursuit or l1/l1 for real instances of any size, by HiGHS.
 
-    The same split LP as ``l1l1_oracle``, solved by HiGHS instead of
-    enumeration. Returns (x, value).
+    Minimizes sum w_i |x_i| subject to Ax = b when nu is None, and
+    sum w_i |x_i| + (1/nu)||Ax - b||_1 otherwise; ``nonneg`` adds x >= 0.
+    The LP splits x = x+ - x- (x- dropped when nonneg) and, for l1/l1,
+    Ax - b = r- - r+. Returns (x, value).
     """
-    Asp, b, cost, n = _l1l1_split_lp(A, b, nu)
-    res = linprog(cost, A_eq=Asp, b_eq=b, bounds=(0, None), method="highs")
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    blocks, cost = [A], [w]
+    if not nonneg:
+        blocks.append(-A)
+        cost.append(w)
+    if nu is not None:
+        blocks += [np.eye(m), -np.eye(m)]
+        cost.append(np.full(2 * m, 1.0 / nu))
+    res = linprog(np.concatenate(cost), A_eq=np.hstack(blocks), b_eq=b,
+                  bounds=(0, None), method="highs")
     if res.status != 0:
-        raise ValueError("HiGHS did not solve the l1/l1 LP: %s" % res.message)
-    return res.x[:n] - res.x[n : 2 * n], float(res.fun)
+        raise ValueError("HiGHS did not solve the LP: %s" % res.message)
+    x = res.x[:n] if nonneg else res.x[:n] - res.x[n : 2 * n]
+    return x, float(res.fun)
 
 
 def qp_oracle(A, b, mu):

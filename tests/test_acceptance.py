@@ -25,8 +25,8 @@ from adl1.models import ModelSpec, objective_value, relerr
 from adl1.operators import DenseOperator, make_partial_wht, orthonormal_gaussian_operator
 from adl1.prox import project_halfspace, project_l2_ball, project_linf_ball, shrink, shrink_l2
 from adl1.solvers import SolverOptions, dadm_solve, fista_solve, ist_solve, padm_solve
-from adl1.solvers.dual import DadmParams, DadmState, dadm_bp_step
-from adl1.solvers.primal import PadmParams, PadmState, padm_qp_step
+from adl1.solvers.dual import DadmParams, DadmState, dadm_step
+from adl1.solvers.primal import PadmParams, PadmState, padm_step
 
 from oracles import bp_oracle, materialize, qp_oracle, scalar_prox_grid
 
@@ -59,10 +59,12 @@ def test_criterion_1_equality_residual_geometric_law():
         params = DadmParams.from_operator(A, b, gamma=gamma)
         state = DadmState(x=np.zeros(1024, np.complex128),
                           y=np.zeros(256, np.complex128),
-                          z=np.zeros(1024, np.complex128))
+                          z=np.zeros(1024, np.complex128),
+                          Ax=np.zeros(256, np.complex128),
+                          Aty=np.zeros(1024, np.complex128))
         worst = 0.0
         for k in range(1, 81):
-            state = dadm_bp_step(state, A, b, params)
+            state = dadm_step(state, A, b, params)
             measured = float(np.linalg.norm(A.apply(state.x) - b))
             predicted = abs(1.0 - gamma) ** k * r0
             if gamma == 1.0:
@@ -239,7 +241,7 @@ def test_criterion_6_monotone_descent_and_guard():
         d_prev = dist_sq(state.x, state.y)
         slack = 1e-9 * max(1.0, d_prev)
         for _ in range(300):
-            state = padm_qp_step(state, op, b.astype(np.complex128), p)
+            state = padm_step(state, op, b.astype(np.complex128), p)
             d_new = dist_sq(state.x, state.y)
             if d_new > d_prev + slack:
                 violations += 1

@@ -28,7 +28,8 @@ def _instance(rng, m=10, n=24, k=4):
 
 def test_momentum_scalar_sequence(rng):
     op, b = _instance(rng)
-    state = FistaState(x=np.zeros(op.n, np.complex128), x_prev=np.zeros(op.n, np.complex128))
+    state = FistaState(x=np.zeros(op.n, np.complex128), x_prev=np.zeros(op.n, np.complex128),
+                       Ax=np.zeros(op.m, np.complex128), Ax_prev=np.zeros(op.m, np.complex128))
     seen = []
     for _ in range(3):
         state = fista_step(state, op, b, mu=0.1)
@@ -147,7 +148,8 @@ def test_momentum_on_cached_products_stays_consistent(rng):
     x = np.zeros(64, dtype=np.complex128)
     x[rng.choice(64, 5, replace=False)] = rng.standard_normal(5)
     b = op.apply(x)
-    state = FistaState(x=np.zeros(64, np.complex128), x_prev=np.zeros(64, np.complex128))
+    state = FistaState(x=np.zeros(64, np.complex128), x_prev=np.zeros(64, np.complex128),
+                       Ax=np.zeros(24, np.complex128), Ax_prev=np.zeros(24, np.complex128))
     for _ in range(100):
         state = fista_step(state, op, b, mu=0.05)
         drift = np.linalg.norm(state.Ax - op.apply(state.x))

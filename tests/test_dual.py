@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adl1.errors import ConfigError, StepSizeError
 from adl1.harness import NoiseSpec, make_instance
@@ -17,15 +19,15 @@ from adl1.solvers.dual import (
     GOLDEN_RATIO,
     DadmParams,
     DadmState,
-    dadm_bp_step,
     dadm_nonorth_step,
     dadm_solve,
+    dadm_step,
 )
 
 from oracles import (
     bp_oracle,
     bpdn_subgradient_oracle,
-    l1l1_lp_oracle,
+    l1_lp_oracle,
     l1l1_oracle,
     materialize,
     qp_oracle,
@@ -80,7 +82,7 @@ def test_equality_residual_contracts_geometrically(make, n, m, gamma, rng):
     p = DadmParams.from_operator(op, b, gamma=gamma)
     state = _zero_state(m, n)
     for k in range(1, 25):
-        state = dadm_bp_step(state, op, b, p)
+        state = dadm_step(state, op, b, p)
         measured = float(np.linalg.norm(op.apply(state.x) - b))
         predicted = abs(1.0 - gamma) ** k * r0
         if gamma == 1.0:
@@ -98,7 +100,7 @@ def test_dual_iterate_stays_in_unit_ball(rng):
     p = DadmParams.from_operator(op, b)
     state = _zero_state(20, 64)
     for _ in range(30):
-        state = dadm_bp_step(state, op, b, p)
+        state = dadm_step(state, op, b, p)
         assert np.all(np.abs(state.z) <= 1.0 + 1e-12)
 
 
@@ -109,12 +111,12 @@ def test_weighted_dual_ball_and_halfspace(rng):
     p = DadmParams.from_operator(op, b, weights=w)
     state = _zero_state(12, 32)
     for _ in range(20):
-        state = dadm_bp_step(state, op, b, p)
+        state = dadm_step(state, op, b, p)
         assert np.all(np.abs(state.z) <= w * (1 + 1e-12))
     p2 = DadmParams.from_operator(op, b, halfspace_prefix=32)
     state = _zero_state(12, 32)
     for _ in range(20):
-        state = dadm_bp_step(state, op, b, p2)
+        state = dadm_step(state, op, b, p2)
         assert np.all(state.z.real <= 1.0 + 1e-12)
 
 
@@ -214,11 +216,46 @@ def test_l1l1_objective_matches_highs_on_partial_dct(nu):
     inst = make_instance("dct", 200, 60, 12, NoiseSpec(impulse_fraction=0.05), 0, field="real")
     a = materialize(inst.A).real
     b = inst.b.real
-    _, f_oracle = l1l1_lp_oracle(a, b, nu)
+    _, f_oracle = l1_lp_oracle(a, b, nu=nu)
     run = dadm_solve(ModelSpec.l1l1(nu), inst.A, inst.b,
                      SolverOptions(stop="res", tol=1e-10, max_iter=50000))
     assert run.converged
     f_solver = float(np.abs(run.x).sum() + np.abs(a @ run.x - b).sum() / nu)
+    assert f_solver == pytest.approx(f_oracle, rel=1e-6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(5, 12), n_over_m=st.floats(2.0, 3.0), l1l1=st.booleans(),
+       nu=st.floats(0.3, 1.0), nonneg=st.booleans(), weighted=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_bp_and_l1l1_variants_match_highs(m, n_over_m, l1l1, nu, nonneg, weighted, seed):
+    # bp and l1/l1, each plain, +nonneg, +weighted and both, against the LP.
+    # At tol 1e-10 one nonneg weighted l1/l1 instance stopped 2.9e-6 short of
+    # the optimum, so the solve runs to 1e-12.
+    rng = np.random.default_rng(seed)
+    n = int(round(n_over_m * m))
+    op = orthonormal_gaussian_operator(m, n, rng)
+    a = materialize(op).real
+    k = max(1, m // 4)
+    x_true = np.zeros(n)
+    signs = 1.0 if nonneg else rng.choice([-1.0, 1.0], k)
+    x_true[rng.choice(n, k, replace=False)] = rng.uniform(0.5, 2.0, k) * signs
+    b = a @ x_true
+    if l1l1:
+        b[rng.integers(m)] += 1.0  # one corrupted measurement
+    w = rng.uniform(0.5, 2.0, n) if weighted else None
+    if l1l1:
+        model = ModelSpec.l1l1(nu, nonneg=nonneg, weights=w)
+    else:
+        model = ModelSpec.bp(nonneg=nonneg, weights=w)
+    _, f_oracle = l1_lp_oracle(a, b, nu=nu if l1l1 else None, weights=w, nonneg=nonneg)
+    run = dadm_solve(model, op, b.astype(np.complex128),
+                     SolverOptions(stop="res", tol=1e-12, max_iter=50000))
+    assert run.converged
+    x = run.x.real
+    f_solver = float(np.dot(np.ones(n) if w is None else w, np.abs(x)))
+    if l1l1:
+        f_solver += float(np.abs(a @ x - b).sum()) / nu
     assert f_solver == pytest.approx(f_oracle, rel=1e-6)
 
 
@@ -255,7 +292,7 @@ def test_nonorth_step_equals_exact_step_on_orthonormal_rows(rng):
     state.y = rng.standard_normal(12).astype(np.complex128)
     state.Ax = op.apply(state.x)
     state.Aty = op.adjoint(state.y)
-    exact = dadm_bp_step(state, op, b, p)
+    exact = dadm_step(state, op, b, p)
     descent = dadm_nonorth_step(state, op, b, p)
     assert np.allclose(exact.x, descent.x, atol=1e-12)
     assert np.allclose(exact.y, descent.y, atol=1e-12)

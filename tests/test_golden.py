@@ -9,20 +9,24 @@ random draw fails this file. A change that means to move an artifact
 updates the digest and says why.
 
 The experiment runs are tiny ``run_protocol`` runs at seed 1234; the solves
-run ``adl1 solve demos/tiny_bp.json`` with a few solver and model flags.
+run ``adl1 solve demos/tiny_bp.json`` with a few solver and model flags. A
+``{weights}`` flag stands for the path of ``WEIGHTS``, written per test.
 """
 
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from adl1 import cli
 from adl1.harness import ExperimentConfig, run_protocol
+from adl1.io import write_vector
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TINY_BP = os.path.join(ROOT, "demos", "tiny_bp.json")
+WEIGHTS = np.linspace(0.5, 2.0, 64)
 
 # protocol -> (ExperimentConfig overrides, means sha256, trials sha256 or None)
 PROTOCOL_DIGESTS = {
@@ -56,6 +60,21 @@ SOLVE_DIGESTS = {
     ("--solver", "fista", "--model", "qp", "--mu", "1e-3", "--eps", "1e-8"): (
         0, "converged", 290, 580, "qp(mu=0.001)",
         "d38f870ddfecdd5a749643758d9a2f70870bf5768d3664fa30e9e42b17cf0772"),
+    ("--solver", "padm", "--model", "bpdn", "--delta", "1e-3", "--max-iter", "300"): (
+        2, "max_iter", 300, 600, "bpdn(delta=0.001)",
+        "7d517311627a952185a2da5c3fbf2d0e75fdac4d7a278e61d50d13f733932e92"),
+    ("--solver", "dadm", "--model", "bpdn", "--delta", "1e-3", "--stop", "res",
+     "--max-iter", "300"): (
+        2, "max_iter", 300, 600, "bpdn(delta=0.001)",
+        "12130165dc7158f958936408aae74037e0f952c657721cb87bb8fab81f2a93af"),
+    ("--solver", "padm", "--model", "qp", "--mu", "1e-3", "--weights", "{weights}",
+     "--max-iter", "300"): (
+        0, "converged", 264, 528, "qp(mu=0.001)+weighted",
+        "e7fe820608317753cc727f8823d7da41816cb5abbb269242885f95a73464c264"),
+    ("--solver", "dadm", "--model", "qp", "--mu", "1e-3", "--weights", "{weights}",
+     "--nonneg", "--max-iter", "300"): (
+        2, "max_iter", 300, 600, "qp(mu=0.001)+nonneg+weighted",
+        "68dff6f7a730af4937b40ea52923068c99a2ecd18ddedc3aea51b07829dfb685"),
 }
 
 
@@ -80,6 +99,9 @@ def test_experiment_csv_bytes_are_pinned(tmp_path, protocol):
 def test_cli_solve_is_pinned(tmp_path, flags):
     rc, status, iterations, aat, model, x_sha = SOLVE_DIGESTS[flags]
     out = tmp_path / "run"
+    weights = tmp_path / "w.bin"
+    write_vector(weights, WEIGHTS)
+    flags = [f.replace("{weights}", str(weights)) for f in flags]
     assert cli.main(["solve", TINY_BP, "--out", str(out), *flags]) == rc
     run = json.loads((out / "run.json").read_text())
     assert (run["status"], run["iterations"], run["aat"], run["model"]) == (

@@ -223,6 +223,26 @@ def test_solve_from_matrix_and_vector_files(tmp_path, rng):
     assert "relerr_pct" not in summary  # file-based b has no reference signal
 
 
+def _refuse_nan(token):
+    raise ValueError("run.json holds %s" % token)
+
+
+def test_solve_zero_data_writes_strict_json(tmp_path):
+    # b = 0: the relative residual falls back to the absolute one, never NaN.
+    write_vector(tmp_path / "b.bin", np.zeros(24))
+    cfg = {
+        "operator": {"kind": "orthgauss", "n": 64, "m": 24, "seed": 3},
+        "b": str(tmp_path / "b.bin"),
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match="b is zero"):
+        assert cli.main(["solve", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "run.json").read_text(), parse_constant=_refuse_nan)
+    assert summary["relres"] == 0.0
+
+
 def test_solve_error_paths(tmp_path, capsys):
     path, _ = _bp_config(tmp_path)
 
@@ -249,6 +269,16 @@ def test_solve_error_paths(tmp_path, capsys):
 
     assert cli.main(["solve", str(tmp_path / "missing.json")]) == 1
     assert "adl1: error" in capsys.readouterr().err
+
+    # synthetic noise is one NoiseSpec: sigma and a target SNR exclude each other
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps({
+        "operator": {"kind": "orthgauss", "n": 64, "m": 24, "seed": 3},
+        "b": {"synthetic": {"k": 5, "seed": 3, "sigma": 0.01, "target_snr_db": 20}},
+    }))
+    assert cli.main(["solve", str(both), "--out", str(tmp_path / "o3")]) == 1
+    assert "either sigma or target_snr_db" in capsys.readouterr().err
+    assert not (tmp_path / "o3").exists()
 
 
 # ---------------------------------------------------------------------------

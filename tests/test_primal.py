@@ -18,14 +18,12 @@ from adl1.errors import ConfigError, DivergenceError, StepSizeError
 from adl1.models import ModelSpec
 from adl1.operators import DenseOperator, orthonormal_gaussian_operator
 from adl1.prox import shrink
-from adl1.solvers.common import SolverOptions
+from adl1.solvers.common import SolverOptions, run_solve
 from adl1.solvers.primal import (
     PadmParams,
     PadmState,
-    padm_bp_step,
-    padm_bpdn_step,
-    padm_qp_step,
     padm_solve,
+    padm_step,
 )
 
 from oracles import qp_oracle
@@ -63,9 +61,6 @@ def test_step_size_guard():
         PadmParams.from_operator(op, b, tau=1.0, gamma=1.0)
     # Just inside the bound passes.
     PadmParams.from_operator(op, b, tau=0.8, gamma=1.199)
-    # The guard can be bypassed explicitly.
-    p = PadmParams.from_operator(op, b, tau=0.8, gamma=1.7, enforce=False)
-    assert p.lambda_max is None
 
 
 def test_parameter_validation():
@@ -77,8 +72,6 @@ def test_parameter_validation():
         PadmParams(beta=1.0, gamma=1.0, tau=-0.5)
     with pytest.raises(StepSizeError):
         PadmParams(beta=1.0, gamma=1.0, tau=0.5, mu=0.1, delta=0.2)
-    with pytest.raises(StepSizeError):
-        padm_qp_step(_zero_state(2, 3), None, None, PadmParams(beta=1.0, gamma=1.0, tau=0.5))
 
 
 def test_saddle_point_is_fixed(rng):
@@ -93,7 +86,7 @@ def test_saddle_point_is_fixed(rng):
         state = PadmState(x=xt.astype(np.complex128), r=rt.astype(np.complex128),
                           y=yt.astype(np.complex128), k=0,
                           Ax=(a @ xt).astype(np.complex128))
-        new = padm_qp_step(state, op, b.astype(np.complex128), p)
+        new = padm_step(state, op, b.astype(np.complex128), p)
         scale = max(1.0, np.linalg.norm(xt))
         assert np.linalg.norm(new.x - state.x) <= 1e-9 * scale
         assert np.linalg.norm(new.r - state.r) <= 1e-9 * scale
@@ -127,7 +120,7 @@ def test_weighted_distance_contracts_toward_saddle(rng):
         d_prev = d0
         slack = 1e-9 * max(1.0, d_prev)
         for _ in range(300):
-            new = padm_qp_step(state, op, b.astype(np.complex128), p)
+            new = padm_step(state, op, b.astype(np.complex128), p)
             d_new = dist_sq(new.x, new.y)
             step_sq = (p.beta / p.tau * np.linalg.norm(state.x - new.x) ** 2
                        + 1.0 / (p.beta * p.gamma) * np.linalg.norm(state.y - new.y) ** 2)
@@ -150,7 +143,7 @@ def test_bp_step_matches_two_line_scheme(rng):
     x = rng.standard_normal(11).astype(np.complex128)
     y = rng.standard_normal(5).astype(np.complex128)
     state = PadmState(x=x, r=np.zeros(5, np.complex128), y=y, k=0, Ax=op.apply(x))
-    new = padm_bp_step(state, op, b, p)
+    new = padm_step(state, op, b, p)
     x_ref = shrink(x - p.tau * op.adjoint(op.apply(x) - b - y / p.beta), p.tau / p.beta)
     y_ref = y - p.gamma * p.beta * (op.apply(x_ref) - b)
     assert np.allclose(new.x, x_ref, atol=1e-14)
@@ -227,13 +220,23 @@ def test_rejected_models():
 
 
 def test_divergence_is_detected(rng):
+    # tau lambda_max + gamma = 801.9: padm_solve refuses these step sizes, so
+    # the sweep runs through the shared loop, whose finite check must stop it.
     a, op = _scaled_operator(rng, 4, 9, lam=4.0)
     b = rng.standard_normal(4).astype(np.complex128)
-    opts = SolverOptions(tau=200.0, gamma=1.9, max_iter=5000, tol=0.0,
-                         enforce_step_condition=False)
+    opts = SolverOptions(tau=200.0, gamma=1.9, max_iter=5000, tol=0.0)
+    with pytest.raises(StepSizeError):
+        padm_solve(ModelSpec.qp(1e-3), op, b, opts)
+    p = PadmParams(beta=2.0 * 4 / np.sum(np.abs(b)), gamma=1.9, tau=200.0, mu=1e-3)
+
+    def start(x0, Ax0, y0, A):
+        return PadmState(x=x0, r=np.zeros(4, np.complex128), y=np.zeros(4, np.complex128), Ax=Ax0)
+
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
-            padm_solve(ModelSpec.qp(1e-3), op, b, opts)
+            run_solve("padm", "qp", op, b, opts, start=start,
+                      step=lambda state, A: padm_step(state, A, b, p), mu=p.mu,
+                      dual=lambda state, A: (state.y, None, None))
 
 
 def test_max_iter_status(rng):
