@@ -13,9 +13,7 @@ from .errors import (AdlError, ConfigError, DimensionMismatchError,
 from .harness import (ExperimentConfig, ExperimentResult, MODEL_FAMILIES,
                       NoiseSpec, PARAM_GRID, PROTOCOLS, ProblemInstance,
                       RACE_GRID, RACE_GRID_BP, add_noise, gen_spikes,
-                      make_instance, model_for_param,
-                      run_error_vs_optimality, run_model_choice_sweep,
-                      run_protocol, run_solver_race)
+                      make_instance, model_for_param, run_protocol)
 from .io import (canonical_json, config_hash, read_matrix, read_matrix_csv,
                  read_vector, read_vector_csv, write_matrix, write_vector,
                  write_vector_csv)

@@ -137,17 +137,9 @@ def cmd_solve(args):
     os.makedirs(outdir, exist_ok=True)
     write_vector(os.path.join(outdir, "x.bin"), rec.x)
     write_vector_csv(os.path.join(outdir, "x.csv"), rec.x)
-    summary = {
-        "solver": rec.solver,
-        "model": rec.model,
-        "status": rec.status,
-        "iterations": rec.iterations,
-        "aat": rec.aat,
-        "seconds": seconds,
-        "relres": relres(A, b, rec.x),
-        "config": json.loads(canonical_json(config)),
-        "config_hash": config_hash(config),
-    }
+    summary = dict(rec.to_dict(include_history=False), seconds=seconds,
+                   relres=relres(A, b, rec.x), config=json.loads(canonical_json(config)),
+                   config_hash=config_hash(config))
     if x_true is not None:
         summary["relerr_pct"] = relerr(rec.x, x_true)
     with open(os.path.join(outdir, "run.json"), "w") as fh:

@@ -1,15 +1,23 @@
-"""Seeded synthetic experiments: instance generation, sweep and race protocols,
-trial aggregation, and CSV/JSON persistence.
+"""Seeded synthetic experiments: instance generation, the experiment
+protocols, trial aggregation, and CSV/JSON persistence.
+
+``run_protocol`` is the one experiment entry point, and ``PROTOCOL_DEFAULTS``
+holds every protocol's settings. A protocol runs instance groups: a race has
+one per grid cell, and model-choice has one whose family x parameter cells
+share each trial's instance. err-vs-opt instead records the per-iteration
+history of one dadm solve per noise case; its trial count, solver and cases
+are fixed, and overriding them is an error.
 
 Reproducibility contract: every artifact embeds the resolved config, its hash,
-and the base seed. Trial t of cell c always draws from
-SeedSequence(entropy=seed, spawn_key=(c, t)), so results are independent of
+and the base seed. Trial t of group g always draws from
+SeedSequence(entropy=seed, spawn_key=(g, t)), so results are independent of
 execution order. Within one instance the generator is consumed in a fixed
 order: operator, spike support, spike values, noise.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -18,12 +26,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .io import canonical_json, config_hash, write_csv
+from .io import config_hash, write_csv
 from .models import ModelSpec, relerr, relres
 from .operators import SensingOperator, as_complex_vector, make_operator
 from .solvers import SOLVERS, SolverOptions, solve
-
-PROTOCOLS = ("model-choice", "err-vs-opt", "race-qp", "race-bpdn", "race-bp")
 
 # (m/n, k/m) cells of the solver races; the basis-pursuit race drops the
 # densest cell (0.1, 0.2).
@@ -34,6 +40,27 @@ RACE_GRID_BP = RACE_GRID[:5]
 # parameter 0 runs plain basis pursuit for every model family.
 PARAM_GRID = tuple(round(v, 10) for v in np.linspace(0.0, 1.0, 21))
 MODEL_FAMILIES = ("bp_nu", "qp", "l1l1")
+
+_RACE = dict(n=(1024, 8192), trials=(10, 50), kind="wht", field="real", mu=None,
+             delta_rule=None, stop="relchg", tol=5e-4, max_iter=1000)
+
+# Every protocol's settings. n and trials are (desk, full) pairs; m and k are
+# (base, fraction) rules that resolve to round(fraction * base). The races
+# size m and k per grid cell instead, and ist and fista cover only qp.
+PROTOCOL_DEFAULTS = {
+    "model-choice": dict(n=(1000, 1000), m=("n", 0.3), k=("m", 0.2), trials=(10, 50),
+                         grid=PARAM_GRID, families=MODEL_FAMILIES, impulse_fraction=0.05,
+                         kind="dct", field="complex", solvers=("dadm",), stop="res",
+                         tol=1e-8, max_iter=3000),
+    "err-vs-opt": dict(n=(1000, 1000), m=("n", 0.33), k=("n", 0.06), trials=(1, 1),
+                       cases=("noiseless", "snr40"), kind="orthgauss", field="real",
+                       solvers=("dadm",), stop="res", tol=1e-14, max_iter=500),
+    "race-qp": dict(_RACE, grid=RACE_GRID, sigma=1e-3, mu=1e-4, solvers=SOLVERS),
+    "race-bpdn": dict(_RACE, grid=RACE_GRID, sigma=1e-3, delta_rule="noise-norm",
+                      solvers=("padm", "dadm")),
+    "race-bp": dict(_RACE, grid=RACE_GRID_BP, sigma=0.0, solvers=("dadm",), tol=1e-6),
+}
+PROTOCOLS = tuple(PROTOCOL_DEFAULTS)
 
 CSV_HEADER = ("cell", "solver", "iter", "aat", "relerr_pct", "res", "seconds")
 CSV_HEADER_TRIALS = ("cell", "solver", "trial", "iter", "aat", "relerr_pct", "res", "seconds")
@@ -104,32 +131,32 @@ def gen_spikes(n, k, seed, field="real"):
     return x
 
 
-def _apply_noise(b_clean, sigma, impulse_fraction, rng, target_snr_db=None):
-    """Core noise rule. Returns (b, p_white, p_impulse, scale).
+def _apply_noise(b_clean, noise, rng):
+    """Core noise rule for a NoiseSpec. Returns (b, p_white, p_impulse, scale).
 
     scale is the unit-infinity-norm factor applied (1.0 when no impulses);
     callers tracking a ground truth must multiply it by scale as well.
     """
     m = b_clean.size
-    if target_snr_db is not None:
+    if noise.target_snr_db is not None:
         w = rng.standard_normal(m)
         centered = b_clean - b_clean.mean()
-        denom = np.linalg.norm(w) * 10.0 ** (target_snr_db / 20.0)
+        denom = np.linalg.norm(w) * 10.0 ** (noise.target_snr_db / 20.0)
         p_white = (np.linalg.norm(centered) / denom) * w.astype(np.complex128)
-    elif sigma > 0:
-        p_white = sigma * rng.standard_normal(m).astype(np.complex128)
+    elif noise.sigma > 0:
+        p_white = noise.sigma * rng.standard_normal(m).astype(np.complex128)
     else:
         p_white = np.zeros(m, dtype=np.complex128)
     b = b_clean + p_white
     p_impulse = np.zeros(m, dtype=np.complex128)
     scale = 1.0
-    if impulse_fraction > 0:
+    if noise.impulse_fraction > 0:
         peak = float(np.max(np.abs(b)))
         if peak > 0:
             scale = 1.0 / peak
         b = b * scale
         p_white = p_white * scale
-        t = int(round(impulse_fraction * m))
+        t = int(round(noise.impulse_fraction * m))
         if t > 0:
             pos = rng.choice(m, size=t, replace=False)
             corrupted = b.copy()
@@ -144,10 +171,8 @@ def add_noise(b_clean, sigma, impulse_fraction, seed, target_snr_db=None):
     when impulse_fraction > 0, rescale to unit infinity-norm and replace
     round(fraction*m) entries by +-1. Returns (b, p_white, p_impulse)."""
     b_clean = as_complex_vector(b_clean)
-    spec = NoiseSpec(sigma=sigma, impulse_fraction=impulse_fraction, target_snr_db=target_snr_db)
-    b, p_white, p_impulse, _ = _apply_noise(
-        b_clean, spec.sigma, spec.impulse_fraction, _as_rng(seed), spec.target_snr_db
-    )
+    noise = NoiseSpec(sigma=sigma, impulse_fraction=impulse_fraction, target_snr_db=target_snr_db)
+    b, p_white, p_impulse, _ = _apply_noise(b_clean, noise, _as_rng(seed))
     return b, p_white, p_impulse
 
 
@@ -158,9 +183,7 @@ def synthesize(A, k, noise, rng, field="real"):
     Returns (b, x_true, p_white, p_impulse) with x_true in the scale of b.
     """
     x_true = gen_spikes(A.n, k, rng, field=field)
-    b, p_white, p_impulse, scale = _apply_noise(
-        A.apply(x_true), noise.sigma, noise.impulse_fraction, rng, noise.target_snr_db
-    )
+    b, p_white, p_impulse, scale = _apply_noise(A.apply(x_true), noise, rng)
     return b, x_true * scale, p_white, p_impulse
 
 
@@ -177,6 +200,10 @@ def make_instance(kind, n, m, k, noise, seed, field="real"):
 
 # ---------------------------------------------------------------------------
 # experiment configuration
+
+# the type resolved() gives a setting, whether overridden or default
+_CASTS = {"n": int, "trials": int, "tol": float, "max_iter": int,
+          "solvers": list, "families": list, "cases": list}
 
 
 @dataclass
@@ -201,67 +228,29 @@ class ExperimentConfig:
             raise ConfigError("scale must be 'desk' or 'full', got %r" % (self.scale,))
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        fixed = [key for key in ("trials", "solvers", "grid") if getattr(self, key) is not None]
+        if self.protocol == "err-vs-opt" and fixed:
+            raise ConfigError("err-vs-opt fixes its %s; drop the override" % ", ".join(fixed))
 
     def resolved(self) -> dict:
         """Fill protocol defaults; the result fully pins run behavior."""
-        p = self.protocol
         full = self.scale == "full"
-        cfg = {"protocol": p, "scale": self.scale, "seed": int(self.seed), "timing": bool(self.timing)}
-        if p.startswith("race"):
-            n = self.n if self.n is not None else (8192 if full else 1024)
-            grid = tuple(tuple(c) for c in (self.grid if self.grid is not None
-                                            else (RACE_GRID_BP if p == "race-bp" else RACE_GRID)))
-            if not grid:
-                raise ConfigError("race grid must be nonempty")
-            cfg.update(
-                n=int(n),
-                trials=int(self.trials if self.trials is not None else (50 if full else 10)),
-                grid=[list(c) for c in grid],
-                kind="wht",
-                field="real",
-                sigma=0.0 if p == "race-bp" else 1e-3,
-                mu=1e-4 if p == "race-qp" else None,
-                delta_rule="noise-norm" if p == "race-bpdn" else None,
-                # ist and fista cover only the qp model
-                solvers=list(self.solvers if self.solvers is not None else
-                             {"race-qp": SOLVERS,
-                              "race-bpdn": ("padm", "dadm"),
-                              "race-bp": ("dadm",)}[p]),
-                stop="relchg",
-                tol=float(self.tol if self.tol is not None else (1e-6 if p == "race-bp" else 5e-4)),
-                max_iter=int(self.max_iter if self.max_iter is not None else 1000),
-            )
-        elif p == "model-choice":
-            n = int(self.n if self.n is not None else 1000)
-            m = int(round(0.3 * n))
-            cfg.update(
-                n=n, m=m, k=int(round(0.2 * m)),
-                trials=int(self.trials if self.trials is not None else (50 if full else 10)),
-                grid=[float(v) for v in (self.grid if self.grid is not None else PARAM_GRID)],
-                families=list(MODEL_FAMILIES),
-                impulse_fraction=0.05,
-                kind="dct",
-                field="complex",
-                solvers=list(self.solvers if self.solvers is not None else ("dadm",)),
-                stop="res",
-                tol=float(self.tol if self.tol is not None else 1e-8),
-                max_iter=int(self.max_iter if self.max_iter is not None else 3000),
-            )
+        cfg = {"protocol": self.protocol, "scale": self.scale, "seed": int(self.seed),
+               "timing": bool(self.timing)}
+        # a key that is no field of the config (kind, sigma, ...) always takes the default
+        for key, default in PROTOCOL_DEFAULTS[self.protocol].items():
+            value = getattr(self, key, None)
+            if value is None:
+                value = default[full] if key in ("n", "trials") else default
+            if key in ("m", "k"):
+                base, fraction = value
+                value = int(round(fraction * cfg[base]))
+            cfg[key] = _CASTS[key](value) if key in _CASTS else value
+        if "grid" in cfg:
+            race = self.protocol.startswith("race")
+            cfg["grid"] = [list(c) if race else float(c) for c in cfg["grid"]]
             if not cfg["grid"]:
-                raise ConfigError("parameter grid must be nonempty")
-        else:  # err-vs-opt
-            n = int(self.n if self.n is not None else 1000)
-            cfg.update(
-                n=n, m=int(round(0.33 * n)), k=int(round(0.06 * n)),
-                trials=1,
-                cases=["noiseless", "snr40"],
-                kind="orthgauss",
-                field="real",
-                solvers=["dadm"],
-                stop="res",
-                tol=float(self.tol if self.tol is not None else 1e-14),
-                max_iter=int(self.max_iter if self.max_iter is not None else 500),
-            )
+                raise ConfigError("grid must be nonempty")
         return cfg
 
 
@@ -271,7 +260,7 @@ def _map_trials(fn, trials):
 
 
 # ---------------------------------------------------------------------------
-# protocol runners
+# the experiment path
 
 
 @dataclass
@@ -290,8 +279,6 @@ class ExperimentResult:
         manifest_path = os.path.join(outdir, "manifest.json")
         new_hash = self.hash
         if os.path.exists(manifest_path):
-            import json
-
             with open(manifest_path) as fh:
                 old = json.load(fh)
             if old.get("config_hash") not in (None, new_hash):
@@ -313,8 +300,6 @@ class ExperimentResult:
                 CSV_HEADER_TRIALS,
                 [_format_trial_row(r) for r in self.trial_rows],
             )
-        import json
-
         from . import __version__
 
         manifest = {
@@ -350,20 +335,14 @@ def _format_mean_row(r):
 
 
 def _aggregate(trial_rows):
-    order = []
     groups = {}
     for r in trial_rows:
-        key = (r["cell"], r["solver"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
+        groups.setdefault((r["cell"], r["solver"]), []).append(r)
     means = []
-    for key in order:
-        rows = groups[key]
+    for (cell, solver), rows in groups.items():
         means.append({
-            "cell": key[0],
-            "solver": key[1],
+            "cell": cell,
+            "solver": solver,
             "iter": float(np.mean([r["iter"] for r in rows])),
             "aat": float(np.mean([r["aat"] for r in rows])),
             "relerr_pct": float(np.mean([r["relerr_pct"] for r in rows])),
@@ -382,7 +361,7 @@ def _trial_row(cfg, inst, cell, solver, trial, model):
     """Solve one trial and return its CSV row.
 
     The row's ``seconds`` stays 0.0 unless the config asks for timing; the
-    measured wall time rides along as ``_measured`` for ``_add_trials``.
+    measured wall time rides along as ``_measured`` for ``run_protocol``.
     """
     opts = _options(cfg, inst)
     t0 = time.perf_counter()
@@ -396,45 +375,6 @@ def _trial_row(cfg, inst, cell, solver, trial, model):
         "seconds": dt if cfg["timing"] else 0.0,
         "_measured": dt,
     }
-
-
-def _add_trials(result, per_trial_rows):
-    """Append trial rows to the result, moving each measured time to a timing row."""
-    for rows in per_trial_rows:
-        for r in rows:
-            result.timing_rows.append({
-                "cell": r["cell"], "solver": r["solver"], "trial": r["trial"],
-                "seconds": r.pop("_measured"),
-            })
-            result.trial_rows.append(r)
-
-
-def run_solver_race(config: ExperimentConfig) -> ExperimentResult:
-    cfg = config.resolved()
-    if not cfg["protocol"].startswith("race"):
-        raise ConfigError("run_solver_race needs a race-* protocol, got %s" % cfg["protocol"])
-    n, trials = cfg["n"], cfg["trials"]
-    result = ExperimentResult(config=cfg)
-    for ci, (mn, km) in enumerate(cfg["grid"]):
-        m = int(round(mn * n))
-        k = int(round(km * m))
-        cell = "mn%.1f_km%.1f" % (mn, km)
-        noise = NoiseSpec(sigma=cfg["sigma"])
-
-        def one_trial(ti, _ci=ci, _m=m, _k=k, _cell=cell, _noise=noise):
-            ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(_ci, ti))
-            inst = make_instance(cfg["kind"], n, _m, _k, _noise, ss, field=cfg["field"])
-            if cfg["protocol"] == "race-qp":
-                model = ModelSpec.qp(cfg["mu"])
-            elif cfg["protocol"] == "race-bpdn":
-                model = ModelSpec.bpdn(float(np.linalg.norm(inst.p_white)))
-            else:
-                model = ModelSpec.bp()
-            return [_trial_row(cfg, inst, _cell, solver, ti, model) for solver in cfg["solvers"]]
-
-        _add_trials(result, _map_trials(one_trial, trials))
-    result.mean_rows = _aggregate(result.trial_rows)
-    return result
 
 
 def model_for_param(family, param):
@@ -452,57 +392,91 @@ def model_for_param(family, param):
     return ModelSpec.l1l1(param)
 
 
-def run_model_choice_sweep(config: ExperimentConfig) -> ExperimentResult:
-    cfg = config.resolved()
-    if cfg["protocol"] != "model-choice":
-        raise ConfigError("run_model_choice_sweep needs the model-choice protocol")
-    n, m, k, trials = cfg["n"], cfg["m"], cfg["k"], cfg["trials"]
-    noise = NoiseSpec(impulse_fraction=cfg["impulse_fraction"])
-    solver = cfg["solvers"][0]
+def _race_model(cfg, inst):
+    """qp at the race's mu, bpdn at the instance's noise norm, or plain bp."""
+    if cfg["mu"] is not None:
+        return ModelSpec.qp(cfg["mu"])
+    if cfg["delta_rule"] == "noise-norm":
+        return ModelSpec.bpdn(float(np.linalg.norm(inst.p_white)))
+    return ModelSpec.bp()
 
-    def one_trial(ti):
-        ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(0, ti))
-        inst = make_instance(cfg["kind"], n, m, k, noise, ss, field=cfg["field"])
-        return [_trial_row(cfg, inst, "%s:%.2f" % (family, param), solver, ti,
-                           model_for_param(family, param))
-                for family in cfg["families"] for param in cfg["grid"]]
 
+def _groups(cfg):
+    """The protocol's instance groups as (m, k, noise, cells).
+
+    A cell is (label, instance -> ModelSpec), and every cell of a group
+    solves each trial's one instance. A race has one group per grid cell.
+    Model-choice has one group; its family x parameter cells follow the
+    figure axis: by family, then by the parameter value the label shows.
+    """
+    if cfg["protocol"] == "model-choice":
+        grid = sorted(cfg["grid"], key=lambda v: float("%.2f" % v))
+        cells = [("%s:%.2f" % (f, v), lambda inst, f=f, v=v: model_for_param(f, v))
+                 for f in cfg["families"] for v in grid]
+        return [(cfg["m"], cfg["k"], NoiseSpec(impulse_fraction=cfg["impulse_fraction"]), cells)]
+    groups = []
+    for mn, km in cfg["grid"]:
+        m = int(round(mn * cfg["n"]))
+        cells = [("mn%.1f_km%.1f" % (mn, km), lambda inst: _race_model(cfg, inst))]
+        groups.append((m, int(round(km * m)), NoiseSpec(sigma=cfg["sigma"]), cells))
+    return groups
+
+
+# noise of the err-vs-opt cases
+_CASE_NOISE = {"noiseless": NoiseSpec(), "snr40": NoiseSpec(target_snr_db=40.0)}
+
+
+def _error_vs_optimality(cfg):
+    """One bp solve per case; its per-iteration history becomes the means CSV."""
     result = ExperimentResult(config=cfg)
-    _add_trials(result, _map_trials(one_trial, trials))
-    # figure-axis order: cells grouped by family then parameter, not by trial
-    result.trial_rows.sort(key=lambda r: (cfg["families"].index(r["cell"].split(":")[0]),
-                                          float(r["cell"].split(":")[1]), r["trial"]))
-    result.mean_rows = _aggregate(result.trial_rows)
-    return result
-
-
-def run_error_vs_optimality(config: ExperimentConfig) -> ExperimentResult:
-    cfg = config.resolved()
-    if cfg["protocol"] != "err-vs-opt":
-        raise ConfigError("run_error_vs_optimality needs the err-vs-opt protocol")
-    result = ExperimentResult(config=cfg)
-    for ci, case in enumerate(cfg["cases"]):
-        noise = NoiseSpec() if case == "noiseless" else NoiseSpec(target_snr_db=40.0)
-        ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(ci, 0))
-        inst = make_instance(cfg["kind"], cfg["n"], cfg["m"], cfg["k"], noise, ss, field=cfg["field"])
-        opts = _options(cfg, inst)
-        t0 = time.perf_counter()
-        rec = solve("dadm", ModelSpec.bp(), inst.A, inst.b, opts)
-        dt = time.perf_counter() - t0
-        for i, diag in enumerate(rec.history):
-            result.mean_rows.append({
-                "cell": case, "solver": "dadm",
-                "iter": float(i + 1), "aat": float(rec.aat_history[i]),
-                "relerr_pct": float(diag.relerr), "res": float(diag.res),
-                "seconds": 0.0,
-            })
-        result.timing_rows.append({"cell": case, "solver": "dadm", "trial": 0, "seconds": dt})
+    for c, case in enumerate(cfg["cases"]):
+        ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(c, 0))
+        inst = make_instance(cfg["kind"], cfg["n"], cfg["m"], cfg["k"], _CASE_NOISE[case], ss,
+                             field=cfg["field"])
+        for solver in cfg["solvers"]:
+            opts = _options(cfg, inst)
+            t0 = time.perf_counter()
+            rec = solve(solver, ModelSpec.bp(), inst.A, inst.b, opts)
+            dt = time.perf_counter() - t0
+            result.mean_rows += [
+                {"cell": case, "solver": solver, "iter": float(i + 1),
+                 "aat": float(rec.aat_history[i]), "relerr_pct": float(diag.relerr),
+                 "res": float(diag.res), "seconds": 0.0}
+                for i, diag in enumerate(rec.history)
+            ]
+            result.timing_rows.append({"cell": case, "solver": solver, "trial": 0, "seconds": dt})
     return result
 
 
 def run_protocol(config: ExperimentConfig) -> ExperimentResult:
-    if config.protocol == "model-choice":
-        return run_model_choice_sweep(config)
-    if config.protocol == "err-vs-opt":
-        return run_error_vs_optimality(config)
-    return run_solver_race(config)
+    """Run one experiment protocol; the one experiment entry point.
+
+    Trial t of group g solves the instance drawn from SeedSequence(seed,
+    (g, t)) with every listed solver on every cell of the group. Trial rows
+    go group by group, then cell by cell, trial by trial, solver by solver.
+    """
+    cfg = config.resolved()
+    if cfg["protocol"] == "err-vs-opt":
+        return _error_vs_optimality(cfg)
+    result = ExperimentResult(config=cfg)
+    for g, (m, k, noise, cells) in enumerate(_groups(cfg)):
+
+        def one_trial(t):
+            ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(g, t))
+            inst = make_instance(cfg["kind"], cfg["n"], m, k, noise, ss, field=cfg["field"])
+            rows = []
+            for label, model_of in cells:
+                model = model_of(inst)
+                rows += [_trial_row(cfg, inst, label, solver, t, model) for solver in cfg["solvers"]]
+            return rows
+
+        rows = [r for trial_rows in _map_trials(one_trial, cfg["trials"]) for r in trial_rows]
+        # cell by cell, trial by trial; cells that share a label share one block
+        labels = [label for label, _ in cells]
+        rows.sort(key=lambda r: (labels.index(r["cell"]), r["trial"]))
+        for r in rows:
+            result.timing_rows.append({"cell": r["cell"], "solver": r["solver"],
+                                       "trial": r["trial"], "seconds": r.pop("_measured")})
+            result.trial_rows.append(r)
+    result.mean_rows = _aggregate(result.trial_rows)
+    return result

@@ -19,7 +19,7 @@ from adl1.harness import (
     NoiseSpec,
     make_instance,
     model_for_param,
-    run_solver_race,
+    run_protocol,
 )
 from adl1.models import ModelSpec, objective_value, relerr
 from adl1.operators import DenseOperator, make_partial_wht, orthonormal_gaussian_operator
@@ -89,7 +89,7 @@ def test_criterion_2_solver_race_desk_accuracy():
     t0 = time.perf_counter()
     cfg = ExperimentConfig("race-qp", n=1024, trials=10, max_iter=300,
                            grid=[(0.3, 0.1)], solvers=("padm", "dadm"), seed=1234)
-    res = run_solver_race(cfg)
+    res = run_protocol(cfg)
     means = {r["solver"]: r["relerr_pct"] / 100.0 for r in res.mean_rows}
     assert set(means) == {"padm", "dadm"}
     ok = all(v <= 1.5e-2 for v in means.values())

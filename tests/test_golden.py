@@ -8,7 +8,8 @@ floating-point expression, one more or one fewer iteration, or a changed
 random draw fails this file. A change that means to move an artifact
 updates the digest and says why.
 
-The experiment runs are tiny ``run_protocol`` runs at seed 1234; the solves
+The experiment runs are tiny ``run_protocol`` runs at seed 1234, and the
+default resolved config of every protocol is pinned by its hash; the solves
 run ``adl1 solve demos/tiny_bp.json`` with a few solver and model flags. A
 ``{weights}`` flag stands for the path of ``WEIGHTS``, written per test.
 """
@@ -22,7 +23,7 @@ import pytest
 
 from adl1 import cli
 from adl1.harness import ExperimentConfig, run_protocol
-from adl1.io import write_vector
+from adl1.io import config_hash, write_vector
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TINY_BP = os.path.join(ROOT, "demos", "tiny_bp.json")
@@ -35,6 +36,16 @@ PROTOCOL_DIGESTS = {
         "2700f8928e88fa37fa4f8a082fcef037c83ceb3c7834b84eb6c52c9aef6a6abd",
         "ceefb65168a486ca476259efae5ba1dd02ddd8ff8fcb1f9e58dda4dc43879742",
     ),
+    "race-bpdn": (
+        dict(n=64, trials=2, max_iter=200),
+        "70983a8a5cb6c6ea9ee7b8988971642aae4c8ae098ce8b6dd3bf68536e0cef6b",
+        "7cfb5663cb3c356af5e75c0c656e37a8e79be5eb6f6abd0e20ef6a23960013d2",
+    ),
+    "race-bp": (
+        dict(n=64, trials=2, max_iter=200),
+        "af1674a5aeeff58d5a2d9bdbe3d192ff57df010256bbcf1ff07e5f924ffc5abf",
+        "f46a8fac57c445cfbb6eff307aed44da44d69856cea20ef21281aaec816cf592",
+    ),
     "model-choice": (
         dict(n=100, trials=1, max_iter=300),
         "a88dc3d6da835cc8f8777968505dcfabbda80b13f7bd3da34bfdc9b4c10ceb76",
@@ -45,6 +56,22 @@ PROTOCOL_DIGESTS = {
         "ba0ffac600603f58ff83182b7e7029e411a90e823b342943e936ae6f9ea9d5f4",
         None,  # err-vs-opt writes per-iteration means only
     ),
+}
+
+# (protocol, scale) -> config_hash of the default resolved config. The hash
+# names a run in its manifest and guards its output directory, so a moved
+# default, a renamed key or a changed number type shows here.
+CONFIG_HASHES = {
+    ("model-choice", "desk"): "5d5676d40bdbc0893ca59ab0b5681dd2735d8651066b8aba7037d898b7891af3",
+    ("model-choice", "full"): "409c89160ea84c42f260c53fcd54212de1a9e256d744850af196e5f628f6b7b6",
+    ("err-vs-opt", "desk"): "4893d77893aaf0351d0493353faf8bc2705a3f624ae23a24cc72630d098d9630",
+    ("err-vs-opt", "full"): "7baf175dc15a47aad9b0243f33ef9e9447096fff0c3d8a4626cdb2fa8cf44706",
+    ("race-qp", "desk"): "cc5ae368002c83b070dfe80f2fd7891df090353697521e9b9f80168e53c71a16",
+    ("race-qp", "full"): "2fb518fe70a59a756afb59e17614fd24eb911f3760b69668f8999570483d901e",
+    ("race-bpdn", "desk"): "b46386ddf284ba311031aa72abde359d77619e95dfef77c71c535359f27d87a7",
+    ("race-bpdn", "full"): "ae18102fffdaf601fceb07f0cea0a9906582fe48b231175df9b8eb5d39a77123",
+    ("race-bp", "desk"): "d9f53c73dfd351a4865c9b53ae69d75bcd5bd4be67aaf0dac0a254b441fc7405",
+    ("race-bp", "full"): "d8bbc3b791c2df37e5573b119f33ad6da8fe5f94ed12c9f2639bf182d45b5426",
 }
 
 # extra CLI flags -> (exit code, status, iterations, aat, model label, x.bin sha256)
@@ -93,6 +120,12 @@ def test_experiment_csv_bytes_are_pinned(tmp_path, protocol):
         assert not trials_path.exists()
     else:
         assert _sha256(trials_path) == trials
+
+
+@pytest.mark.parametrize("protocol,scale", sorted(CONFIG_HASHES))
+def test_default_config_hash_is_pinned(protocol, scale):
+    cfg = ExperimentConfig(protocol, scale=scale).resolved()
+    assert config_hash(cfg) == CONFIG_HASHES[protocol, scale]
 
 
 @pytest.mark.parametrize("flags", sorted(SOLVE_DIGESTS), ids=lambda f: " ".join(f) or "default")

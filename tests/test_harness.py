@@ -22,10 +22,7 @@ from adl1.harness import (
     gen_spikes,
     make_instance,
     model_for_param,
-    run_error_vs_optimality,
-    run_model_choice_sweep,
     run_protocol,
-    run_solver_race,
 )
 
 
@@ -192,6 +189,10 @@ def test_config_validation():
         ExperimentConfig("race-qp", grid=[]).resolved()
     with pytest.raises(ConfigError, match="nonempty"):
         ExperimentConfig("model-choice", grid=[]).resolved()
+    # err-vs-opt fixes its trial count, solver and cases: an override is an error
+    for knob in (dict(trials=3), dict(solvers=("padm",)), dict(grid=[0.5])):
+        with pytest.raises(ConfigError, match="err-vs-opt"):
+            ExperimentConfig("err-vs-opt", **knob)
 
 
 def test_resolved_defaults_race():
@@ -231,7 +232,7 @@ def test_resolved_defaults_sweeps():
 
 
 # ---------------------------------------------------------------------------
-# protocol runners, desk-tiny
+# protocols, desk-tiny
 
 
 def _tiny_race(**kw):
@@ -241,8 +242,8 @@ def _tiny_race(**kw):
 
 
 def test_race_rows_and_determinism():
-    res = run_solver_race(_tiny_race())
-    res2 = run_solver_race(_tiny_race())
+    res = run_protocol(_tiny_race())
+    res2 = run_protocol(_tiny_race())
     assert res.trial_rows == res2.trial_rows
     assert res.mean_rows == res2.mean_rows
 
@@ -258,7 +259,7 @@ def test_race_rows_and_determinism():
 
 
 def test_mean_rows_are_trial_averages():
-    res = run_solver_race(_tiny_race())
+    res = run_protocol(_tiny_race())
     for mean in res.mean_rows:
         group = [r for r in res.trial_rows
                  if (r["cell"], r["solver"]) == (mean["cell"], mean["solver"])]
@@ -284,7 +285,7 @@ def test_aggregate_preserves_first_seen_order():
 def test_model_choice_sweep_tiny():
     cfg = ExperimentConfig("model-choice", n=64, trials=2, max_iter=400,
                            grid=[0.0, 0.5], seed=9)
-    res = run_model_choice_sweep(cfg)
+    res = run_protocol(cfg)
     rows = {r["cell"]: r for r in res.mean_rows}
     assert set(rows) == {"bp_nu:0.00", "bp_nu:0.50", "qp:0.00", "qp:0.50",
                          "l1l1:0.00", "l1l1:0.50"}
@@ -303,13 +304,27 @@ def test_model_choice_sweep_tiny():
     assert order == sorted(order, key=lambda ct: (
         MODEL_FAMILIES.index(ct[0].split(":")[0]), float(ct[0].split(":")[1]), ct[1]))
 
-    with pytest.raises(ConfigError, match="model-choice"):
-        run_model_choice_sweep(_tiny_race())
+
+def test_model_choice_runs_every_listed_solver():
+    cfg = ExperimentConfig("model-choice", n=64, trials=1, max_iter=200, grid=[0.0],
+                           solvers=("dadm", "padm"), seed=9)
+    res = run_protocol(cfg)
+    assert len(res.trial_rows) == 6
+    assert [(r["cell"], r["solver"]) for r in res.trial_rows] == [
+        (cell, solver) for cell in ("bp_nu:0.00", "qp:0.00", "l1l1:0.00")
+        for solver in ("dadm", "padm")]
+    assert [(r["cell"], r["solver"]) for r in res.mean_rows] == [
+        (r["cell"], r["solver"]) for r in res.trial_rows]
+
+    # padm does not solve the l1/l1 model, so listing it for nu > 0 is an error
+    with pytest.raises(ConfigError, match="l1/l1"):
+        run_protocol(ExperimentConfig("model-choice", n=64, trials=1, max_iter=50, grid=[0.5],
+                                      solvers=("dadm", "padm"), seed=9))
 
 
 def test_error_vs_optimality_histories():
     cfg = ExperimentConfig("err-vs-opt", n=100, max_iter=120, seed=3)
-    res = run_error_vs_optimality(cfg)
+    res = run_protocol(cfg)
     by_case = {}
     for r in res.mean_rows:
         assert r["solver"] == "dadm" and r["seconds"] == 0.0
@@ -331,9 +346,6 @@ def test_error_vs_optimality_histories():
     assert errs_noisy[-1] < 0.1 * errs_noisy[0]
     assert errs_noisy[-1] > 1e-3
 
-    with pytest.raises(ConfigError, match="err-vs-opt"):
-        run_error_vs_optimality(_tiny_race())
-
 
 def test_run_protocol_dispatch():
     cfg = ExperimentConfig("err-vs-opt", n=100, max_iter=30, seed=3)
@@ -353,7 +365,7 @@ def test_result_write_guards_and_timing_manifest(tmp_path):
     with pytest.raises(ConfigError, match="different config hash"):
         res.write(tmp_path / "out")
 
-    timed = run_solver_race(_tiny_race(timing=True, trials=1, max_iter=50))
+    timed = run_protocol(_tiny_race(timing=True, trials=1, max_iter=50))
     tm = timed.write(tmp_path / "timed")
     assert tm["deterministic"] is False
     assert any(r["seconds"] > 0.0 for r in timed.trial_rows)

@@ -179,6 +179,8 @@ def test_solve_writes_artifacts_and_converges(tmp_path):
     assert np.array_equal(x_bin, read_vector_csv(out / "x.csv"))
 
     summary = json.loads((out / "run.json").read_text())
+    assert set(summary) == {"solver", "model", "status", "iterations", "aat", "seconds",
+                            "relres", "relerr_pct", "config", "config_hash"}
     assert summary["solver"] == "dadm"
     assert summary["model"] == "bp()"
     assert summary["status"] == "converged"
@@ -323,6 +325,16 @@ def test_experiment_unknown_protocol_lists_valid_ones(tmp_path, capsys):
     err = capsys.readouterr().err
     for name in ("model-choice", "err-vs-opt", "race-qp", "race-bpdn", "race-bp"):
         assert name in err
+
+
+def test_experiment_err_vs_opt_refuses_fixed_knobs(tmp_path, capsys):
+    # err-vs-opt runs one dadm solve per case: a trial count is refused, not dropped
+    out = tmp_path / "eo"
+    argv = ["experiment", "err-vs-opt", "--n", "100", "--trials", "3", "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "adl1: error (ConfigError)" in err and "trials" in err
+    assert not out.exists()
 
 
 def test_installed_entry_point_runs():

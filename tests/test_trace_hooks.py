@@ -6,7 +6,7 @@ attributes by name: the solvers, ``models.compute_res``,
 module attribute (a name-to-function table built at import), does not fail
 any solver test; it silently empties a layer of the benchmark's report.
 These tests load the tracer from its path, unedited, and run one tiny CLI
-solve and one tiny experiment under it.
+solve and two tiny experiments under it.
 """
 
 import importlib.util
@@ -61,3 +61,14 @@ def test_experiment_reaches_every_solver_and_the_trial_loop(tracer_module, tmp_p
         assert metrics["solvers.%s.solves" % solver] == 6, solver  # one per race cell
     assert metrics["harness.pool.workers"] == 1
     assert metrics["harness.make_instance.calls"] == 6
+
+
+def test_model_choice_draws_one_instance_per_trial(tracer_module, tmp_path):
+    # the 63 family x parameter cells of a trial share that trial's instance
+    argv = ["experiment", "model-choice", "--n", "64", "--trials", "2", "--max-iter", "20",
+            "--out", str(tmp_path / "mc")]
+    rc, metrics = _traced(tracer_module, argv)
+    assert rc == 0
+    assert metrics["harness.make_instance.calls"] == 2
+    assert metrics["solvers.dadm.solves"] == 2 * 63
+    assert metrics["harness.pool.workers"] == 1
