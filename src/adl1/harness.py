@@ -407,18 +407,26 @@ def _groups(cfg):
     A cell is (label, instance -> ModelSpec), and every cell of a group
     solves each trial's one instance. A race has one group per grid cell.
     Model-choice has one group; its family x parameter cells follow the
-    figure axis: by family, then by the parameter value the label shows.
+    figure axis: by family, then by parameter value.
+
+    Labels round their parameters and name the mean rows, so two cells
+    whose labels print alike would share one mean row: ConfigError.
     """
     if cfg["protocol"] == "model-choice":
-        grid = sorted(cfg["grid"], key=lambda v: float("%.2f" % v))
         cells = [("%s:%.2f" % (f, v), lambda inst, f=f, v=v: model_for_param(f, v))
-                 for f in cfg["families"] for v in grid]
-        return [(cfg["m"], cfg["k"], NoiseSpec(impulse_fraction=cfg["impulse_fraction"]), cells)]
-    groups = []
-    for mn, km in cfg["grid"]:
-        m = int(round(mn * cfg["n"]))
-        cells = [("mn%.1f_km%.1f" % (mn, km), lambda inst: _race_model(cfg, inst))]
-        groups.append((m, int(round(km * m)), NoiseSpec(sigma=cfg["sigma"]), cells))
+                 for f in cfg["families"] for v in sorted(cfg["grid"])]
+        groups = [(cfg["m"], cfg["k"], NoiseSpec(impulse_fraction=cfg["impulse_fraction"]), cells)]
+    else:
+        groups = []
+        for mn, km in cfg["grid"]:
+            m = int(round(mn * cfg["n"]))
+            cells = [("mn%.1f_km%.1f" % (mn, km), lambda inst: _race_model(cfg, inst))]
+            groups.append((m, int(round(km * m)), NoiseSpec(sigma=cfg["sigma"]), cells))
+    labels = [label for *_, cells in groups for label, _ in cells]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise ConfigError("grid cells share the label(s) %s; give each cell a value that "
+                          "prints distinctly" % ", ".join(shared))
     return groups
 
 
@@ -471,7 +479,7 @@ def run_protocol(config: ExperimentConfig) -> ExperimentResult:
             return rows
 
         rows = [r for trial_rows in _map_trials(one_trial, cfg["trials"]) for r in trial_rows]
-        # cell by cell, trial by trial; cells that share a label share one block
+        # cell by cell, trial by trial
         labels = [label for label, _ in cells]
         rows.sort(key=lambda r: (labels.index(r["cell"]), r["trial"]))
         for r in rows:

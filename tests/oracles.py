@@ -14,6 +14,26 @@ import numpy as np
 from scipy.optimize import linprog
 
 
+def fwht_butterfly(x):
+    """Unnormalized natural-order Walsh-Hadamard transform of a copy of x.
+
+    The textbook radix-2 butterfly: log2(n) stages, each adding and
+    subtracting the halves of every block of length 2h. x must be 1-D with
+    power-of-two length; the result keeps x's dtype.
+    """
+    n = x.shape[0]
+    a = np.array(x, copy=True)
+    h = 1
+    while h < n:
+        a = a.reshape(-1, 2 * h)
+        top = a[:, :h].copy()
+        a[:, :h] += a[:, h:]
+        a[:, h:] = top - a[:, h:]
+        a = a.reshape(-1)
+        h *= 2
+    return a
+
+
 def materialize(op):
     """Dense matrix of an operator, column by column through apply()."""
     cols = []

@@ -33,8 +33,8 @@ WEIGHTS = np.linspace(0.5, 2.0, 64)
 PROTOCOL_DIGESTS = {
     "race-qp": (
         dict(n=64, trials=2, max_iter=200),
-        "2700f8928e88fa37fa4f8a082fcef037c83ceb3c7834b84eb6c52c9aef6a6abd",
-        "ceefb65168a486ca476259efae5ba1dd02ddd8ff8fcb1f9e58dda4dc43879742",
+        "cff6b17d5dc5080716022974bd6fc7bb1323a0a81bd21b6074ffe650f0e3baa8",
+        "77a62e0c473d182192e148e4cf36374f0c0c31fdddd91dca810f943770139860",
     ),
     "race-bpdn": (
         dict(n=64, trials=2, max_iter=200),
@@ -43,8 +43,8 @@ PROTOCOL_DIGESTS = {
     ),
     "race-bp": (
         dict(n=64, trials=2, max_iter=200),
-        "af1674a5aeeff58d5a2d9bdbe3d192ff57df010256bbcf1ff07e5f924ffc5abf",
-        "f46a8fac57c445cfbb6eff307aed44da44d69856cea20ef21281aaec816cf592",
+        "4a3e7dac2363bda237fa22c407d1d60b35cf3c78399044c253d584f88b0c42fa",
+        "380e04c5cd268c8c4b780970c6b29bcdd25e7e48f08da6c38fe84147bb2a7250",
     ),
     "model-choice": (
         dict(n=100, trials=1, max_iter=300),

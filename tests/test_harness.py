@@ -305,6 +305,18 @@ def test_model_choice_sweep_tiny():
         MODEL_FAMILIES.index(ct[0].split(":")[0]), float(ct[0].split(":")[1]), ct[1]))
 
 
+@pytest.mark.parametrize("protocol,grid", [
+    ("model-choice", [0.499, 0.501]),
+    ("race-qp", [(0.3, 0.1), (0.26, 0.1)]),
+    ("race-bp", [(0.3, 0.1), (0.3, 0.1)]),
+])
+def test_grid_cells_with_one_label_are_rejected(protocol, grid):
+    # both cells would print as one mean row that averages them
+    cfg = ExperimentConfig(protocol, n=64, trials=1, max_iter=20, grid=grid, seed=9)
+    with pytest.raises(ConfigError, match="share the label"):
+        run_protocol(cfg)
+
+
 def test_model_choice_runs_every_listed_solver():
     cfg = ExperimentConfig("model-choice", n=64, trials=1, max_iter=200, grid=[0.0],
                            solvers=("dadm", "padm"), seed=9)

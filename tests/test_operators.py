@@ -1,5 +1,9 @@
 """Operator correctness: adjoints, orthonormality, spectra, validation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +22,9 @@ from adl1.operators import (
     orthonormal_gaussian_operator,
 )
 
-from oracles import materialize
+from oracles import fwht_butterfly, materialize
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _complex(rng, size):
@@ -76,6 +82,46 @@ def test_fwht_basis_and_involution(rng):
     assert np.array_equal(fwht(e0), np.ones(n, dtype=np.complex128))
     x = _complex(rng, n)
     assert np.allclose(fwht(fwht(x)), n * x, atol=1e-10)
+
+
+@pytest.mark.parametrize("e", range(17))
+def test_fwht_matches_butterfly_oracle(e, rng):
+    # Each output of either kernel is a signed sum of all n inputs. The
+    # butterfly rounds it through e additions; the factored kernel through
+    # one length-f dot product per factor, f <= 16 over ceil(e / 4) factors,
+    # so at most 4 (e + 3) roundings. Their difference is thus within
+    # (5 e + 12) eps sum|x| per real component.
+    n = 1 << e
+    z = _complex(rng, 2 * n)[::2]  # a strided, non-contiguous view
+    for x in (z, z.copy(), z.real.copy()):
+        before = x.copy()
+        got = fwht(x)
+        want = fwht_butterfly(x)
+        assert got.dtype == (np.complex128 if np.iscomplexobj(x) else np.float64)
+        assert got.shape == (n,)
+        tol = (5 * e + 12) * np.finfo(np.float64).eps * np.sum(np.abs(x.real) + np.abs(x.imag))
+        assert np.max(np.abs(got - want)) <= tol
+        assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.ones(6, np.complex128), np.ones(1000),
+                                 np.zeros(0), np.zeros((4, 4)), np.float64(1.0)],
+                         ids=["n3", "n6", "n1000", "empty", "2d", "scalar"])
+def test_fwht_rejects_bad_shapes(bad):
+    with pytest.raises(ValueError):
+        fwht(bad)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs tens of milliseconds of import time; the
+    # transforms need only numpy and scipy.fft.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, adl1; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("factory,n", [(make_partial_wht, 32), (make_partial_dct, 45)])
