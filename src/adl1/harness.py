@@ -79,10 +79,13 @@ class NoiseSpec:
     target_snr_db: Optional[float] = None
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative, got %g" % self.sigma)
+        # Chained comparisons, so that NaN fails them too.
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and nonnegative, got %g" % self.sigma)
         if not 0.0 <= self.impulse_fraction <= 1.0:
             raise ValueError("impulse_fraction must lie in [0, 1], got %g" % self.impulse_fraction)
+        if self.target_snr_db is not None and not -np.inf < self.target_snr_db < np.inf:
+            raise ValueError("target_snr_db must be finite, got %g" % self.target_snr_db)
         if self.target_snr_db is not None and self.sigma > 0:
             raise ValueError("give either sigma or target_snr_db, not both")
 

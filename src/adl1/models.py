@@ -61,12 +61,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "qp" and not (self.mu > 0):
-            raise ConfigError("qp model needs mu > 0")
-        if self.family == "bpdn" and self.delta < 0:
-            raise ConfigError("bpdn model needs delta >= 0")
-        if self.family == "l1l1" and not (self.nu > 0):
-            raise ConfigError("l1l1 model needs nu > 0")
+        # Chained comparisons, so that NaN fails them too.
+        if self.family == "qp" and not 0 < self.mu < np.inf:
+            raise ConfigError(f"qp model needs a finite mu > 0, got {self.mu}")
+        if self.family == "bpdn" and not 0 <= self.delta < np.inf:
+            raise ConfigError(f"bpdn model needs a finite delta >= 0, got {self.delta}")
+        if self.family == "l1l1" and not 0 < self.nu < np.inf:
+            raise ConfigError(f"l1l1 model needs a finite nu > 0, got {self.nu}")
         for name in ("mu", "delta", "nu"):
             val = getattr(self, name)
             if val != 0.0 and name != self._param_name():
@@ -330,13 +331,17 @@ def reformulate_l1l1(A, b, nu):
     (AugmentedOperator, ndarray)
     """
     Ah = AugmentedOperator(A, nu)
-    bh = (nu / np.sqrt(1.0 + nu * nu)) * np.asarray(b, dtype=np.complex128)
+    bh = (nu / np.sqrt(1.0 + nu * nu)) * np.asarray(b, dtype=np.result_type(b, np.float64))
     return Ah, bh
 
 
 def extract_l1l1(xh, n, nu):
-    """Recover the signal block from an augmented-variable solution: xh[:n]/nu."""
+    """Recover the signal block from an augmented-variable solution: xh[:n]/nu.
+
+    Computed as xh[:n] * (1/nu), which is how numpy divides complex xh, so
+    float64 and complex128 solutions give the same real parts.
+    """
     xh = np.asarray(xh)
     if xh.shape[0] <= n:
         raise ValueError(f"augmented solution must be longer than n={n}, got {xh.shape[0]}")
-    return xh[:n] / nu
+    return xh[:n] * (1.0 / nu)

@@ -6,8 +6,12 @@ Operators with orthonormal rows (A A* = I) advertise it through the
 ``orthonormal_rows`` flag, which the dual solver requires for its exact
 update steps.
 
-All vectors are 1-D complex128 arrays. Real data is embedded with zero
-imaginary parts.
+All vectors are 1-D arrays, complex128 or float64. An operator whose
+``real_valued`` property is True (the partial Walsh-Hadamard and DCT
+transforms, and an augmented operator on either) maps float64 input to
+float64 output, so a solve on real data runs in real arithmetic. Every other
+operator computes in complex128, embedding real input with zero imaginary
+parts.
 """
 
 from __future__ import annotations
@@ -76,20 +80,23 @@ def as_complex_vector(x, length=None):
 
 
 def _coerce(x, n, what):
+    """Check the shape of x; cast it to complex128, or to float64 when it is real."""
     x = np.asarray(x)
     if x.shape != (n,):
         raise DimensionMismatchError(f"{what}: expected shape ({n},), got {x.shape}")
-    if x.dtype != np.complex128:
-        x = x.astype(np.complex128)
+    if x.dtype != np.complex128 and x.dtype != np.float64:
+        x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64)
     return x
 
 
 class SensingOperator:
     """Base class: a linear map C^n -> C^m with an explicit adjoint.
 
-    Subclasses implement ``_apply`` and ``_adjoint`` on validated inputs.
-    Instances are immutable after construction and safe to share across
-    threads.
+    Subclasses implement ``_apply`` and ``_adjoint`` on validated inputs:
+    1-D complex128 or float64 vectors. A subclass whose matrix is real and
+    whose transform keeps float64 input in float64 declares ``real_valued``;
+    otherwise its outputs are complex128. Instances are immutable after
+    construction and safe to share across threads.
     """
 
     kind = "abstract"
@@ -105,6 +112,16 @@ class SensingOperator:
     @property
     def shape(self):
         return (self.m, self.n)
+
+    @property
+    def real_valued(self):
+        """True when A is real and maps float64 vectors to float64 vectors.
+
+        Solves on such an operator run in float64 whenever their data is
+        real. False here, so an operator computes in complex128 unless it
+        declares otherwise.
+        """
+        return False
 
     def apply(self, x):
         """Return A x for a length-n vector x."""
@@ -274,11 +291,15 @@ class PartialWalshHadamardOperator(SensingOperator):
         self.signs = signs
         self._scale = 1.0 / np.sqrt(n)
 
+    @property
+    def real_valued(self):
+        return True
+
     def _apply(self, x):
         return fwht(self.signs * x)[self.rows] * self._scale
 
     def _adjoint(self, y):
-        full = np.zeros(self.n, dtype=np.complex128)
+        full = np.zeros(self.n, dtype=y.dtype)
         full[self.rows] = y
         return self.signs * fwht(full) * self._scale
 
@@ -298,11 +319,15 @@ class PartialDCTOperator(SensingOperator):
         self.rows = rows
         self.signs = signs
 
+    @property
+    def real_valued(self):
+        return True
+
     def _apply(self, x):
         return scipy.fft.dct(self.signs * x, type=2, norm="ortho")[self.rows]
 
     def _adjoint(self, y):
-        full = np.zeros(self.n, dtype=np.complex128)
+        full = np.zeros(self.n, dtype=y.dtype)
         full[self.rows] = y
         return self.signs * scipy.fft.idct(full, type=2, norm="ortho")
 
@@ -325,6 +350,10 @@ class AugmentedOperator(SensingOperator):
         self.base = base
         self.nu = float(nu)
         self._scale = 1.0 / np.sqrt(1.0 + nu * nu)
+
+    @property
+    def real_valued(self):
+        return self.base.real_valued
 
     def _apply(self, x):
         head = x[: self.base.n]

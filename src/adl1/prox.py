@@ -2,7 +2,14 @@
 
 All five maps act componentwise or on the whole vector over C, preserve
 phases, and define sign(0) = 0. Thresholds and radii may be scalars or
-per-component vectors (vectors support the weighted-l1 variants).
+per-component vectors (vectors support the weighted-l1 variants). A negative
+or NaN threshold or radius raises ValueError, and so does an l-infinity
+radius of zero.
+
+A map returns float64 for real input and complex128 for complex input. On
+real input it computes, bit for bit, the real part of what it computes on
+that input embedded with zero imaginary parts, except that the two l2 maps
+take a norm, whose sum may round differently in the two dtypes.
 """
 
 from __future__ import annotations
@@ -20,16 +27,22 @@ __all__ = [
 
 def _check_nonneg(t, what):
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
+    # Written so that NaN fails too.
+    if not np.all(t >= 0):
         raise ValueError(f"{what} must be nonnegative")
     return t
 
 
 def _check_positive(t, what):
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError(f"{what} must be positive")
     return t
+
+
+def _as_field(v):
+    """v as a complex128 array when it is complex, else as a float64 array."""
+    return np.asarray(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64)
 
 
 def shrink(v, t):
@@ -38,7 +51,7 @@ def shrink(v, t):
     ``t`` is a nonnegative scalar or a per-component vector of thresholds.
     """
     t = _check_nonneg(t, "shrink threshold")
-    v = np.asarray(v, dtype=np.complex128)
+    v = _as_field(v)
     mag = np.abs(v)
     kept = np.maximum(mag - t, 0.0)
     denom = np.where(mag > 0.0, mag, 1.0)
@@ -51,7 +64,7 @@ def project_linf_ball(v, radius=1.0):
     ``radius`` is a positive scalar or per-component vector.
     """
     radius = _check_positive(radius, "linf ball radius")
-    v = np.asarray(v, dtype=np.complex128)
+    v = _as_field(v)
     mag = np.abs(v)
     # w/max(|v|, w) is exactly 1 inside the ball, so interior points pass
     # through unchanged.
@@ -61,9 +74,9 @@ def project_linf_ball(v, radius=1.0):
 def project_l2_ball(v, delta):
     """Project onto the l2 ball of radius delta centered at the origin."""
     delta = float(delta)
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("l2 ball radius must be nonnegative")
-    v = np.asarray(v, dtype=np.complex128)
+    v = _as_field(v)
     nv = np.linalg.norm(v)
     if nv <= delta:
         return v.copy()
@@ -78,9 +91,9 @@ def shrink_l2(v, t):
     Zero when ||v|| <= t, otherwise v scaled by (1 - t/||v||).
     """
     t = float(t)
-    if t < 0:
+    if not t >= 0:
         raise ValueError("l2 shrink threshold must be nonnegative")
-    v = np.asarray(v, dtype=np.complex128)
+    v = _as_field(v)
     nv = np.linalg.norm(v)
     if nv <= t:
         return np.zeros_like(v)
@@ -94,5 +107,7 @@ def project_halfspace(v, bound=1.0):
     feasible set of the nonnegative models.
     """
     bound = np.asarray(bound, dtype=np.float64)
-    v = np.asarray(v, dtype=np.complex128)
+    v = _as_field(v)
+    if v.dtype == np.float64:
+        return np.minimum(v, bound)
     return np.minimum(v.real, bound) + 1j * v.imag

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..operators import as_complex_vector
 from ..prox import shrink
-from .common import SolverOptions, run_solve
+from .common import SolverOptions, run_solve, working_data
 
 __all__ = ["FistaState", "fista_step", "ist_step", "fista_solve", "ist_solve"]
 
@@ -77,7 +76,7 @@ def _baseline_solve(name, step, A, b, mu, opts):
     opts = opts if opts is not None else SolverOptions()
     if opts.stop != "relchg":
         raise ConfigError("baseline solvers stop on relative change only")
-    b = as_complex_vector(b, A.m)
+    b = working_data(A, b, opts)
     tau = 1.0 if opts.tau is None else float(opts.tau)
 
     def start(x0, Ax0, y0, A):

@@ -12,7 +12,7 @@ from ..errors import ConfigError, DivergenceError
 from ..models import Diagnostics, compute_res, data_norm
 from ..operators import as_complex_vector
 
-__all__ = ["SolverOptions", "RunRecord", "CountingOperator", "run_solve"]
+__all__ = ["SolverOptions", "RunRecord", "CountingOperator", "working_data", "run_solve"]
 
 STOP_RULES = ("relchg", "res")
 
@@ -44,8 +44,13 @@ class SolverOptions:
             raise ConfigError(f"stop must be one of {STOP_RULES}, got {self.stop!r}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.tol < 0:
-            raise ConfigError("tol must be nonnegative")
+        # Chained comparisons, so that NaN fails them too.
+        if not 0 <= self.tol < np.inf:
+            raise ConfigError(f"tol must be finite and nonnegative, got {self.tol}")
+        for name in ("beta", "gamma", "tau"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
     def stop_satisfied(self, diag):
         if self.stop == "relchg":
@@ -122,6 +127,10 @@ class CountingOperator:
     def orthonormal_rows(self):
         return self.op.orthonormal_rows
 
+    @property
+    def real_valued(self):
+        return self.op.real_valued
+
     def apply(self, x):
         self.count += 1
         return self.op.apply(x)
@@ -146,6 +155,29 @@ def check_finite(x, y, k):
         raise DivergenceError(f"multiplier became nonfinite at iteration {k}")
 
 
+def working_data(A, b, opts):
+    """Validate the data b of a solve on A and cast it to the solve's dtype.
+
+    The one place a solve picks its arithmetic: float64 when A is
+    ``real_valued`` and b, ``opts.x0`` and ``opts.y0`` have no nonzero
+    imaginary part, complex128 otherwise. ``run_solve`` starts its iterates
+    in the dtype of the data it is given, and every sweep keeps it.
+
+    Raises DimensionMismatchError if b is not a length-m vector and
+    ValueError if it has nonfinite entries.
+    """
+    b = as_complex_vector(b, A.m)
+    if A.real_valued and not any(np.any(np.imag(v)) for v in (b, opts.x0, opts.y0)
+                                 if v is not None):
+        return b.real.copy()
+    return b
+
+
+def _start_vector(v, length, dtype):
+    v = as_complex_vector(v, length)
+    return v if dtype == np.complex128 else v.real.copy()
+
+
 def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
               weights=None, dual=None, signal=None, nonneg=False):
     """Run the solve loop shared by every solver and return its RunRecord.
@@ -161,12 +193,14 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
         Labels written into the record.
     A, b
         Operator and data the iteration works on (the augmented pair for
-        the l1/l1 model). A is wrapped here to count applications.
+        the l1/l1 model). A is wrapped here to count applications. b comes
+        from ``working_data``; the iterates take its dtype.
     opts : SolverOptions
     start : callable
         ``start(x0, Ax0, y0, A)`` builds the initial state. x0 and A x0 are
         zero unless ``opts.x0`` is given (its application is charged); y0 is
-        ``opts.y0`` as a validated vector, or None.
+        ``opts.y0`` as a validated vector, or None. All three are in b's
+        dtype.
     step : callable
         ``step(state, A)`` returns the next state. Every state carries the
         iterate ``x``, its cached product ``Ax`` and the sweep count ``k``;
@@ -182,15 +216,17 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
         the record returns it (the l1/l1 model's signal block).
     nonneg : bool
         Clip the real part of the returned signal at zero.
+
+    The record's x is complex128 whatever the working dtype.
     """
     counting = CountingOperator(A)
     if opts.x0 is None:
-        x0 = np.zeros(A.n, dtype=np.complex128)
-        Ax0 = np.zeros(A.m, dtype=np.complex128)
+        x0 = np.zeros(A.n, dtype=b.dtype)
+        Ax0 = np.zeros(A.m, dtype=b.dtype)
     else:
-        x0 = as_complex_vector(opts.x0, A.n)
+        x0 = _start_vector(opts.x0, A.n, b.dtype)
         Ax0 = counting.apply(x0)
-    y0 = None if opts.y0 is None else as_complex_vector(opts.y0, A.m)
+    y0 = None if opts.y0 is None else _start_vector(opts.y0, A.m, b.dtype)
     state = start(x0, Ax0, y0, counting)
     # Once per solve, so a zero-data warning fires once, not every sweep.
     b_norm = None if dual is None else data_norm(b)
@@ -214,8 +250,8 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
     seconds = time.perf_counter() - t0
 
     x = state.x if signal is None else signal(state.x)
-    if nonneg:
-        x = np.maximum(x.real, 0.0).astype(np.complex128)
+    x = np.maximum(x.real, 0.0) if nonneg else x
     return RunRecord(solver=solver, model=model, status=status, iterations=state.k,
-                     aat=counting.count, seconds=seconds, x=x, history=history,
+                     aat=counting.count, seconds=seconds,
+                     x=x.astype(np.complex128, copy=False), history=history,
                      aat_history=aat_history)

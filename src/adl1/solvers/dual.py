@@ -27,9 +27,8 @@ import numpy as np
 
 from ..errors import ConfigError, StepSizeError
 from ..models import extract_l1l1, reformulate_l1l1
-from ..operators import as_complex_vector
 from ..prox import project_halfspace, project_linf_ball, shrink_l2
-from .common import SolverOptions, run_solve
+from .common import SolverOptions, run_solve, working_data
 
 __all__ = ["DadmParams", "DadmState", "GOLDEN_RATIO",
            "dadm_step", "dadm_nonorth_step", "dadm_solve"]
@@ -115,9 +114,12 @@ def dadm_step(state, A, b, p):
     if not A.orthonormal_rows:
         raise StepSizeError("exact dual steps require orthonormal rows (A A* = I); "
                             "see dadm_nonorth_step for the general-operator variant")
-    z_new = _project_dual(state.Aty + state.x / p.beta, p)
+    # Division by a scalar is written as a product with its reciprocal: numpy
+    # computes complex x / beta that way, so float64 iterates equal the real
+    # parts of complex ones bit for bit.
+    z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), p)
     Az = A.apply(z_new)
-    v = Az - (state.Ax - b) / p.beta
+    v = Az - (state.Ax - b) * (1.0 / p.beta)
     if p.mu > 0:
         y_new = (p.beta / (p.mu + p.beta)) * v
     elif p.delta > 0:
@@ -140,7 +142,7 @@ def dadm_nonorth_step(state, A, b, p):
     """
     if p.delta > 0:
         raise ConfigError("the steepest-descent dual step supports only the bp and qp models")
-    z_new = _project_dual(state.Aty + state.x / p.beta, p)
+    z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), p)
     g = p.mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
     g_sq = float(np.linalg.norm(g) ** 2)
     if g_sq > 0.0:
@@ -163,11 +165,11 @@ def dadm_nonorth_step(state, A, b, p):
 
 def _dadm_start(x0, Ax0, y0, A):
     if y0 is None:
-        y0 = np.zeros(A.m, dtype=np.complex128)
-        Aty0 = np.zeros(A.n, dtype=np.complex128)
+        y0 = np.zeros(A.m, dtype=x0.dtype)
+        Aty0 = np.zeros(A.n, dtype=x0.dtype)
     else:
         Aty0 = A.adjoint(y0)
-    return DadmState(x=x0, y=y0, z=np.zeros(A.n, dtype=np.complex128), Ax=Ax0, Aty=Aty0)
+    return DadmState(x=x0, y=y0, z=np.zeros(A.n, dtype=x0.dtype), Ax=Ax0, Aty=Aty0)
 
 
 def _dadm_dual(state, A):
@@ -192,7 +194,7 @@ def dadm_solve(model, A, b, opts=None):
     RunRecord
     """
     opts = opts if opts is not None else SolverOptions()
-    b = as_complex_vector(b, A.m)
+    b = working_data(A, b, opts)
     weights = model.weights
     signal = None
     if model.family == "l1l1":

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, StepSizeError
-from ..operators import as_complex_vector
 from ..prox import project_l2_ball, project_linf_ball, shrink
-from .common import SolverOptions, run_solve
+from .common import SolverOptions, run_solve, working_data
 
 __all__ = ["PadmParams", "PadmState", "padm_step", "padm_solve"]
 
@@ -98,14 +97,15 @@ def padm_step(state, A, b, p):
     The models differ only in the r-update: qp when p.mu > 0, bpdn when
     p.delta > 0, bp (r pinned at zero) otherwise.
     """
+    # y * (1/beta), not y / beta: see dadm_step.
     if p.mu > 0:
         coeff = p.mu * p.beta / (1.0 + p.mu * p.beta)
-        r_new = coeff * (state.y / p.beta - (state.Ax - b))
+        r_new = coeff * (state.y * (1.0 / p.beta) - (state.Ax - b))
     elif p.delta > 0:
-        r_new = project_l2_ball(state.y / p.beta - (state.Ax - b), p.delta)
+        r_new = project_l2_ball(state.y * (1.0 / p.beta) - (state.Ax - b), p.delta)
     else:
-        r_new = np.zeros(A.m, dtype=np.complex128)
-    g = A.adjoint(state.Ax + r_new - b - state.y / p.beta)
+        r_new = np.zeros_like(b)
+    g = A.adjoint(state.Ax + r_new - b - state.y * (1.0 / p.beta))
     thresh = p.tau / p.beta if p.weights is None else (p.tau / p.beta) * p.weights
     x_new = shrink(state.x - p.tau * g, thresh)
     Ax_new = A.apply(x_new)
@@ -137,14 +137,14 @@ def padm_solve(model, A, b, opts=None):
         raise ConfigError("the l1/l1 model runs through the dual solver after reformulation")
     if model.nonneg:
         raise ConfigError("nonnegative models run through the dual solver")
-    b = as_complex_vector(b, A.m)
+    b = working_data(A, b, opts)
     params = PadmParams.from_operator(
         A, b, tau=opts.tau, gamma=opts.gamma, beta=opts.beta,
         mu=model.mu, delta=model.delta, weights=model.weights)
 
     def start(x0, Ax0, y0, A):
-        y0 = np.zeros(A.m, dtype=np.complex128) if y0 is None else y0
-        return PadmState(x=x0, r=np.zeros(A.m, dtype=np.complex128), y=y0, Ax=Ax0)
+        y0 = np.zeros_like(Ax0) if y0 is None else y0
+        return PadmState(x=x0, r=np.zeros_like(Ax0), y=y0, Ax=Ax0)
 
     if opts.stop == "res":
         # The primal solver has no dual auxiliary; measure dual feasibility

@@ -315,6 +315,15 @@ def test_nonorth_variant_solves_general_operator(rng):
                    SolverOptions(allow_nonorthonormal=True))
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(tol=float("inf")), dict(tol=float("nan")), dict(beta=float("inf")),
+    dict(gamma=float("nan")), dict(tau=float("inf")),
+], ids=["tol-inf", "tol-nan", "beta-inf", "gamma-nan", "tau-inf"])
+def test_solver_options_reject_nonfinite_scalars(kwargs):
+    with pytest.raises(ConfigError):
+        SolverOptions(**kwargs)
+
+
 def test_nonorth_step_rejects_delta_ball():
     p = DadmParams(beta=1.0, gamma=1.0, delta=0.5)
     with pytest.raises(ConfigError):

@@ -78,6 +78,13 @@ def test_noise_spec_validation():
         NoiseSpec(sigma=0.1, target_snr_db=40.0)
 
 
+def test_noise_spec_rejects_nonfinite_levels():
+    for kwargs in (dict(sigma=float("nan")), dict(sigma=float("inf")),
+                   dict(target_snr_db=float("nan")), dict(target_snr_db=float("inf"))):
+        with pytest.raises(ValueError):
+            NoiseSpec(**kwargs)
+
+
 def test_add_noise_identity_when_clean(rng):
     b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     bn, pw, pi = add_noise(b, 0.0, 0.0, 7)

@@ -283,6 +283,18 @@ def test_solve_error_paths(tmp_path, capsys):
     assert not (tmp_path / "o3").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--eps", "inf"], ["--eps", "nan"], ["--model", "qp", "--mu", "inf"],
+    ["--model", "bpdn", "--delta", "nan"], ["--beta", "inf"],
+], ids=["eps-inf", "eps-nan", "mu-inf", "delta-nan", "beta-inf"])
+def test_solve_rejects_nonfinite_scalars(tmp_path, capsys, flags):
+    path, _ = _bp_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)] + flags) == 1
+    assert "adl1: error (ConfigError)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # experiment subcommand
 

@@ -51,6 +51,15 @@ def test_model_spec_validation():
     ModelSpec.bpdn(0.0)  # zero radius degenerates to bp and is allowed
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: ModelSpec.qp(v), lambda v: ModelSpec.bpdn(v), lambda v: ModelSpec.l1l1(v),
+], ids=["qp", "bpdn", "l1l1"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_model_spec_rejects_nonfinite_parameters(make, value):
+    with pytest.raises(ConfigError):
+        make(value)
+
+
 def test_model_spec_dict_roundtrip():
     specs = [
         ModelSpec.bp(),

@@ -170,6 +170,19 @@ def test_validation_errors():
         shrink_l2(v, -2.0)
 
 
+def test_nan_thresholds_and_radii_are_rejected():
+    v = np.ones(3, dtype=np.complex128)
+    nan = float("nan")
+    for call in (lambda: shrink(v, nan),
+                 lambda: shrink(v, np.array([0.1, nan, 0.2])),
+                 lambda: project_linf_ball(v, nan),
+                 lambda: project_linf_ball(v, np.array([1.0, nan, 1.0])),
+                 lambda: project_l2_ball(v, nan),
+                 lambda: shrink_l2(v, nan)):
+        with pytest.raises(ValueError):
+            call()
+
+
 @given(
     re=st.floats(-1e6, 1e6),
     im=st.floats(-1e6, 1e6),
