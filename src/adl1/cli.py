@@ -30,12 +30,28 @@ from .io import (
 from .models import FAMILIES, ModelSpec, relerr, relres
 from .operators import (
     OPERATOR_KINDS,
+    PARTIAL_TRANSFORMS,
     DenseOperator,
-    PartialDCTOperator,
-    PartialWalshHadamardOperator,
     make_operator,
+    make_partial_transform,
 )
 from .solvers import SOLVERS, SolverOptions, solve
+
+# Keys an ``adl1 solve`` config may hold, by block; ModelSpec.from_dict
+# checks the model block.
+CONFIG_KEYS = ("operator", "b", "model", "solver", "seed", "out")
+DRAWN_KEYS = ("kind", "n", "m", "seed")
+OPERATOR_KEYS = dict(dict.fromkeys(PARTIAL_TRANSFORMS, DRAWN_KEYS + ("rows", "signs", "sign_seed")),
+                     dense=("kind", "file", "orthonormal_rows"), orthgauss=DRAWN_KEYS)
+SYNTHETIC_KEYS = ("k", "seed", "sigma", "impulse_fraction", "target_snr_db", "field")
+SOLVER_KEYS = ("name", "beta", "gamma", "tau", "tol", "eps", "max_iter", "stop")
+
+
+def _check_keys(block, known, what):
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigError("unknown %s key %s (known: %s)"
+                          % (what, ", ".join(map(repr, unknown)), ", ".join(known)))
 
 
 def _load_vector_file(path):
@@ -46,23 +62,18 @@ def _load_vector_file(path):
 
 def _build_operator(spec, default_seed):
     kind = spec.get("kind")
+    if kind not in OPERATOR_KEYS:
+        raise ConfigError("unknown operator kind %r (dense, %s)" % (kind, ", ".join(OPERATOR_KINDS)))
+    _check_keys(spec, OPERATOR_KEYS[kind], "%s operator" % kind)
     if kind == "dense":
         path = spec["file"]
         matrix = read_matrix_csv(path) if path.endswith(".csv") else read_matrix(path)
         return DenseOperator(matrix, orthonormal_rows=bool(spec.get("orthonormal_rows", False)))
-    if kind not in OPERATOR_KINDS:
-        raise ConfigError("unknown operator kind %r (dense, %s)" % (kind, ", ".join(OPERATOR_KINDS)))
     n = int(spec["n"])
     seed = spec.get("seed", default_seed)
-    if kind in ("wht", "dct") and "rows" in spec:
-        rows = np.asarray(spec["rows"], dtype=np.int64)
-        if "signs" in spec:
-            signs = np.asarray(spec["signs"], dtype=np.float64)
-        else:
-            rng = np.random.default_rng(spec.get("sign_seed", seed))
-            signs = rng.choice(np.array([-1.0, 1.0]), size=n)
-        cls = PartialWalshHadamardOperator if kind == "wht" else PartialDCTOperator
-        return cls(n, rows, signs)
+    if kind in PARTIAL_TRANSFORMS and "rows" in spec:
+        rng = np.random.default_rng(spec.get("sign_seed", seed))
+        return make_partial_transform(kind, n, rng, rows=spec["rows"], signs=spec.get("signs"))
     return make_operator(kind, n, int(spec["m"]), np.random.default_rng(seed))
 
 
@@ -70,31 +81,28 @@ def _build_b(spec, A, default_seed):
     """Returns (b, x_true or None)."""
     if isinstance(spec, str):
         spec = {"file": spec}
+    _check_keys(spec, ("file", "synthetic"), "b")
     if "file" in spec:
         return _load_vector_file(spec["file"]), None
     if "synthetic" in spec:
-        syn = spec["synthetic"]
-        noise = NoiseSpec(sigma=float(syn.get("sigma", 0.0)),
-                          impulse_fraction=float(syn.get("impulse_fraction", 0.0)),
-                          target_snr_db=syn.get("target_snr_db"))
-        rng = np.random.default_rng(syn.get("seed", default_seed))
-        b, x_true, _, _ = synthesize(A, int(syn["k"]), noise, rng, field=syn.get("field", "real"))
+        syn = dict(spec["synthetic"])
+        _check_keys(syn, SYNTHETIC_KEYS, "b.synthetic")
+        rng = np.random.default_rng(syn.pop("seed", default_seed))
+        k, field = int(syn.pop("k")), syn.pop("field", "real")
+        b, x_true, _, _ = synthesize(A, k, NoiseSpec(**syn), rng, field=field)
         return b, x_true
     raise ConfigError("b spec needs a 'file' path or a 'synthetic' block")
 
 
-def _build_model(spec, flags):
+def _overridden(spec, flags, names):
+    """A copy of the config block ``spec`` with the flags in ``names`` that are set put over it."""
     spec = dict(spec or {})
-    if flags.model:
-        spec["family"] = flags.model
-    for name in ("mu", "delta", "nu"):
-        v = getattr(flags, name)
-        if v is not None:
-            spec[name] = v
-    if flags.nonneg:
-        spec["nonneg"] = True
-    if flags.weights:
-        spec["weights"] = flags.weights
+    spec.update((name, getattr(flags, name)) for name in names if getattr(flags, name) is not None)
+    return spec
+
+
+def _build_model(spec, flags):
+    spec = _overridden(spec, flags, ("family", "mu", "delta", "nu", "nonneg", "weights"))
     spec.setdefault("family", "bp")
     if isinstance(spec.get("weights"), str):
         spec["weights"] = np.real(_load_vector_file(spec["weights"]))
@@ -102,26 +110,23 @@ def _build_model(spec, flags):
 
 
 def _build_options(spec, flags, x_true):
+    """SolverOptions from the solver block and the flags; "eps" is "tol"."""
     spec = dict(spec or {})
-    for src, dst in (("beta", "beta"), ("gamma", "gamma"), ("tau", "tau"),
-                     ("eps", "tol"), ("max_iter", "max_iter"), ("stop", "stop")):
-        v = getattr(flags, src)
-        if v is not None:
-            spec[dst] = v
-    return SolverOptions(
-        beta=spec.get("beta"),
-        gamma=spec.get("gamma"),
-        tau=spec.get("tau"),
-        tol=float(spec.get("tol", spec.get("eps", 1e-6))),
-        max_iter=int(spec.get("max_iter", 1000)),
-        stop=spec.get("stop", "relchg"),
-        x_true=x_true,
-    )
+    _check_keys(spec, SOLVER_KEYS, "solver")
+    spec.pop("name", None)
+    if "eps" in spec:
+        spec.setdefault("tol", spec.pop("eps"))
+    spec = _overridden(spec, flags, ("beta", "gamma", "tau", "tol", "max_iter", "stop"))
+    for key, cast in (("tol", float), ("max_iter", int)):
+        if key in spec:
+            spec[key] = cast(spec[key])
+    return SolverOptions(x_true=x_true, **spec)
 
 
 def cmd_solve(args):
     with open(args.config) as fh:
         config = json.load(fh)
+    _check_keys(config, CONFIG_KEYS, "config")
     default_seed = args.seed if args.seed is not None else config.get("seed", 0)
     A = _build_operator(config.get("operator", {}), default_seed)
     b, x_true = _build_b(config.get("b", {}), A, default_seed)
@@ -172,16 +177,16 @@ def build_parser():
     ps = sub.add_parser("solve", help="solve one problem from a JSON config")
     ps.add_argument("config")
     ps.add_argument("--solver", choices=SOLVERS)
-    ps.add_argument("--model", choices=FAMILIES)
+    ps.add_argument("--model", dest="family", choices=FAMILIES)
     ps.add_argument("--mu", type=float)
     ps.add_argument("--delta", type=float)
     ps.add_argument("--nu", type=float)
-    ps.add_argument("--nonneg", action="store_true")
+    ps.add_argument("--nonneg", action="store_true", default=None)
     ps.add_argument("--weights", help="path to a positive weight vector file")
     ps.add_argument("--beta", type=float)
     ps.add_argument("--gamma", type=float)
     ps.add_argument("--tau", type=float)
-    ps.add_argument("--eps", type=float, help="stopping tolerance")
+    ps.add_argument("--eps", dest="tol", type=float, help="stopping tolerance")
     ps.add_argument("--max-iter", dest="max_iter", type=int)
     ps.add_argument("--stop", choices=("relchg", "res"))
     ps.add_argument("--seed", type=int)

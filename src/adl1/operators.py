@@ -3,8 +3,8 @@
 Every operator maps C^n -> C^m through ``apply`` and C^m -> C^n through
 ``adjoint``. Solvers never form matrices; they only call these two methods.
 Operators with orthonormal rows (A A* = I) advertise it through the
-``orthonormal_rows`` flag, which the dual solver requires for its exact
-update steps.
+``orthonormal_rows`` flag, from which the dual solver picks its exact or
+inexact update steps.
 
 All vectors are 1-D arrays, complex128 or float64. An operator whose
 ``real_valued`` property is True (the partial Walsh-Hadamard and DCT
@@ -34,16 +34,14 @@ __all__ = [
     "as_complex_vector",
     "estimate_lambda_max",
     "fwht",
+    "make_partial_transform",
     "make_partial_wht",
     "make_partial_dct",
     "orthonormal_gaussian_operator",
+    "PARTIAL_TRANSFORMS",
     "OPERATOR_KINDS",
     "make_operator",
 ]
-
-# Kinds of randomly drawn operator that ``make_operator`` builds.
-OPERATOR_KINDS = ("wht", "dct", "orthgauss")
-
 
 def as_complex_vector(x, length=None):
     """Validate and convert ``x`` to a 1-D complex128 vector.
@@ -131,7 +129,7 @@ class SensingOperator:
         """Return A* y for a length-m vector y."""
         return self._adjoint(_coerce(y, self.m, f"{self.kind}.adjoint"))
 
-    def lambda_max(self, tol=1e-6, max_iter=200):
+    def lambda_max(self):
         """Largest eigenvalue of A*A, memoized.
 
         Returns 1.0 immediately for orthonormal-rows operators; otherwise
@@ -140,8 +138,7 @@ class SensingOperator:
         if self.orthonormal_rows:
             return 1.0
         if self._lambda_max_cache is None:
-            est = estimate_lambda_max(self, tol=tol, max_iter=max_iter, seed=0)
-            self._lambda_max_cache = est.lambda_max
+            self._lambda_max_cache = estimate_lambda_max(self).lambda_max
         return self._lambda_max_cache
 
     def _apply(self, x):
@@ -258,23 +255,39 @@ def fwht(x):
     return v.view(np.complex128) if cplx else v
 
 
-def _check_partial_args(n, rows, signs, need_pow2):
-    if need_pow2 and (n <= 0 or n & (n - 1) != 0):
-        raise ValueError(f"transform size must be a power of two, got {n}")
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.ndim != 1 or rows.size == 0:
-        raise ValueError("rows must be a nonempty 1-D index list")
-    if rows.size > n or np.unique(rows).size != rows.size:
-        raise ValueError("row indices must be distinct")
-    if rows.min() < 0 or rows.max() >= n:
-        raise ValueError(f"row indices must lie in [0, {n})")
-    signs = np.asarray(signs, dtype=np.float64)
-    if signs.shape != (n,) or not np.all(np.abs(signs) == 1.0):
-        raise ValueError("signs must be a length-n vector of +/-1")
-    return rows, signs
+class _PartialTransformOperator(SensingOperator):
+    """A = R T D for +/-1 column signs D, a real orthonormal transform T and
+    a selector R of distinct ``rows``. Subclasses apply T and T*, looking the
+    transform up on its module at each call.
+    """
+
+    def __init__(self, n, rows, signs):
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1 or rows.size == 0:
+            raise ValueError("rows must be a nonempty 1-D index list")
+        if rows.size > n or np.unique(rows).size != rows.size:
+            raise ValueError("row indices must be distinct")
+        if rows.min() < 0 or rows.max() >= n:
+            raise ValueError(f"row indices must lie in [0, {n})")
+        signs = np.asarray(signs, dtype=np.float64)
+        if signs.shape != (n,) or not np.all(np.abs(signs) == 1.0):
+            raise ValueError("signs must be a length-n vector of +/-1")
+        super().__init__(rows.size, n, orthonormal_rows=True)
+        self.rows = rows
+        self.signs = signs
+
+    @property
+    def real_valued(self):
+        return True
+
+    def _scatter(self, y):
+        """R* y: y placed at ``rows`` of a length-n zero vector of its dtype."""
+        full = np.zeros(self.n, dtype=y.dtype)
+        full[self.rows] = y
+        return full
 
 
-class PartialWalshHadamardOperator(SensingOperator):
+class PartialWalshHadamardOperator(_PartialTransformOperator):
     """Randomized partial Walsh-Hadamard sensing operator.
 
     A = (1/sqrt(n)) * R H D where D is a +/-1 diagonal, H the natural-ordered
@@ -285,26 +298,20 @@ class PartialWalshHadamardOperator(SensingOperator):
     kind = "partial-walsh-hadamard"
 
     def __init__(self, n, rows, signs):
-        rows, signs = _check_partial_args(n, rows, signs, need_pow2=True)
-        super().__init__(rows.size, n, orthonormal_rows=True)
-        self.rows = rows
-        self.signs = signs
+        if n <= 0 or n & (n - 1) != 0:
+            raise ValueError(f"transform size must be a power of two, got {n}")
+        super().__init__(n, rows, signs)
         self._scale = 1.0 / np.sqrt(n)
 
-    @property
-    def real_valued(self):
-        return True
-
     def _apply(self, x):
+        # Scaled after the row selection: m multiplies, not n.
         return fwht(self.signs * x)[self.rows] * self._scale
 
     def _adjoint(self, y):
-        full = np.zeros(self.n, dtype=y.dtype)
-        full[self.rows] = y
-        return self.signs * fwht(full) * self._scale
+        return self.signs * fwht(self._scatter(y)) * self._scale
 
 
-class PartialDCTOperator(SensingOperator):
+class PartialDCTOperator(_PartialTransformOperator):
     """Randomized partial DCT sensing operator.
 
     A = R C D with C the orthonormal DCT-II (any n, no power-of-two
@@ -313,23 +320,15 @@ class PartialDCTOperator(SensingOperator):
 
     kind = "partial-dct"
 
-    def __init__(self, n, rows, signs):
-        rows, signs = _check_partial_args(n, rows, signs, need_pow2=False)
-        super().__init__(rows.size, n, orthonormal_rows=True)
-        self.rows = rows
-        self.signs = signs
-
-    @property
-    def real_valued(self):
-        return True
-
     def _apply(self, x):
         return scipy.fft.dct(self.signs * x, type=2, norm="ortho")[self.rows]
 
     def _adjoint(self, y):
-        full = np.zeros(self.n, dtype=y.dtype)
-        full[self.rows] = y
-        return self.signs * scipy.fft.idct(full, type=2, norm="ortho")
+        return self.signs * scipy.fft.idct(self._scatter(y), type=2, norm="ortho")
+
+
+# The partial transforms by the kind name ``make_operator`` and the CLI take.
+PARTIAL_TRANSFORMS = {"wht": PartialWalshHadamardOperator, "dct": PartialDCTOperator}
 
 
 class AugmentedOperator(SensingOperator):
@@ -373,8 +372,9 @@ class SpectralEstimate:
     iterations: int
 
 
-def estimate_lambda_max(op, tol=1e-6, max_iter=200, seed=None):
-    """Estimate the largest eigenvalue of A*A by power iteration.
+def estimate_lambda_max(op, tol=1e-6, max_iter=200):
+    """Estimate the largest eigenvalue of A*A by power iteration from a
+    seeded (seed 0) random start.
 
     Parameters
     ----------
@@ -383,14 +383,12 @@ def estimate_lambda_max(op, tol=1e-6, max_iter=200, seed=None):
         Stop when the Rayleigh quotient changes by at most ``tol`` relative.
     max_iter : int
         Iteration cap; the estimate so far is returned when it is hit.
-    seed : int, optional
-        Seed for the random start vector. Defaults to 0 for reproducibility.
 
     Returns
     -------
     SpectralEstimate
     """
-    rng = np.random.default_rng(0 if seed is None else seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
     v /= np.linalg.norm(v)
     lam = 0.0
@@ -412,18 +410,25 @@ def estimate_lambda_max(op, tol=1e-6, max_iter=200, seed=None):
     return SpectralEstimate(lambda_max=lam, tol=tol, iterations=k)
 
 
+def make_partial_transform(kind, n, rng, m=None, rows=None, signs=None):
+    """Partial transform of a kind in PARTIAL_TRANSFORMS. Signs and then m
+    distinct rows are drawn from ``rng`` when not given.
+    """
+    if signs is None:
+        signs = rng.choice([-1.0, 1.0], size=n)
+    if rows is None:
+        rows = rng.choice(n, size=m, replace=False)
+    return PARTIAL_TRANSFORMS[kind](n, rows, signs)
+
+
 def make_partial_wht(n, m, rng):
     """Draw a random partial Walsh-Hadamard operator: m distinct rows, +/-1 column signs."""
-    signs = rng.choice([-1.0, 1.0], size=n)
-    rows = rng.choice(n, size=m, replace=False)
-    return PartialWalshHadamardOperator(n, rows, signs)
+    return make_partial_transform("wht", n, rng, m)
 
 
 def make_partial_dct(n, m, rng):
     """Draw a random partial DCT operator: m distinct rows, +/-1 column signs."""
-    signs = rng.choice([-1.0, 1.0], size=n)
-    rows = rng.choice(n, size=m, replace=False)
-    return PartialDCTOperator(n, rows, signs)
+    return make_partial_transform("dct", n, rng, m)
 
 
 def orthonormal_gaussian_operator(m, n, rng):
@@ -439,6 +444,10 @@ def orthonormal_gaussian_operator(m, n, rng):
     return DenseOperator(q.T, orthonormal_rows=True)
 
 
+# Kinds of randomly drawn operator that ``make_operator`` builds.
+OPERATOR_KINDS = (*PARTIAL_TRANSFORMS, "orthgauss")
+
+
 def make_operator(kind, n, m, rng):
     """Draw a random m x n operator of a kind in OPERATOR_KINDS from ``rng``.
 
@@ -446,10 +455,8 @@ def make_operator(kind, n, m, rng):
     ``dct`` the partial DCT, ``orthgauss`` the orthonormalized Gaussian
     ensemble. Raises ConfigError for any other kind.
     """
-    if kind == "wht":
-        return make_partial_wht(n, m, rng)
-    if kind == "dct":
-        return make_partial_dct(n, m, rng)
+    if kind in PARTIAL_TRANSFORMS:
+        return make_partial_transform(kind, n, rng, m)
     if kind == "orthgauss":
         return orthonormal_gaussian_operator(m, n, rng)
     raise ConfigError("unknown operator kind %r (choose from %s)" % (kind, ", ".join(OPERATOR_KINDS)))

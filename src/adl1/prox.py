@@ -25,18 +25,14 @@ __all__ = [
 ]
 
 
+_FLOAT_MAX = np.finfo(np.float64).max
+
+
 def _check_nonneg(t, what):
     t = np.asarray(t, dtype=np.float64)
     # Written so that NaN fails too.
     if not np.all(t >= 0):
         raise ValueError(f"{what} must be nonnegative")
-    return t
-
-
-def _check_positive(t, what):
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(t > 0):
-        raise ValueError(f"{what} must be positive")
     return t
 
 
@@ -61,9 +57,15 @@ def shrink(v, t):
 def project_linf_ball(v, radius=1.0):
     """Project componentwise onto {z : |z_i| <= radius_i}, keeping phases.
 
-    ``radius`` is a positive scalar or per-component vector.
+    ``radius`` is a positive scalar or per-component vector; an infinite
+    radius leaves its components unchanged.
     """
-    radius = _check_positive(radius, "linf ball radius")
+    radius = np.asarray(radius, dtype=np.float64)
+    if not (radius > 0).all():
+        raise ValueError("linf ball radius must be positive")
+    if radius.max() == np.inf:
+        # As the largest float, its ratio below reads 1 instead of inf/inf.
+        radius = np.minimum(radius, _FLOAT_MAX)
     v = _as_field(v)
     mag = np.abs(v)
     # w/max(|v|, w) is exactly 1 inside the ball, so interior points pass

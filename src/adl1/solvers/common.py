@@ -37,7 +37,6 @@ class SolverOptions:
     x0: np.ndarray | None = None
     y0: np.ndarray | None = None
     x_true: np.ndarray | None = None
-    allow_nonorthonormal: bool = False
 
     def __post_init__(self):
         if self.stop not in STOP_RULES:
@@ -64,10 +63,11 @@ class RunRecord:
 
     ``aat`` counts operator applications (forward plus adjoint) made by the
     solve loop itself: exactly 2 per iteration for the alternating-direction
-    solvers under default settings. Spectral setup is memoized on the
-    operator and final-quality metrics are recomputed by callers, so neither
-    is charged here. ``history[k]`` describes iterate k+1; ``aat_history[k]``
-    is the cumulative count after that iteration.
+    solvers on an orthonormal-rows operator, 3 for the dual solver's inexact
+    sweep on any other. Spectral setup is memoized on the operator and
+    final-quality metrics are recomputed by callers, so neither is charged
+    here. ``history[k]`` describes iterate k+1; ``aat_history[k]`` is the
+    cumulative count after that iteration.
     """
 
     solver: str
@@ -109,27 +109,25 @@ class RunRecord:
 
 
 class CountingOperator:
-    """Thin wrapper that counts forward and adjoint applications."""
+    """Wrapper that counts forward and adjoint applications.
+
+    Every other attribute is the wrapped operator's, so spectral setup
+    (``lambda_max``, memoized there) is never counted. Operators are
+    immutable, so each attribute is stored on the wrapper at its first
+    lookup: the sweeps read ``m`` and ``orthonormal_rows`` every time.
+    """
 
     def __init__(self, op):
         self.op = op
         self.count = 0
 
-    @property
-    def m(self):
-        return self.op.m
-
-    @property
-    def n(self):
-        return self.op.n
-
-    @property
-    def orthonormal_rows(self):
-        return self.op.orthonormal_rows
-
-    @property
-    def real_valued(self):
-        return self.op.real_valued
+    def __getattr__(self, name):
+        # Dunder lookups (copy, pickle) may come before ``op`` is set.
+        if name.startswith("__"):
+            raise AttributeError(name)
+        value = getattr(self.op, name)
+        setattr(self, name, value)
+        return value
 
     def apply(self, x):
         self.count += 1
@@ -138,10 +136,6 @@ class CountingOperator:
     def adjoint(self, y):
         self.count += 1
         return self.op.adjoint(y)
-
-    def lambda_max(self, **kw):
-        # Setup cost, memoized on the wrapped operator; not counted.
-        return self.op.lambda_max(**kw)
 
 
 def check_finite(x, y, k):

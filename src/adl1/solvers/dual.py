@@ -10,9 +10,10 @@ multiplier. One sweep updates z -> y -> x:
 The y-updates are exact minimizers only when A A* = I, which every partial
 transform operator here satisfies; A x is then maintained by the identity
 A x+ = A x - gamma beta (A z+ - y+) so each sweep costs exactly one forward
-and one adjoint application. For general operators an experimental variant
-replaces the exact y-update with one steepest-descent step with exact
-steplength (``dadm_nonorth_step``), at three applications per sweep.
+and one adjoint application. On any other operator the method is inexact:
+one steepest-descent step with exact steplength replaces the y-update
+(``dadm_nonorth_step``), at three applications per sweep. The operator's
+``orthonormal_rows`` flag picks the sweep.
 
 The l1/l1 model is solved as basis pursuit on the augmented operator
 [A, nu I]/sqrt(1+nu^2); nonnegative models only swap the z-projection to
@@ -137,8 +138,7 @@ def dadm_nonorth_step(state, A, b, p):
     """General-operator sweep: steepest descent with exact steplength on y.
 
     Supports mu >= 0 (bp and qp); the delta-ball model has no closed
-    steplength and is rejected. Experimental: always run under a finite
-    iteration cap. Costs three operator applications per sweep.
+    steplength and is rejected. Costs three operator applications per sweep.
     """
     if p.delta > 0:
         raise ConfigError("the steepest-descent dual step supports only the bp and qp models")
@@ -172,10 +172,6 @@ def _dadm_start(x0, Ax0, y0, A):
     return DadmState(x=x0, y=y0, z=np.zeros(A.n, dtype=x0.dtype), Ax=Ax0, Aty=Aty0)
 
 
-def _dadm_dual(state, A):
-    return state.y, state.z, state.Aty
-
-
 def dadm_solve(model, A, b, opts=None):
     """Run the dual solver on any of the eight models.
 
@@ -185,9 +181,9 @@ def dadm_solve(model, A, b, opts=None):
     ``relerr`` and the returned x always live in the original signal space.
     Nonnegative models clip Re(x) at zero on output.
 
-    Operators without orthonormal rows are rejected unless
-    ``opts.allow_nonorthonormal`` requests the experimental steepest-descent
-    variant (bp and qp only).
+    On an operator with orthonormal rows each sweep is ``dadm_step``; on any
+    other it is the inexact ``dadm_nonorth_step``, which takes the bp and qp
+    models (and l1/l1, solved as bp) and raises ConfigError for bpdn.
 
     Returns
     -------
@@ -211,16 +207,9 @@ def dadm_solve(model, A, b, opts=None):
         op, data, gamma=opts.gamma, beta=opts.beta, mu=model.mu,
         delta=model.delta, weights=weights, halfspace_prefix=A.n if model.nonneg else 0)
 
-    if op.orthonormal_rows:
-        step = dadm_step
-    elif opts.allow_nonorthonormal:
-        step = dadm_nonorth_step
-    else:
-        raise ConfigError(
-            "dual solver needs an orthonormal-rows operator for exact steps; "
-            "set allow_nonorthonormal=True to opt into the experimental variant")
-
+    step = dadm_step if op.orthonormal_rows else dadm_nonorth_step
     return run_solve("dadm", model.describe(), op, data, opts, start=_dadm_start,
                      step=lambda state, A: step(state, A, data, params),
                      mu=params.mu, delta=params.delta, weights=params.weights,
-                     dual=_dadm_dual, signal=signal, nonneg=model.nonneg)
+                     dual=lambda state, A: (state.y, state.z, state.Aty), signal=signal,
+                     nonneg=model.nonneg)

@@ -305,14 +305,12 @@ def test_nonorth_variant_solves_general_operator(rng):
     b = rng.standard_normal(4)
     mu = 0.3
     x_star, _ = qp_oracle(a, b, mu)
-    with pytest.raises(ConfigError):
-        dadm_solve(ModelSpec.qp(mu), op, b.astype(np.complex128))
     run = dadm_solve(ModelSpec.qp(mu), op, b.astype(np.complex128),
-                     SolverOptions(tol=1e-13, max_iter=40000, allow_nonorthonormal=True))
+                     SolverOptions(tol=1e-13, max_iter=40000))
     assert np.linalg.norm(run.x - x_star) <= 1e-4 * max(1.0, np.linalg.norm(x_star))
     with pytest.raises(ConfigError):
         dadm_solve(ModelSpec.bpdn(0.1), op, b.astype(np.complex128),
-                   SolverOptions(allow_nonorthonormal=True))
+                   SolverOptions())
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -344,7 +342,7 @@ def test_matvec_accounting(rng):
     a = rng.standard_normal((5, 12))
     dense = DenseOperator(a.astype(np.complex128))
     run3 = dadm_solve(ModelSpec.bp(), dense, rng.standard_normal(5).astype(np.complex128),
-                      SolverOptions(max_iter=6, tol=0.0, allow_nonorthonormal=True))
+                      SolverOptions(max_iter=6, tol=0.0))
     assert run3.aat == 3 * 6
 
 

@@ -28,6 +28,7 @@ from adl1.io import (
     write_vector,
     write_vector_csv,
 )
+from adl1.operators import make_partial_dct
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,53 @@ def test_solve_rejects_nonfinite_scalars(tmp_path, capsys, flags):
     assert cli.main(["solve", str(path), "--out", str(out)] + flags) == 1
     assert "adl1: error (ConfigError)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where,key", [
+    ((), "sed"), (("operator",), "colour"), (("b", "synthetic"), "sigmaa"),
+    (("solver",), "max_itr"), (("b",), "fiel"),
+], ids=["top", "operator", "synthetic", "solver", "b"])
+def test_solve_rejects_unknown_config_keys(tmp_path, capsys, where, key):
+    _, cfg = _bp_config(tmp_path)
+    block = cfg
+    for name in where:
+        block = block[name]
+    block[key] = 0.5
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "adl1: error (ConfigError)" in err and repr(key) in err
+    assert not out.exists()
+
+
+def test_solve_dense_nonorthonormal_matrix_with_default_solver(tmp_path, rng):
+    # dadm takes its inexact y-step when A A* != I, with no switch to set.
+    write_matrix(tmp_path / "A.bin", rng.standard_normal((12, 32)))
+    cfg = {"operator": {"kind": "dense", "file": str(tmp_path / "A.bin")},
+           "b": {"synthetic": {"k": 2, "seed": 5}}}
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--max-iter", "300", "--out", str(out)]) in (0, 2)
+    summary = json.loads((out / "run.json").read_text())
+    assert summary["solver"] == "dadm"
+    assert summary["aat"] == 3 * summary["iterations"]
+
+
+def test_solve_draws_partial_transforms_like_make_operator():
+    drawn = cli._build_operator({"kind": "dct", "n": 40, "m": 12, "seed": 4}, 0)
+    want = make_partial_dct(40, 12, np.random.default_rng(4))
+    assert type(drawn) is type(want)
+    assert np.array_equal(drawn.rows, want.rows) and np.array_equal(drawn.signs, want.signs)
+    rows = [3, 17, 60, 1]
+    given = cli._build_operator({"kind": "wht", "n": 64, "rows": rows, "sign_seed": 9}, 0)
+    assert np.array_equal(given.rows, rows)
+    assert np.array_equal(given.signs, np.random.default_rng(9).choice([-1.0, 1.0], size=64))
+    signs = -given.signs
+    given = cli._build_operator({"kind": "wht", "n": 64, "rows": rows, "signs": signs.tolist()}, 0)
+    assert np.array_equal(given.signs, signs)
 
 
 # ---------------------------------------------------------------------------

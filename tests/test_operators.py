@@ -1,5 +1,6 @@
 """Operator correctness: adjoints, orthonormality, spectra, validation."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from adl1.operators import (
     make_partial_wht,
     orthonormal_gaussian_operator,
 )
+from adl1.solvers import CountingOperator
 
 from oracles import fwht_butterfly, materialize
 
@@ -255,3 +257,47 @@ def test_factory_shapes_and_determinism():
     g1 = orthonormal_gaussian_operator(6, 15, np.random.default_rng(7))
     assert g1.shape == (6, 15)
     assert g1.orthonormal_rows
+
+
+# sha256 over the drawn rows and signs and over apply/adjoint of real and
+# complex inputs, dtypes included, recorded before the partial transforms
+# shared one base class.
+PARTIAL_TRANSFORM_DIGESTS = {
+    "wht": (make_partial_wht, 1024, 307,
+            "c3bef5315e38071b10010d4d85419e042f9fb0bd82aabaafd312deb2af54a6ab"),
+    "dct": (make_partial_dct, 1000, 300,
+            "fc420b480f13d4c2293f418e51ee324fee0fbbc7929412082d1e966110cd63aa"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARTIAL_TRANSFORM_DIGESTS))
+def test_partial_transform_outputs_are_pinned(kind):
+    factory, n, m, digest = PARTIAL_TRANSFORM_DIGESTS[kind]
+    rng = np.random.default_rng(8)
+    op = factory(n, m, rng)
+    x = rng.standard_normal(n)
+    xc = x + 1j * rng.standard_normal(n)
+    y = rng.standard_normal(m)
+    yc = y + 1j * rng.standard_normal(m)
+    h = hashlib.sha256()
+    for v in (op.rows, op.signs, op.apply(x), op.apply(xc), op.adjoint(y), op.adjoint(yc)):
+        h.update(v.dtype.str.encode())
+        h.update(v.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_counting_operator_counts_applications_and_delegates_the_rest(rng):
+    op = make_partial_wht(64, 20, rng)
+    counting = CountingOperator(op)
+    assert counting.shape == (20, 64)
+    assert counting.kind == op.kind
+    assert counting.rows is op.rows
+    assert counting.signs is op.signs
+    assert (counting.m, counting.n, counting.orthonormal_rows, counting.real_valued) == \
+        (20, 64, True, True)
+    assert counting.lambda_max() == 1.0
+    x = rng.standard_normal(64)
+    assert np.array_equal(counting.adjoint(counting.apply(x)), op.adjoint(op.apply(x)))
+    assert counting.count == 2
+    with pytest.raises(AttributeError):
+        counting.no_such_attribute

@@ -154,6 +154,18 @@ def test_vector_radius_projection(rng):
     assert np.array_equal(h.imag, v.imag)
 
 
+def test_infinite_linf_radius_is_the_identity(rng):
+    # A ball of infinite radius contains every point; radius/max(|v|, radius)
+    # would read inf/inf there.
+    v = _complex(rng, 6) * 3
+    for x in (v, v.real.copy()):
+        assert np.array_equal(project_linf_ball(x, np.inf), x)
+    r = np.array([np.inf, 0.5, np.inf, 2.0, np.inf, 0.1])
+    p = project_linf_ball(v, r)
+    finite = np.isfinite(r)
+    assert np.array_equal(p[~finite], v[~finite])
+    assert np.array_equal(p[finite], project_linf_ball(v[finite], r[finite]))
+
 def test_validation_errors():
     v = np.ones(3, dtype=np.complex128)
     with pytest.raises(ValueError):
