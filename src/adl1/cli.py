@@ -19,11 +19,12 @@ from .errors import AdlError, ConfigError
 from .harness import ExperimentConfig, NoiseSpec, PROTOCOLS, run_protocol, synthesize
 from .io import (
     canonical_json,
-    config_hash,
     read_matrix,
     read_matrix_csv,
     read_vector,
     read_vector_csv,
+    text_hash,
+    write_json_lines,
     write_vector,
     write_vector_csv,
 )
@@ -71,9 +72,18 @@ def _build_operator(spec, default_seed):
         return DenseOperator(matrix, orthonormal_rows=bool(spec.get("orthonormal_rows", False)))
     n = int(spec["n"])
     seed = spec.get("seed", default_seed)
-    if kind in PARTIAL_TRANSFORMS and "rows" in spec:
+    if "rows" in spec:
+        if "signs" in spec and "sign_seed" in spec:
+            raise ConfigError("%s operator: give 'signs' or 'sign_seed', not both" % kind)
         rng = np.random.default_rng(spec.get("sign_seed", seed))
-        return make_partial_transform(kind, n, rng, rows=spec["rows"], signs=spec.get("signs"))
+        A = make_partial_transform(kind, n, rng, rows=spec["rows"], signs=spec.get("signs"))
+        if int(spec.get("m", A.m)) != A.m:
+            raise ConfigError("%s operator: m=%s but %d rows given" % (kind, spec["m"], A.m))
+        return A
+    for key in ("signs", "sign_seed"):
+        if key in spec:
+            raise ConfigError("%s operator: %r only applies with 'rows' (without them, rows and "
+                              "signs are drawn from 'seed')" % (kind, key))
     return make_operator(kind, n, int(spec["m"]), np.random.default_rng(seed))
 
 
@@ -133,6 +143,8 @@ def cmd_solve(args):
     model = _build_model(config.get("model"), args)
     opts = _build_options(config.get("solver"), args, x_true)
     name = args.solver or (config.get("solver") or {}).get("name", "dadm")
+    # run.json carries this text as its config, so the hash covers its bytes.
+    config_text = canonical_json(config)
 
     t0 = time.perf_counter()
     rec = solve(name, model, A, b, opts)
@@ -143,13 +155,10 @@ def cmd_solve(args):
     write_vector(os.path.join(outdir, "x.bin"), rec.x)
     write_vector_csv(os.path.join(outdir, "x.csv"), rec.x)
     summary = dict(rec.to_dict(include_history=False), seconds=seconds,
-                   relres=relres(A, b, rec.x), config=json.loads(canonical_json(config)),
-                   config_hash=config_hash(config))
+                   relres=relres(A, b, rec.x), config_hash=text_hash(config_text))
     if x_true is not None:
         summary["relerr_pct"] = relerr(rec.x, x_true)
-    with open(os.path.join(outdir, "run.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_lines(os.path.join(outdir, "run.json"), summary, config=config_text)
     return 0 if rec.status == "converged" else 2
 
 

@@ -4,7 +4,18 @@ Vector files: 16-byte header (8-byte magic ``ADL1VEC1``, little-endian u32
 length, 4 reserved zero bytes) followed by interleaved little-endian float64
 (re, im) pairs. Matrix files use the magic ``ADL1MAT1`` with u32 rows and u32
 cols in the header and column-major interleaved pairs. CSV alternatives exist
-for both so other tools can produce inputs without writing binary.
+for both so other tools can produce inputs without writing binary. Readers
+keep every float64 bit they decode: signed zeros, infinities and NaN come
+back as stored.
+
+``adl1 solve`` writes two text files beside ``x.bin``:
+
+- ``x.csv``: the header ``re,im`` and one ``%.17g,%.17g`` line per entry, so
+  the text parses back to the same float64 values (an imaginary part of +0.0
+  prints as ``0``, -0.0 as ``-0``);
+- ``run.json``: a JSON object with one top-level key per line, keys sorted,
+  each value compact JSON. Its ``config`` value is the ``canonical_json``
+  text of the config, whose sha256 is ``config_hash``.
 """
 
 from __future__ import annotations
@@ -45,16 +56,23 @@ def read_vector(path):
             "%s: truncated payload (expected %d bytes for length %d, got %d)"
             % (path, 16 * n, n, len(body))
         )
-    pairs = np.frombuffer(body, dtype="<f8")
-    return (pairs[0::2] + 1j * pairs[1::2]).astype(np.complex128)
+    return np.frombuffer(body, dtype="<c16").astype(np.complex128)
 
 
 def write_vector_csv(path, x):
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
+    if x.ndim != 1:
+        raise FileFormatError("vector files hold 1-D data, got shape %r" % (x.shape,))
+    # One %-format over all entries. "%.17g" % 0.0 is "0", so when every
+    # imaginary part is +0.0 (all bits zero; -0.0 prints "-0") the real-only
+    # form writes the same bytes without formatting the zeros.
+    if x.imag.view(np.uint64).any():
+        lines = ("%.17g,%.17g\n" * x.size) % tuple(x.view(np.float64).tolist())
+    else:
+        lines = ("%.17g,0\n" * x.size) % tuple(x.real.tolist())
     with open(path, "w") as fh:
         fh.write("re,im\n")
-        for v in x:
-            fh.write("%.17g,%.17g\n" % (v.real, v.imag))
+        fh.write(lines)
 
 
 def read_vector_csv(path):
@@ -64,7 +82,7 @@ def read_vector_csv(path):
         raise FileFormatError("%s: %s" % (path, exc)) from exc
     if data.shape[1] != 2:
         raise FileFormatError("%s: expected 2 columns (re,im), got %d" % (path, data.shape[1]))
-    return (data[:, 0] + 1j * data[:, 1]).astype(np.complex128)
+    return _complex_columns(data)[:, 0]
 
 
 def write_matrix(path, a):
@@ -92,8 +110,7 @@ def read_matrix(path):
     body = raw[16:]
     if len(body) != 16 * m * n:
         raise FileFormatError("%s: truncated payload for %dx%d matrix" % (path, m, n))
-    pairs = np.frombuffer(body, dtype="<f8")
-    flat = pairs[0::2] + 1j * pairs[1::2]
+    flat = np.frombuffer(body, dtype="<c16")
     return flat.reshape((m, n), order="F").astype(np.complex128)
 
 
@@ -105,7 +122,13 @@ def read_matrix_csv(path):
         raise FileFormatError("%s: %s" % (path, exc)) from exc
     if data.shape[1] % 2 != 0:
         raise FileFormatError("%s: odd column count %d, need interleaved re/im" % (path, data.shape[1]))
-    return (data[:, 0::2] + 1j * data[:, 1::2]).astype(np.complex128)
+    return _complex_columns(data)
+
+
+def _complex_columns(data):
+    """Interleaved re,im float64 columns as complex128, bit for bit: ``re + 1j * im``
+    would turn an infinite imaginary part into a NaN real one and -0.0 into +0.0."""
+    return np.ascontiguousarray(data, dtype=np.float64).view(np.complex128)
 
 
 def canonical_json(obj) -> str:
@@ -114,7 +137,25 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    return text_hash(canonical_json(obj))
+
+
+def text_hash(text) -> str:
+    """``config_hash`` of the object whose ``canonical_json`` is ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def write_json_lines(path, fields, **texts):
+    """Write a JSON object with one top-level key per line, keys sorted.
+
+    Each of ``fields`` is written as compact JSON (NaN allowed, as
+    ``json.dump`` does), each of ``texts`` as the JSON text it already is.
+    """
+    values = {k: json.dumps(v, separators=(",", ":")) for k, v in fields.items()}
+    values.update(texts)
+    with open(path, "w") as fh:
+        fh.write("{\n%s\n}\n" % ",\n".join(
+            "  %s: %s" % (json.dumps(k), values[k]) for k in sorted(values)))
 
 
 def write_csv(path, header, rows, newline="\n"):

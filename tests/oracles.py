@@ -218,3 +218,13 @@ def scalar_prox_grid(v, t, objective, lo=-5.0, hi=5.0, steps=200001):
     zs = np.linspace(lo, hi, steps)
     vals = objective(zs, v, t)
     return zs[int(np.argmin(vals))]
+
+
+def vector_csv_text(x):
+    """The text of a vector CSV file, written one entry at a time: the
+    header ``re,im``, then each entry's real and imaginary parts, as numpy
+    scalars, through ``"%.17g,%.17g\\n"``."""
+    lines = ["re,im\n"]
+    for v in np.asarray(x, dtype=np.complex128):
+        lines.append("%.17g,%.17g\n" % (v.real, v.imag))
+    return "".join(lines)

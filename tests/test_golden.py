@@ -74,34 +74,43 @@ CONFIG_HASHES = {
     ("race-bp", "full"): "d8bbc3b791c2df37e5573b119f33ad6da8fe5f94ed12c9f2639bf182d45b5426",
 }
 
-# extra CLI flags -> (exit code, status, iterations, aat, model label, x.bin sha256)
+# extra CLI flags -> (exit code, status, iterations, aat, model label, x.bin sha256,
+# x.csv sha256)
 SOLVE_DIGESTS = {
     (): (0, "converged", 173, 346, "bp()",
-         "cb18c1209649e8936776b0bade8ab007f8cffe1b6c0ac580dc00a1ebdc49a45c"),
+         "cb18c1209649e8936776b0bade8ab007f8cffe1b6c0ac580dc00a1ebdc49a45c",
+         "01c0bbeeb80608e89f04e3daadb83d5cef6b75aa501d66a0745b34090f6d6bff"),
     ("--solver", "padm", "--stop", "res"): (
         0, "converged", 251, 753, "bp()",
-        "1caf43e8c6bf559de4b9d5aad1fd5df119e7721261bfbc7c583a24c3b82c5e86"),
+        "1caf43e8c6bf559de4b9d5aad1fd5df119e7721261bfbc7c583a24c3b82c5e86",
+        "1344393d9f4f3281b95aa9a91c5936168bf0cc14554da725544c433c555a877c"),
     ("--model", "l1l1", "--nu", "0.5", "--nonneg", "--max-iter", "300"): (
         2, "max_iter", 300, 600, "l1l1(nu=0.5)+nonneg",
-        "ccc2160050ea475edc139655c22ca915ccbc368d72c224c2657bf86afbdcf776"),
+        "ccc2160050ea475edc139655c22ca915ccbc368d72c224c2657bf86afbdcf776",
+        "134e4f053e79d37ebbc2c7a3aee03f093320748ed0903ea1847241e0022f04ef"),
     ("--solver", "fista", "--model", "qp", "--mu", "1e-3", "--eps", "1e-8"): (
         0, "converged", 290, 580, "qp(mu=0.001)",
-        "d38f870ddfecdd5a749643758d9a2f70870bf5768d3664fa30e9e42b17cf0772"),
+        "d38f870ddfecdd5a749643758d9a2f70870bf5768d3664fa30e9e42b17cf0772",
+        "69bb2418c7a26248b9efaa14e87c54d2ca630ac5ff9483fb8ab24ef9bdf71e0f"),
     ("--solver", "padm", "--model", "bpdn", "--delta", "1e-3", "--max-iter", "300"): (
         2, "max_iter", 300, 600, "bpdn(delta=0.001)",
-        "7d517311627a952185a2da5c3fbf2d0e75fdac4d7a278e61d50d13f733932e92"),
+        "7d517311627a952185a2da5c3fbf2d0e75fdac4d7a278e61d50d13f733932e92",
+        "e6b2cba51b2a091dc324509a2284224ac310d03107e69ed32e1083819bb7e4d3"),
     ("--solver", "dadm", "--model", "bpdn", "--delta", "1e-3", "--stop", "res",
      "--max-iter", "300"): (
         2, "max_iter", 300, 600, "bpdn(delta=0.001)",
-        "12130165dc7158f958936408aae74037e0f952c657721cb87bb8fab81f2a93af"),
+        "12130165dc7158f958936408aae74037e0f952c657721cb87bb8fab81f2a93af",
+        "7e1805cb6ff6cad5915da363507656d3bdcfdd39ee5f9ad1e49dcedcd313aae3"),
     ("--solver", "padm", "--model", "qp", "--mu", "1e-3", "--weights", "{weights}",
      "--max-iter", "300"): (
         0, "converged", 264, 528, "qp(mu=0.001)+weighted",
-        "e7fe820608317753cc727f8823d7da41816cb5abbb269242885f95a73464c264"),
+        "e7fe820608317753cc727f8823d7da41816cb5abbb269242885f95a73464c264",
+        "ca6e57b761d25c37a236ba55931e7198408aa23933ebec0034ec9488ccd08ea2"),
     ("--solver", "dadm", "--model", "qp", "--mu", "1e-3", "--weights", "{weights}",
      "--nonneg", "--max-iter", "300"): (
         2, "max_iter", 300, 600, "qp(mu=0.001)+nonneg+weighted",
-        "68dff6f7a730af4937b40ea52923068c99a2ecd18ddedc3aea51b07829dfb685"),
+        "68dff6f7a730af4937b40ea52923068c99a2ecd18ddedc3aea51b07829dfb685",
+        "516c998dba4509bd3181be563fa1ecf4dfc2e529597369f67dc2dc6265e2f772"),
 }
 
 
@@ -130,7 +139,7 @@ def test_default_config_hash_is_pinned(protocol, scale):
 
 @pytest.mark.parametrize("flags", sorted(SOLVE_DIGESTS), ids=lambda f: " ".join(f) or "default")
 def test_cli_solve_is_pinned(tmp_path, flags):
-    rc, status, iterations, aat, model, x_sha = SOLVE_DIGESTS[flags]
+    rc, status, iterations, aat, model, x_sha, csv_sha = SOLVE_DIGESTS[flags]
     out = tmp_path / "run"
     weights = tmp_path / "w.bin"
     write_vector(weights, WEIGHTS)
@@ -140,3 +149,4 @@ def test_cli_solve_is_pinned(tmp_path, flags):
     assert (run["status"], run["iterations"], run["aat"], run["model"]) == (
         status, iterations, aat, model)
     assert _sha256(out / "x.bin") == x_sha
+    assert _sha256(out / "x.csv") == csv_sha

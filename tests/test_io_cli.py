@@ -6,6 +6,7 @@ produce byte-identical CSV artifacts for identical flags, since that is the
 reproducibility contract of the benchmark harness.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -29,6 +30,8 @@ from adl1.io import (
     write_vector_csv,
 )
 from adl1.operators import make_partial_dct
+
+from oracles import vector_csv_text
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,81 @@ def test_matrix_binary_errors(tmp_path, rng):
     path.write_bytes(b"WRONGMAG" + raw[8:])
     with pytest.raises(FileFormatError, match="bad magic"):
         read_matrix(path)
+
+
+# Every float64 class a file must carry unchanged: signed zeros, infinities,
+# NaN, the smallest and largest subnormal, and the largest finite value.
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072009e-308,
+                           1.7976931348623157e308, -1.7976931348623157e308, 2.0])
+# NaNs that the text form cannot carry (sign and payload): binary files only.
+ODD_NANS = np.array([0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+
+
+def _pairs(values):
+    """Every (re, im) pair of ``values``, as a complex128 vector."""
+    re, im = np.meshgrid(values, values)
+    x = np.empty(re.size, dtype=np.complex128)
+    x.real, x.imag = re.ravel(), im.ravel()
+    return x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _write_matrix_csv(path, a):
+    rows = np.ascontiguousarray(a).view(np.float64)
+    path.write_text("".join(",".join("%.17g" % v for v in row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("kind", ["vector", "vector-csv", "matrix", "matrix-csv"])
+def test_files_round_trip_every_float_bit_for_bit(tmp_path, kind):
+    binary = "csv" not in kind
+    x = _pairs(np.concatenate([SPECIAL_VALUES, ODD_NANS]) if binary else SPECIAL_VALUES)
+    path = tmp_path / ("data.bin" if binary else "data.csv")
+    if kind == "vector":
+        write_vector(path, x)
+        back = read_vector(path)
+    elif kind == "vector-csv":
+        write_vector_csv(path, x)
+        back = read_vector_csv(path)
+    else:
+        x = x.reshape(-1, 4 if binary else 5)
+        if kind == "matrix":
+            write_matrix(path, x)
+            back = read_matrix(path)
+        else:
+            _write_matrix_csv(path, x)
+            back = read_matrix_csv(path)
+    assert back.dtype == np.complex128 and back.shape == x.shape
+    assert np.array_equal(_bits(back), _bits(x))
+
+
+def _csv_cases():
+    rng = np.random.default_rng(8)
+    spikes = np.zeros(8192)
+    spikes[rng.choice(8192, 245, replace=False)] = rng.standard_normal(245)
+    neg_zero_imag = np.ones(8, dtype=np.complex128)
+    neg_zero_imag.imag[5] = -0.0
+    return {
+        "empty": np.zeros(0),
+        "one-real": np.array([-1.5]),
+        "one-complex": np.array([0.1 - 3e-320j]),
+        "real-8192": spikes + 1e-9 * rng.standard_normal(8192),
+        "real-as-complex-8192": spikes + 0j,
+        "complex-8192": rng.standard_normal(8192) + 1j * rng.standard_normal(8192),
+        "special-real": SPECIAL_VALUES,
+        "special-complex": _pairs(SPECIAL_VALUES),
+        "negative-zero-imag": neg_zero_imag,
+    }
+
+
+@pytest.mark.parametrize("case", list(_csv_cases()))
+def test_vector_csv_matches_per_entry_oracle(tmp_path, case):
+    x = _csv_cases()[case]
+    path = tmp_path / "v.csv"
+    write_vector_csv(path, x)
+    assert path.read_bytes() == vector_csv_text(x).encode("ascii")
 
 
 def test_matrix_csv_interleaved(tmp_path):
@@ -224,6 +302,32 @@ def test_solve_from_matrix_and_vector_files(tmp_path, rng):
     assert summary["solver"] == "padm"
     assert summary["status"] == "converged"
     assert "relerr_pct" not in summary  # file-based b has no reference signal
+
+
+# run.json's top-level keys when b carries a planted signal
+RUN_KEYS = {"solver", "model", "status", "iterations", "aat", "seconds", "relres", "relerr_pct",
+            "config", "config_hash"}
+
+
+def test_run_json_embeds_the_config_text_it_hashes(tmp_path):
+    path, cfg = _bp_config(tmp_path)
+    cfg["operator"] = {"kind": "wht", "n": 64, "rows": [9, 0, 33, 17, 4, 60, 25, 41, 12, 50],
+                       "signs": [(-1.0) ** (j // 3) for j in range(64)]}
+    path.write_text(json.dumps(cfg, indent=1))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)]) in (0, 2)
+    text = (out / "run.json").read_text()
+    run = json.loads(text, parse_constant=_refuse_nan)
+    assert set(run) == RUN_KEYS
+    assert run["config"] == cfg
+    digest = hashlib.sha256(canonical_json(run["config"]).encode("utf-8")).hexdigest()
+    assert digest == run["config_hash"] == config_hash(cfg)
+    # one sorted top-level key per line; the config line holds the hashed text itself
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+    assert [json.loads("{%s}" % line.rstrip(",")) for line in lines[1:-1]] == [
+        {key: run[key]} for key in sorted(run)]
+    assert '  "config": %s,' % canonical_json(cfg) in lines
 
 
 def _refuse_nan(token):
@@ -341,6 +445,29 @@ def test_solve_draws_partial_transforms_like_make_operator():
     signs = -given.signs
     given = cli._build_operator({"kind": "wht", "n": 64, "rows": rows, "signs": signs.tolist()}, 0)
     assert np.array_equal(given.signs, signs)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "wht", "n": 16, "m": 4, "seed": 1, "signs": [1.0] * 16}, "'signs' only applies"),
+    ({"kind": "dct", "n": 16, "m": 4, "sign_seed": 2}, "'sign_seed' only applies"),
+    ({"kind": "wht", "n": 16, "m": 9, "rows": [1, 5]}, "m=9 but 2 rows"),
+    ({"kind": "dct", "n": 16, "rows": [1, 5], "signs": [1.0] * 16, "sign_seed": 2},
+     "'signs' or 'sign_seed', not both"),
+], ids=["signs", "sign_seed", "m-vs-rows", "signs-and-sign_seed"])
+def test_solve_rejects_operator_keys_that_would_be_ignored(tmp_path, capsys, spec, message):
+    cfg = {"operator": spec, "b": {"synthetic": {"k": 1, "seed": 5}}}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "adl1: error (ConfigError)" in err and message in err
+    assert not out.exists()
+
+
+def test_solve_accepts_m_that_matches_rows():
+    A = cli._build_operator({"kind": "dct", "n": 16, "m": 2, "rows": [1, 5], "sign_seed": 3}, 0)
+    assert A.m == 2 and np.array_equal(A.rows, [1, 5])
 
 
 # ---------------------------------------------------------------------------
