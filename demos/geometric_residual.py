@@ -3,19 +3,20 @@
 For the equality-constrained model on an operator with orthonormal rows, the
 measurement residual of the dual alternating-direction iteration contracts by
 the constant factor |1 - gamma| every sweep, independently of the data. This
-script measures it. Run it directly:
+script measures it on a randomly drawn partial Walsh-Hadamard operator
+(``make_operator("wht", n, m, rng)``). Run it directly:
 
     python3 demos/geometric_residual.py
 """
 
 import numpy as np
 
-from adl1 import ModelSpec, gen_spikes, make_partial_wht
+from adl1 import ModelSpec, gen_spikes, make_operator
 from adl1.solvers.dual import DadmParams, DadmState, dadm_step
 
 n, m, k = 1024, 256, 40
 rng = np.random.default_rng(42)
-A = make_partial_wht(n, m, rng)
+A = make_operator("wht", n, m, rng)
 x_true = gen_spikes(n, k, rng)
 b = A.apply(x_true)
 r0 = np.linalg.norm(b)  # starting from x = 0

@@ -3,7 +3,7 @@
 Walkthrough of the library's core loop: build a matrix-free operator, plant
 a k-sparse signal, take noisy measurements, and compare the two
 alternating-direction solvers against the proximal-gradient baselines on the
-same data. Run it directly:
+same data. Every solver takes the same (model, A, b, opts). Run it directly:
 
     python3 demos/recover_spikes.py
 """
@@ -42,8 +42,8 @@ runs = [
     ("dadm  qp", dadm_solve(ModelSpec.qp(mu), inst.A, inst.b, opts)),
     ("padm  bpdn", padm_solve(ModelSpec.bpdn(delta), inst.A, inst.b, opts)),
     ("dadm  bpdn", dadm_solve(ModelSpec.bpdn(delta), inst.A, inst.b, opts)),
-    ("ist   qp", ist_solve(inst.A, inst.b, mu, opts)),
-    ("fista qp", fista_solve(inst.A, inst.b, mu, opts)),
+    ("ist   qp", ist_solve(ModelSpec.qp(mu), inst.A, inst.b, opts)),
+    ("fista qp", fista_solve(ModelSpec.qp(mu), inst.A, inst.b, opts)),
 ]
 
 print()

@@ -22,10 +22,8 @@ from .models import (Diagnostics, ModelSpec, compute_res, extract_l1l1,
                      relerr, snr_db)
 from .operators import (AugmentedOperator, DenseOperator,
                         PartialDCTOperator, PartialWalshHadamardOperator,
-                        SensingOperator, SpectralEstimate, as_complex_vector,
-                        estimate_lambda_max, fwht, make_operator,
-                        make_partial_dct, make_partial_wht,
-                        orthonormal_gaussian_operator)
+                        SensingOperator, as_complex_vector,
+                        estimate_lambda_max, fwht, make_operator)
 from .prox import (project_halfspace, project_l2_ball, project_linf_ball,
                    shrink, shrink_l2)
 from .solvers import (SOLVERS, DadmParams, DadmState, FistaState, PadmParams,

@@ -36,7 +36,7 @@ from .operators import (
     make_operator,
     make_partial_transform,
 )
-from .solvers import SOLVERS, SolverOptions, solve
+from .solvers import SOLVERS, STOP_RULES, SolverOptions, solve
 
 # Keys an ``adl1 solve`` config may hold, by block; ModelSpec.from_dict
 # checks the model block.
@@ -154,7 +154,7 @@ def cmd_solve(args):
     os.makedirs(outdir, exist_ok=True)
     write_vector(os.path.join(outdir, "x.bin"), rec.x)
     write_vector_csv(os.path.join(outdir, "x.csv"), rec.x)
-    summary = dict(rec.to_dict(include_history=False), seconds=seconds,
+    summary = dict(rec.to_dict(), seconds=seconds,
                    relres=relres(A, b, rec.x), config_hash=text_hash(config_text))
     if x_true is not None:
         summary["relerr_pct"] = relerr(rec.x, x_true)
@@ -163,15 +163,11 @@ def cmd_solve(args):
 
 
 def cmd_experiment(args):
-    config = ExperimentConfig(
-        protocol=args.protocol,
-        scale="full" if args.full else "desk",
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed if args.seed is not None else 1234,
-        max_iter=args.max_iter,
-        timing=args.timing,
-    )
+    # Unset flags keep ExperimentConfig's defaults.
+    flags = {k: getattr(args, k) for k in ("n", "trials", "seed", "max_iter")
+             if getattr(args, k) is not None}
+    config = ExperimentConfig(protocol=args.protocol, scale="full" if args.full else "desk",
+                              timing=args.timing, **flags)
     result = run_protocol(config)
     outdir = args.out or os.path.join("runs", "%s-%s" % (args.protocol, config.scale))
     manifest = result.write(outdir)
@@ -197,7 +193,7 @@ def build_parser():
     ps.add_argument("--tau", type=float)
     ps.add_argument("--eps", dest="tol", type=float, help="stopping tolerance")
     ps.add_argument("--max-iter", dest="max_iter", type=int)
-    ps.add_argument("--stop", choices=("relchg", "res"))
+    ps.add_argument("--stop", choices=STOP_RULES)
     ps.add_argument("--seed", type=int)
     ps.add_argument("--out")
     ps.set_defaults(fn=cmd_solve)

@@ -76,8 +76,12 @@ def write_vector_csv(path, x):
 
 
 def read_vector_csv(path):
+    with open(path) as fh:
+        lines = fh.read().splitlines()[1:]  # after the re,im header
+    if not any(map(str.strip, lines)):  # loadtxt would warn and give shape (0, 1)
+        return np.zeros(0, dtype=np.complex128)
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FileFormatError("%s: %s" % (path, exc)) from exc
     if data.shape[1] != 2:

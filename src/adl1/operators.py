@@ -4,7 +4,8 @@ Every operator maps C^n -> C^m through ``apply`` and C^m -> C^n through
 ``adjoint``. Solvers never form matrices; they only call these two methods.
 Operators with orthonormal rows (A A* = I) advertise it through the
 ``orthonormal_rows`` flag, from which the dual solver picks its exact or
-inexact update steps.
+inexact update steps. ``make_operator(kind, n, m, rng)`` draws every random
+operator; ``make_partial_transform`` also takes given rows or signs.
 
 All vectors are 1-D arrays, complex128 or float64. An operator whose
 ``real_valued`` property is True (the partial Walsh-Hadamard and DCT
@@ -17,7 +18,6 @@ parts.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -30,14 +30,10 @@ __all__ = [
     "PartialWalshHadamardOperator",
     "PartialDCTOperator",
     "AugmentedOperator",
-    "SpectralEstimate",
     "as_complex_vector",
     "estimate_lambda_max",
     "fwht",
     "make_partial_transform",
-    "make_partial_wht",
-    "make_partial_dct",
-    "orthonormal_gaussian_operator",
     "PARTIAL_TRANSFORMS",
     "OPERATOR_KINDS",
     "make_operator",
@@ -138,7 +134,7 @@ class SensingOperator:
         if self.orthonormal_rows:
             return 1.0
         if self._lambda_max_cache is None:
-            self._lambda_max_cache = estimate_lambda_max(self).lambda_max
+            self._lambda_max_cache = estimate_lambda_max(self)
         return self._lambda_max_cache
 
     def _apply(self, x):
@@ -363,15 +359,6 @@ class AugmentedOperator(SensingOperator):
         return np.concatenate([self.base.adjoint(y), self.nu * y]) * self._scale
 
 
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """Result of a power-iteration estimate of lambda_max(A*A)."""
-
-    lambda_max: float
-    tol: float
-    iterations: int
-
-
 def estimate_lambda_max(op, tol=1e-6, max_iter=200):
     """Estimate the largest eigenvalue of A*A by power iteration from a
     seeded (seed 0) random start.
@@ -386,28 +373,25 @@ def estimate_lambda_max(op, tol=1e-6, max_iter=200):
 
     Returns
     -------
-    SpectralEstimate
+    float
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    k = 0
-    for k in range(1, max_iter + 1):
+    for _ in range(max_iter):
         w = op.adjoint(op.apply(v))
         lam_new = float(np.real(np.vdot(v, w)))
         nw = np.linalg.norm(w)
         if nw == 0.0:
             # v is in the null space of A; for a nonzero operator this has
             # probability zero from a random start.
-            lam = 0.0
-            break
+            return 0.0
         v = w / nw
         if abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
-            lam = lam_new
-            break
+            return lam_new
         lam = lam_new
-    return SpectralEstimate(lambda_max=lam, tol=tol, iterations=k)
+    return lam
 
 
 def make_partial_transform(kind, n, rng, m=None, rows=None, signs=None):
@@ -421,29 +405,6 @@ def make_partial_transform(kind, n, rng, m=None, rows=None, signs=None):
     return PARTIAL_TRANSFORMS[kind](n, rows, signs)
 
 
-def make_partial_wht(n, m, rng):
-    """Draw a random partial Walsh-Hadamard operator: m distinct rows, +/-1 column signs."""
-    return make_partial_transform("wht", n, rng, m)
-
-
-def make_partial_dct(n, m, rng):
-    """Draw a random partial DCT operator: m distinct rows, +/-1 column signs."""
-    return make_partial_transform("dct", n, rng, m)
-
-
-def orthonormal_gaussian_operator(m, n, rng):
-    """Dense operator with orthonormalized Gaussian rows (A A* = I).
-
-    Used when n is not a power of two and the dual solver still needs exact
-    steps. Rows span the row space of an m x n standard Gaussian draw.
-    """
-    if m > n:
-        raise ValueError(f"need m <= n to orthonormalize rows, got m={m}, n={n}")
-    g = rng.standard_normal((m, n))
-    q, _ = np.linalg.qr(g.T)  # q: n x m, orthonormal columns
-    return DenseOperator(q.T, orthonormal_rows=True)
-
-
 # Kinds of randomly drawn operator that ``make_operator`` builds.
 OPERATOR_KINDS = (*PARTIAL_TRANSFORMS, "orthgauss")
 
@@ -451,12 +412,16 @@ OPERATOR_KINDS = (*PARTIAL_TRANSFORMS, "orthgauss")
 def make_operator(kind, n, m, rng):
     """Draw a random m x n operator of a kind in OPERATOR_KINDS from ``rng``.
 
-    ``wht`` is the partial Walsh-Hadamard operator (n a power of two),
-    ``dct`` the partial DCT, ``orthgauss`` the orthonormalized Gaussian
-    ensemble. Raises ConfigError for any other kind.
+    ``wht`` is the partial Walsh-Hadamard operator (n a power of two) and
+    ``dct`` the partial DCT. ``orthgauss`` is dense, its rows an orthonormal
+    basis of an m x n Gaussian draw's (A A* = I for n >= m, any n). Raises
+    ConfigError for any other kind.
     """
     if kind in PARTIAL_TRANSFORMS:
         return make_partial_transform(kind, n, rng, m)
     if kind == "orthgauss":
-        return orthonormal_gaussian_operator(m, n, rng)
+        if m > n:
+            raise ValueError(f"need m <= n to orthonormalize rows, got m={m}, n={n}")
+        q, _ = np.linalg.qr(rng.standard_normal((m, n)).T)  # n x m, orthonormal columns
+        return DenseOperator(q.T, orthonormal_rows=True)
     raise ConfigError("unknown operator kind %r (choose from %s)" % (kind, ", ".join(OPERATOR_KINDS)))

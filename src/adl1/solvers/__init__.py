@@ -1,14 +1,16 @@
-"""Solver entry points and step functions."""
+"""Solver entry points and step functions. Every solver is ``<name>_solve(model,
+A, b, opts=None)`` for a name in SOLVERS, and refuses the models and options it
+does not use."""
 
 from ..errors import ConfigError
 from .baselines import FistaState, fista_solve, fista_step, ist_solve, ist_step
-from .common import CountingOperator, RunRecord, SolverOptions, run_solve
+from .common import STOP_RULES, CountingOperator, RunRecord, SolverOptions, run_solve
 from .dual import (GOLDEN_RATIO, DadmParams, DadmState, dadm_nonorth_step,
                    dadm_solve, dadm_step)
 from .primal import PadmParams, PadmState, padm_solve, padm_step
 
 __all__ = [
-    "SOLVERS", "solve",
+    "SOLVERS", "STOP_RULES", "solve",
     "CountingOperator", "RunRecord", "SolverOptions", "run_solve",
     "PadmParams", "PadmState", "padm_step", "padm_solve",
     "GOLDEN_RATIO", "DadmParams", "DadmState", "dadm_step",
@@ -23,10 +25,9 @@ SOLVERS = ("padm", "dadm", "ist", "fista")
 def solve(name, model, A, b, opts=None):
     """Solve ``model`` (a ModelSpec) on the data b = A x with the named solver.
 
-    The one entry point the CLI and the experiment harness share. ``ist``
-    and ``fista`` cover only the plain quadratic-penalty model: no weights,
-    no nonnegativity. Any other model, or an unknown name, raises
-    ConfigError.
+    The one entry point the CLI and the experiment harness share: it runs
+    ``<name>_solve(model, A, b, opts)``, and that solver refuses the models
+    and options it does not use. An unknown name raises ConfigError.
 
     Returns
     -------
@@ -36,9 +37,4 @@ def solve(name, model, A, b, opts=None):
         raise ConfigError("unknown solver %r (choose from %s)" % (name, ", ".join(SOLVERS)))
     # Looked up per call rather than in a table built at import, so a
     # rebound module attribute (a tracing wrapper) is what runs.
-    fn = globals()[name + "_solve"]
-    if name in ("padm", "dadm"):
-        return fn(model, A, b, opts)
-    if model.family != "qp" or model.nonneg or model.weights is not None:
-        raise ConfigError("%s solves the plain qp model only, not %s" % (name, model.describe()))
-    return fn(A, b, model.mu, opts)
+    return globals()[name + "_solve"](model, A, b, opts)

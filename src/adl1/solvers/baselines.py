@@ -1,5 +1,8 @@
 """Proximal-gradient baselines for the quadratically penalized model.
 
+Both take ``(model, A, b, opts)`` and refuse every model but plain qp (no
+weights, no nonnegativity), and the beta and gamma options: tau is their one step.
+
 IST iterates x+ = Shrink(x - tau A*(A x - b), tau mu); FISTA adds the usual
 momentum y = x + (t_prev - 1)/t (x - x_prev) with t0 = 1 and
 t = (1 + sqrt(1 + 4 t_prev^2))/2, taking the gradient step from y instead.
@@ -72,8 +75,12 @@ def ist_step(state, A, b, mu, tau=1.0):
     return _prox_grad_step(state, A, b, mu, tau, accelerate=False)
 
 
-def _baseline_solve(name, step, A, b, mu, opts):
+def _baseline_solve(name, step, model, A, b, opts):
     opts = opts if opts is not None else SolverOptions()
+    if model.family != "qp" or model.nonneg or model.weights is not None:
+        raise ConfigError("%s solves the plain qp model only, not %s" % (name, model.describe()))
+    if opts.beta is not None or opts.gamma is not None:
+        raise ConfigError("%s takes no beta or gamma; its one step size is tau" % name)
     if opts.stop != "relchg":
         raise ConfigError("baseline solvers stop on relative change only")
     b = working_data(A, b, opts)
@@ -82,15 +89,15 @@ def _baseline_solve(name, step, A, b, mu, opts):
     def start(x0, Ax0, y0, A):
         return FistaState(x=x0, x_prev=x0, Ax=Ax0, Ax_prev=Ax0)
 
-    return run_solve(name, f"qp(mu={mu:g})", A, b, opts, start=start,
-                     step=lambda state, A: step(state, A, b, mu, tau), mu=mu)
+    return run_solve(name, model.describe(), A, b, opts, start=start,
+                     step=lambda state, A: step(state, A, b, model.mu, tau), mu=model.mu)
 
 
-def fista_solve(A, b, mu, opts=None):
-    """Run FISTA on min ||x||_1 + ||Ax-b||^2/(2 mu). Returns a RunRecord."""
-    return _baseline_solve("fista", fista_step, A, b, mu, opts)
+def fista_solve(model, A, b, opts=None):
+    """Run FISTA on the plain qp model, min ||x||_1 + ||Ax-b||^2/(2 mu). Returns a RunRecord."""
+    return _baseline_solve("fista", fista_step, model, A, b, opts)
 
 
-def ist_solve(A, b, mu, opts=None):
-    """Run IST on min ||x||_1 + ||Ax-b||^2/(2 mu). Returns a RunRecord."""
-    return _baseline_solve("ist", ist_step, A, b, mu, opts)
+def ist_solve(model, A, b, opts=None):
+    """Run IST on the plain qp model, min ||x||_1 + ||Ax-b||^2/(2 mu). Returns a RunRecord."""
+    return _baseline_solve("ist", ist_step, model, A, b, opts)

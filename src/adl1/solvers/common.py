@@ -12,8 +12,10 @@ from ..errors import ConfigError, DivergenceError
 from ..models import Diagnostics, compute_res, data_norm
 from ..operators import as_complex_vector
 
-__all__ = ["SolverOptions", "RunRecord", "CountingOperator", "working_data", "run_solve"]
+__all__ = ["STOP_RULES", "SolverOptions", "RunRecord", "CountingOperator", "working_data",
+           "run_solve"]
 
+# Each stop rule names the Diagnostics field a solve compares with tol.
 STOP_RULES = ("relchg", "res")
 
 
@@ -22,10 +24,11 @@ class SolverOptions:
     """Knobs shared by every solver.
 
     beta/gamma/tau default to None, meaning "use the solver's standard rule"
-    (penalty from ||b||_1, steplengths from the published defaults). ``stop``
-    selects the termination test: relative change of iterates or the
-    optimality residue. ``x_true`` is optional instrumentation; when given,
-    each history row carries the relative error against it (percent).
+    (penalty from ||b||_1, steplengths from the published defaults); a solver
+    raises ConfigError for one it does not use. The solve stops once the
+    diagnostics field ``stop`` names is below ``tol``. ``x_true`` is optional
+    instrumentation; each history row then carries the relative error
+    against it (percent).
     """
 
     beta: float | None = None
@@ -50,11 +53,6 @@ class SolverOptions:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-
-    def stop_satisfied(self, diag):
-        if self.stop == "relchg":
-            return diag.relchg < self.tol
-        return diag.res < self.tol
 
 
 @dataclass
@@ -89,23 +87,10 @@ class RunRecord:
             raise ValueError("run has no recorded iterations")
         return self.history[-1]
 
-    def to_dict(self, include_history=True):
-        """JSON-ready summary. The solution vector is stored separately."""
-        d = {
-            "solver": self.solver,
-            "model": self.model,
-            "status": self.status,
-            "iterations": self.iterations,
-            "aat": self.aat,
-            "seconds": self.seconds,
-        }
-        if include_history:
-            cols = {}
-            for name in ("r_p", "r_d", "gap", "res", "relchg", "objective", "relerr"):
-                cols[name] = [float(getattr(h, name)) for h in self.history]
-            cols["aat"] = [int(a) for a in self.aat_history]
-            d["history"] = cols
-        return d
+    def to_dict(self):
+        """JSON-ready summary. The solution vector and history are not in it."""
+        return {key: getattr(self, key)
+                for key in ("solver", "model", "status", "iterations", "aat", "seconds")}
 
 
 class CountingOperator:
@@ -238,7 +223,7 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
                            b_norm=b_norm, signal=signal)
         history.append(diag)
         aat_history.append(counting.count)
-        if opts.stop_satisfied(diag):
+        if getattr(diag, opts.stop) < opts.tol:
             status = "converged"
             break
     seconds = time.perf_counter() - t0

@@ -183,13 +183,16 @@ def dadm_solve(model, A, b, opts=None):
 
     On an operator with orthonormal rows each sweep is ``dadm_step``; on any
     other it is the inexact ``dadm_nonorth_step``, which takes the bp and qp
-    models (and l1/l1, solved as bp) and raises ConfigError for bpdn.
+    models (and l1/l1, solved as bp) and raises ConfigError for bpdn. No
+    dual step takes ``opts.tau``, so it raises ConfigError too.
 
     Returns
     -------
     RunRecord
     """
     opts = opts if opts is not None else SolverOptions()
+    if opts.tau is not None:
+        raise ConfigError("dadm takes no tau; its step sizes are beta and gamma")
     b = working_data(A, b, opts)
     weights = model.weights
     signal = None

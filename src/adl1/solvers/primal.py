@@ -45,7 +45,6 @@ class PadmParams:
     mu: float = 0.0
     delta: float = 0.0
     weights: np.ndarray | None = None
-    lambda_max: float | None = None
 
     def __post_init__(self):
         if not (self.beta > 0):
@@ -77,7 +76,7 @@ class PadmParams:
                 f"step sizes violate tau*lambda_max + gamma < 2: "
                 f"{tau} * {lam:.6g} + {gamma} = {tau * lam + gamma:.6g}")
         return cls(beta=float(beta), gamma=gamma, tau=tau, mu=float(mu),
-                   delta=float(delta), weights=weights, lambda_max=lam)
+                   delta=float(delta), weights=weights)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from adl1.harness import (
     run_protocol,
 )
 from adl1.models import ModelSpec, objective_value, relerr
-from adl1.operators import DenseOperator, make_partial_wht, orthonormal_gaussian_operator
+from adl1.operators import DenseOperator, make_operator
 from adl1.prox import project_halfspace, project_l2_ball, project_linf_ball, shrink, shrink_l2
 from adl1.solvers import SolverOptions, dadm_solve, fista_solve, ist_solve, padm_solve
 from adl1.solvers.dual import DadmParams, DadmState, dadm_step
@@ -48,7 +48,7 @@ def _budget(num, elapsed, bound):
 def test_criterion_1_equality_residual_geometric_law():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    A = make_partial_wht(1024, 256, rng)
+    A = make_operator("wht", 1024, 256, rng)
     x_true = np.zeros(1024, np.complex128)
     x_true[rng.choice(1024, 40, replace=False)] = rng.standard_normal(40)
     b = A.apply(x_true)
@@ -187,7 +187,7 @@ def test_criterion_5_tiny_bp_oracle_equivalence():
         m, n = shapes[tried % len(shapes)]
         tried += 1
         assert tried < 400, "instance filter rejected too many candidates"
-        A = orthonormal_gaussian_operator(m, n, rng)
+        A = make_operator("orthgauss", n, m, rng)
         x = np.zeros(n, np.complex128)
         pos = rng.choice(n, size=max(1, m // 3), replace=False)
         vals = rng.standard_normal(pos.size)
@@ -248,7 +248,7 @@ def test_criterion_6_monotone_descent_and_guard():
             d_prev = d_new
 
     guard_fired = False
-    op = orthonormal_gaussian_operator(8, 24, np.random.default_rng(0))
+    op = make_operator("orthgauss", 24, 8, np.random.default_rng(0))
     try:
         # lambda_max = 1 makes tau lambda_max + gamma = 2.5
         PadmParams.from_operator(op, np.ones(8, np.complex128), tau=0.8, gamma=1.7)
@@ -337,7 +337,7 @@ def test_criterion_8_baseline_ordering():
     mu = 0.01
     ordered = reached = 0
     for _ in range(20):
-        A = orthonormal_gaussian_operator(28, 96, rng)
+        A = make_operator("orthgauss", 96, 28, rng)
         x = np.zeros(96, np.complex128)
         pos = rng.choice(96, 10, replace=False)
         x[pos] = rng.standard_normal(10)
@@ -347,14 +347,14 @@ def test_criterion_8_baseline_ordering():
         f_ref = objective_value(model, A, b, ref.x)
 
         at200 = SolverOptions(tol=1e-14, max_iter=200, stop="relchg")
-        f_ist = objective_value(model, A, b, ist_solve(A, b, mu, at200).x)
-        f_fista = objective_value(model, A, b, fista_solve(A, b, mu, at200).x)
+        f_ist = objective_value(model, A, b, ist_solve(model, A, b, at200).x)
+        f_fista = objective_value(model, A, b, fista_solve(model, A, b, at200).x)
         if f_fista <= f_ist:
             ordered += 1
 
         long = SolverOptions(tol=1e-14, max_iter=10000, stop="relchg")
-        f_ist_long = objective_value(model, A, b, ist_solve(A, b, mu, long).x)
-        f_fista_long = objective_value(model, A, b, fista_solve(A, b, mu, long).x)
+        f_ist_long = objective_value(model, A, b, ist_solve(model, A, b, long).x)
+        f_fista_long = objective_value(model, A, b, fista_solve(model, A, b, long).x)
         if (abs(f_ist_long - f_ref) <= 1e-4 * f_ref
                 and abs(f_fista_long - f_ref) <= 1e-4 * f_ref):
             reached += 1

@@ -1,13 +1,16 @@
 """Proximal-gradient baselines: momentum law, thresholds, accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import adl1.solvers
 from adl1.errors import ConfigError
 from adl1.models import ModelSpec
-from adl1.operators import make_partial_wht, orthonormal_gaussian_operator
+from adl1.operators import make_operator
 from adl1.prox import shrink
-from adl1.solvers import solve
+from adl1.solvers import SOLVERS, solve
 from adl1.solvers.baselines import FistaState, fista_solve, fista_step, ist_solve, ist_step
 from adl1.solvers.common import SolverOptions
 from adl1.solvers.dual import dadm_solve
@@ -19,7 +22,7 @@ T_SEQUENCE = (1.0, 1.618033988749895, 2.193527085331054)
 
 
 def _instance(rng, m=10, n=24, k=4):
-    op = orthonormal_gaussian_operator(m, n, rng)
+    op = make_operator("orthgauss", n, m, rng)
     x = np.zeros(n, dtype=np.complex128)
     x[rng.choice(n, k, replace=False)] = rng.standard_normal(k)
     b = op.apply(x) + 0.01 * rng.standard_normal(m)
@@ -75,21 +78,21 @@ def test_accelerated_beats_plain_at_fixed_budget(rng):
         x0 = op.adjoint(b)
         mu = 0.05
         opts = lambda: SolverOptions(max_iter=200, tol=0.0, x0=x0)
-        run_f = fista_solve(op, b, mu, opts())
-        run_i = ist_solve(op, b, mu, opts())
+        run_f = fista_solve(ModelSpec.qp(mu), op, b, opts())
+        run_i = ist_solve(ModelSpec.qp(mu), op, b, opts())
         assert run_f.final().objective <= run_i.final().objective * (1 + 1e-12)
 
 
 def test_both_reach_enumeration_optimum(rng):
     m, n = 4, 8
-    op = orthonormal_gaussian_operator(m, n, rng)
+    op = make_operator("orthgauss", n, m, rng)
     a = materialize(op).real
     b = rng.standard_normal(m)
     mu = 0.3
     x_star, val = qp_oracle(a, b, mu)
-    run_f = fista_solve(op, b.astype(np.complex128), mu,
+    run_f = fista_solve(ModelSpec.qp(mu), op, b.astype(np.complex128),
                         SolverOptions(tol=1e-14, max_iter=20000))
-    run_i = ist_solve(op, b.astype(np.complex128), mu,
+    run_i = ist_solve(ModelSpec.qp(mu), op, b.astype(np.complex128),
                       SolverOptions(tol=1e-14, max_iter=20000))
     for run in (run_f, run_i):
         assert np.linalg.norm(run.x - x_star) <= 1e-6 * max(1.0, np.linalg.norm(x_star))
@@ -100,7 +103,7 @@ def test_plain_variant_descends_monotonically(rng):
     # tau = 1 = 1/lambda_max majorizes the smooth part, so the plain
     # iteration never increases the objective.
     op, b = _instance(rng, m=12, n=30, k=5)
-    run = ist_solve(op, b, 0.1, SolverOptions(max_iter=300, tol=0.0))
+    run = ist_solve(ModelSpec.qp(0.1), op, b, SolverOptions(max_iter=300, tol=0.0))
     objs = np.array([h.objective for h in run.history])
     assert np.all(np.diff(objs) <= 1e-12 * np.maximum(1.0, objs[:-1]))
 
@@ -108,35 +111,53 @@ def test_plain_variant_descends_monotonically(rng):
 def test_res_stop_is_rejected(rng):
     op, b = _instance(rng)
     with pytest.raises(ConfigError):
-        ist_solve(op, b, 0.1, SolverOptions(stop="res"))
+        ist_solve(ModelSpec.qp(0.1), op, b, SolverOptions(stop="res"))
     with pytest.raises(ConfigError):
-        fista_solve(op, b, 0.1, SolverOptions(stop="res"))
+        fista_solve(ModelSpec.qp(0.1), op, b, SolverOptions(stop="res"))
     with pytest.raises(ConfigError):
-        ist_solve(op, b, 0.0)
+        ist_solve(ModelSpec.qp(0.0), op, b)
     with pytest.raises(ConfigError):
-        ist_solve(op, b, 0.1, SolverOptions(tau=-1.0))
+        ist_solve(ModelSpec.qp(0.1), op, b, SolverOptions(tau=-1.0))
 
 
 def test_solve_rejects_models_the_baselines_do_not_solve(rng):
     op, b = _instance(rng)
     w = np.full(op.n, 2.0)
-    for name in ("ist", "fista"):
+    for name, fn in (("ist", ist_solve), ("fista", fista_solve)):
         assert solve(name, ModelSpec.qp(0.1), op, b).solver == name
         for model in (ModelSpec.qp(0.1, nonneg=True), ModelSpec.qp(0.1, weights=w),
                       ModelSpec.qp(0.1, nonneg=True, weights=w), ModelSpec.bp()):
             with pytest.raises(ConfigError, match="plain qp model only"):
                 solve(name, model, op, b)
+            # a direct call takes the same check
+            with pytest.raises(ConfigError, match="plain qp model only"):
+                fn(model, op, b)
     with pytest.raises(ConfigError, match="padm, dadm, ist, fista"):
         solve("admm", ModelSpec.qp(0.1), op, b)
 
 
+def test_solve_runs_the_named_solver_bit_for_bit(rng):
+    op, b = _instance(rng)
+    model = ModelSpec.qp(0.05)
+    for name in SOLVERS:
+        direct = getattr(adl1.solvers, name + "_solve")(model, op, b, SolverOptions(max_iter=25))
+        via = solve(name, model, op, b, SolverOptions(max_iter=25))
+        assert (via.solver, via.status, via.iterations, via.aat) == \
+            (name, direct.status, direct.iterations, direct.aat)
+        assert np.array_equal(via.x.view(np.int64), direct.x.view(np.int64))
+        assert via.aat_history == direct.aat_history
+        rows = [np.array([dataclasses.astuple(h) for h in r.history]).view(np.int64)
+                for r in (via, direct)]
+        assert rows[0].shape == (direct.iterations, 7) and np.array_equal(*rows)
+
+
 def test_matvec_accounting(rng):
     op, b = _instance(rng)
-    run = ist_solve(op, b, 0.1, SolverOptions(max_iter=9, tol=0.0))
+    run = ist_solve(ModelSpec.qp(0.1), op, b, SolverOptions(max_iter=9, tol=0.0))
     assert run.aat == 2 * 9
     assert run.aat_history == [2 * (k + 1) for k in range(9)]
     x0 = rng.standard_normal(op.n).astype(np.complex128)
-    run2 = fista_solve(op, b, 0.1, SolverOptions(max_iter=9, tol=0.0, x0=x0))
+    run2 = fista_solve(ModelSpec.qp(0.1), op, b, SolverOptions(max_iter=9, tol=0.0, x0=x0))
     assert run2.aat == 2 * 9 + 1
     assert run2.solver == "fista"
     assert run2.model == "qp(mu=0.1)"
@@ -144,7 +165,7 @@ def test_matvec_accounting(rng):
 
 def test_momentum_on_cached_products_stays_consistent(rng):
     # The cached A x recursion must track a fresh evaluation over many steps.
-    op = make_partial_wht(64, 24, rng)
+    op = make_operator("wht", 64, 24, rng)
     x = np.zeros(64, dtype=np.complex128)
     x[rng.choice(64, 5, replace=False)] = rng.standard_normal(5)
     b = op.apply(x)
@@ -160,6 +181,6 @@ def test_objective_tracks_dual_solver_reference(rng):
     op, b = _instance(rng, m=16, n=40, k=6)
     mu = 0.05
     ref = dadm_solve(ModelSpec.qp(mu), op, b, SolverOptions(stop="res", tol=1e-12, max_iter=50000))
-    run = fista_solve(op, b, mu, SolverOptions(tol=1e-14, max_iter=10000))
+    run = fista_solve(ModelSpec.qp(mu), op, b, SolverOptions(tol=1e-14, max_iter=10000))
     f_ref = ref.final().objective
     assert run.final().objective <= f_ref * (1 + 1e-4)

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from adl1.errors import ConfigError, StepSizeError
 from adl1.harness import NoiseSpec, make_instance
 from adl1.models import ModelSpec, objective_value
-from adl1.operators import (
-    DenseOperator,
-    make_partial_dct,
-    make_partial_wht,
-    orthonormal_gaussian_operator,
-)
+from adl1.operators import DenseOperator, make_operator
 from adl1.solvers.common import SolverOptions
 from adl1.solvers.dual import (
     GOLDEN_RATIO,
@@ -48,7 +43,7 @@ def _sparse_instance(op, k, rng):
 
 
 def test_default_parameters(rng):
-    op = make_partial_wht(32, 8, rng)
+    op = make_operator("wht", 32, 8, rng)
     b = rng.standard_normal(8).astype(np.complex128)
     p = DadmParams.from_operator(op, b)
     assert p.gamma == 1.618
@@ -72,11 +67,12 @@ def test_gamma_bound_is_strict():
         DadmParams(beta=1.0, gamma=1.0, halfspace_prefix=-1)
 
 
-@pytest.mark.parametrize("make,n,m", [(make_partial_wht, 64, 16), (make_partial_dct, 50, 14)])
+@pytest.mark.parametrize("kind,n,m", [("wht", 64, 16), ("dct", 50, 14)],
+                         ids=["make_partial_wht-64-16", "make_partial_dct-50-14"])
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.3])
-def test_equality_residual_contracts_geometrically(make, n, m, gamma, rng):
+def test_equality_residual_contracts_geometrically(kind, n, m, gamma, rng):
     # One sweep scales the equality residual by exactly (1 - gamma).
-    op = make(n, m, rng)
+    op = make_operator(kind, n, m, rng)
     _, b = _sparse_instance(op, 5, rng)
     r0 = float(np.linalg.norm(b))
     p = DadmParams.from_operator(op, b, gamma=gamma)
@@ -95,7 +91,7 @@ def test_equality_residual_contracts_geometrically(make, n, m, gamma, rng):
 
 
 def test_dual_iterate_stays_in_unit_ball(rng):
-    op = make_partial_wht(64, 20, rng)
+    op = make_operator("wht", 64, 20, rng)
     _, b = _sparse_instance(op, 6, rng)
     p = DadmParams.from_operator(op, b)
     state = _zero_state(20, 64)
@@ -105,7 +101,7 @@ def test_dual_iterate_stays_in_unit_ball(rng):
 
 
 def test_weighted_dual_ball_and_halfspace(rng):
-    op = make_partial_wht(32, 12, rng)
+    op = make_operator("wht", 32, 12, rng)
     _, b = _sparse_instance(op, 4, rng)
     w = rng.uniform(0.5, 2.0, size=32)
     p = DadmParams.from_operator(op, b, weights=w)
@@ -121,7 +117,7 @@ def test_weighted_dual_ball_and_halfspace(rng):
 
 
 def test_unit_weights_match_unweighted_bitwise(rng):
-    op = make_partial_wht(64, 20, rng)
+    op = make_operator("wht", 64, 20, rng)
     _, b = _sparse_instance(op, 5, rng)
     opts = SolverOptions(max_iter=50, tol=0.0)
     run_w = dadm_solve(ModelSpec.bp(weights=np.ones(64)), op, b, opts)
@@ -135,7 +131,7 @@ def test_bp_matches_vertex_oracle(rng):
     while found < 6 and attempt < 40:
         attempt += 1
         m, n = 5, 9
-        op = orthonormal_gaussian_operator(m, n, rng)
+        op = make_operator("orthgauss", n, m, rng)
         a = materialize(op).real
         x_true = np.zeros(n)
         x_true[rng.choice(n, 2, replace=False)] = rng.standard_normal(2)
@@ -159,7 +155,7 @@ def test_bp_matches_vertex_oracle(rng):
 def test_qp_matches_enumeration_oracle(rng):
     for _ in range(5):
         m, n = 4, 8
-        op = orthonormal_gaussian_operator(m, n, rng)
+        op = make_operator("orthgauss", n, m, rng)
         a = materialize(op).real
         b = rng.standard_normal(m)
         mu = 0.3
@@ -173,7 +169,7 @@ def test_qp_matches_enumeration_oracle(rng):
 def test_bpdn_agrees_with_subgradient_oracle(rng):
     for _ in range(2):
         m, n = 5, 11
-        op = orthonormal_gaussian_operator(m, n, rng)
+        op = make_operator("orthgauss", n, m, rng)
         a = materialize(op).real
         x_true = np.zeros(n)
         x_true[rng.choice(n, 2, replace=False)] = rng.standard_normal(2)
@@ -193,7 +189,7 @@ def test_bpdn_agrees_with_subgradient_oracle(rng):
 def test_l1l1_objective_matches_lp_oracle(rng):
     for nu in (0.4, 0.9):
         m, n = 4, 8
-        op = orthonormal_gaussian_operator(m, n, rng)
+        op = make_operator("orthgauss", n, m, rng)
         a = materialize(op).real
         x_true = np.zeros(n)
         x_true[rng.choice(n, 2, replace=False)] = rng.standard_normal(2)
@@ -234,7 +230,7 @@ def test_bp_and_l1l1_variants_match_highs(m, n_over_m, l1l1, nu, nonneg, weighte
     # the optimum, so the solve runs to 1e-12.
     rng = np.random.default_rng(seed)
     n = int(round(n_over_m * m))
-    op = orthonormal_gaussian_operator(m, n, rng)
+    op = make_operator("orthgauss", n, m, rng)
     a = materialize(op).real
     k = max(1, m // 4)
     x_true = np.zeros(n)
@@ -260,7 +256,7 @@ def test_bp_and_l1l1_variants_match_highs(m, n_over_m, l1l1, nu, nonneg, weighte
 
 
 def test_nonneg_model_recovers_and_clips(rng):
-    op = make_partial_wht(64, 24, rng)
+    op = make_operator("wht", 64, 24, rng)
     x_true = np.zeros(64, dtype=np.complex128)
     idx = rng.choice(64, 5, replace=False)
     x_true[idx] = rng.uniform(0.5, 2.0, size=5)
@@ -273,7 +269,7 @@ def test_nonneg_model_recovers_and_clips(rng):
 
 
 def test_qp_duality_gap_closes_at_optimum(rng):
-    op = make_partial_wht(128, 40, rng)
+    op = make_operator("wht", 128, 40, rng)
     _, b = _sparse_instance(op, 8, rng)
     run = dadm_solve(ModelSpec.qp(1e-2), op, b,
                      SolverOptions(stop="res", tol=1e-8, max_iter=50000))
@@ -284,7 +280,7 @@ def test_qp_duality_gap_closes_at_optimum(rng):
 def test_nonorth_step_equals_exact_step_on_orthonormal_rows(rng):
     # With A A* = I the y-subproblem is isotropic, so one exact-steplength
     # descent step lands on the exact minimizer.
-    op = make_partial_wht(32, 12, rng)
+    op = make_operator("wht", 32, 12, rng)
     _, b = _sparse_instance(op, 4, rng)
     p = DadmParams.from_operator(op, b)
     state = _zero_state(12, 32)
@@ -329,7 +325,7 @@ def test_nonorth_step_rejects_delta_ball():
 
 
 def test_matvec_accounting(rng):
-    op = make_partial_wht(64, 20, rng)
+    op = make_operator("wht", 64, 20, rng)
     _, b = _sparse_instance(op, 5, rng)
     run = dadm_solve(ModelSpec.bp(), op, b, SolverOptions(max_iter=13, tol=0.0))
     assert run.iterations == 13
@@ -347,7 +343,7 @@ def test_matvec_accounting(rng):
 
 
 def test_history_carries_relerr_when_truth_given(rng):
-    op = make_partial_wht(64, 24, rng)
+    op = make_operator("wht", 64, 24, rng)
     x_true, b = _sparse_instance(op, 5, rng)
     run = dadm_solve(ModelSpec.bp(), op, b,
                      SolverOptions(max_iter=200, tol=1e-10, x_true=x_true))

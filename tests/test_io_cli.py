@@ -29,7 +29,7 @@ from adl1.io import (
     write_vector,
     write_vector_csv,
 )
-from adl1.operators import make_partial_dct
+from adl1.operators import make_operator
 
 from oracles import vector_csv_text
 
@@ -146,20 +146,22 @@ def test_files_round_trip_every_float_bit_for_bit(tmp_path, kind):
     binary = "csv" not in kind
     x = _pairs(np.concatenate([SPECIAL_VALUES, ODD_NANS]) if binary else SPECIAL_VALUES)
     path = tmp_path / ("data.bin" if binary else "data.csv")
-    if kind == "vector":
-        write_vector(path, x)
-        back = read_vector(path)
-    elif kind == "vector-csv":
-        write_vector_csv(path, x)
-        back = read_vector_csv(path)
+    if kind.startswith("vector"):
+        write, read = (write_vector, read_vector) if binary else (write_vector_csv, read_vector_csv)
+        # n = 0 too: the csv file is then its header alone.
+        for v in (x, x[:0]):
+            write(path, v)
+            back = read(path)
+            assert back.dtype == np.complex128 and back.shape == v.shape
+            assert np.array_equal(_bits(back), _bits(v))
+        return
+    x = x.reshape(-1, 4 if binary else 5)
+    if kind == "matrix":
+        write_matrix(path, x)
+        back = read_matrix(path)
     else:
-        x = x.reshape(-1, 4 if binary else 5)
-        if kind == "matrix":
-            write_matrix(path, x)
-            back = read_matrix(path)
-        else:
-            _write_matrix_csv(path, x)
-            back = read_matrix_csv(path)
+        _write_matrix_csv(path, x)
+        back = read_matrix_csv(path)
     assert back.dtype == np.complex128 and back.shape == x.shape
     assert np.array_equal(_bits(back), _bits(x))
 
@@ -364,6 +366,15 @@ def test_solve_error_paths(tmp_path, capsys):
     assert "plain qp model only" in capsys.readouterr().err
     assert not (tmp_path / "o2").exists()
 
+    # a step option the solver does not use is refused, not ignored
+    for i, flags in enumerate((["--tau", "1e9"],
+                               ["--solver", "fista", "--model", "qp", "--mu", "1e-3", "--beta", "7"],
+                               ["--solver", "ist", "--model", "qp", "--mu", "1e-3", "--gamma", "1.9"])):
+        out = tmp_path / ("step%d" % i)
+        assert cli.main(["solve", str(path), *flags, "--out", str(out)]) == 1
+        assert "takes no" in capsys.readouterr().err
+        assert not out.exists()
+
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert cli.main(["solve", str(bad)]) == 1
@@ -435,7 +446,7 @@ def test_solve_dense_nonorthonormal_matrix_with_default_solver(tmp_path, rng):
 
 def test_solve_draws_partial_transforms_like_make_operator():
     drawn = cli._build_operator({"kind": "dct", "n": 40, "m": 12, "seed": 4}, 0)
-    want = make_partial_dct(40, 12, np.random.default_rng(4))
+    want = make_operator("dct", 40, 12, np.random.default_rng(4))
     assert type(drawn) is type(want)
     assert np.array_equal(drawn.rows, want.rows) and np.array_equal(drawn.signs, want.signs)
     rows = [3, 17, 60, 1]

@@ -1,7 +1,9 @@
 """Operator correctness: adjoints, orthonormality, spectra, validation."""
 
 import hashlib
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import adl1
 from adl1.errors import DimensionMismatchError
 from adl1.operators import (
     AugmentedOperator,
@@ -18,9 +21,7 @@ from adl1.operators import (
     as_complex_vector,
     estimate_lambda_max,
     fwht,
-    make_partial_dct,
-    make_partial_wht,
-    orthonormal_gaussian_operator,
+    make_operator,
 )
 from adl1.solvers import CountingOperator
 
@@ -37,9 +38,9 @@ def _operator_zoo(rng):
     ops = [
         DenseOperator(_complex(rng, (7, 15))),
         DenseOperator(rng.standard_normal((4, 9))),
-        make_partial_wht(64, 20, rng),
-        make_partial_dct(50, 17, rng),
-        orthonormal_gaussian_operator(6, 14, rng),
+        make_operator("wht", 64, 20, rng),
+        make_operator("dct", 50, 17, rng),
+        make_operator("orthgauss", 14, 6, rng),
     ]
     ops.append(AugmentedOperator(ops[2], 0.7))
     ops.append(AugmentedOperator(ops[0], 1.3))
@@ -126,9 +127,10 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("factory,n", [(make_partial_wht, 32), (make_partial_dct, 45)])
-def test_partial_transform_matches_materialized_matrix(factory, n, rng):
-    op = factory(n, 12, rng)
+@pytest.mark.parametrize("kind,n", [("wht", 32), ("dct", 45)],
+                         ids=["make_partial_wht-32", "make_partial_dct-45"])
+def test_partial_transform_matches_materialized_matrix(kind, n, rng):
+    op = make_operator(kind, n, 12, rng)
     mat = materialize(op)
     x = _complex(rng, n)
     y = _complex(rng, op.m)
@@ -140,7 +142,7 @@ def test_partial_transform_matches_materialized_matrix(factory, n, rng):
 
 def test_wht_rejects_non_power_of_two(rng):
     with pytest.raises(ValueError):
-        make_partial_wht(48, 10, rng)
+        make_operator("wht", 48, 10, rng)
     with pytest.raises(ValueError):
         PartialWalshHadamardOperator(24, [0, 1], np.ones(24))
 
@@ -168,15 +170,14 @@ def test_dense_orthonormal_claim_is_probed(rng):
 
 
 def test_lambda_max_is_one_for_orthonormal_rows(rng):
-    op = make_partial_wht(64, 20, rng)
+    op = make_operator("wht", 64, 20, rng)
     assert op.lambda_max() == 1.0
 
 
 def test_lambda_max_on_known_diagonal_operator():
     op = DenseOperator(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     est = estimate_lambda_max(op, tol=1e-12, max_iter=500)
-    assert abs(est.lambda_max - 4.0) < 1e-8
-    assert est.iterations >= 1
+    assert abs(est - 4.0) < 1e-8
     assert abs(op.lambda_max() - 4.0) < 1e-4
 
 
@@ -185,7 +186,7 @@ def test_lambda_max_matches_dense_eigensolver(rng):
     op = DenseOperator(a)
     exact = float(np.linalg.eigvalsh(a.conj().T @ a)[-1])
     est = estimate_lambda_max(op, tol=1e-12, max_iter=5000)
-    assert abs(est.lambda_max - exact) < 1e-6 * exact
+    assert abs(est - exact) < 1e-6 * exact
 
 
 def test_lambda_max_is_memoized(rng):
@@ -210,7 +211,7 @@ def test_augmented_operator_block_structure(rng):
 
 
 def test_augmented_operator_keeps_orthonormal_rows(rng):
-    base = make_partial_dct(40, 13, rng)
+    base = make_operator("dct", 40, 13, rng)
     op = AugmentedOperator(base, 2.5)
     assert op.orthonormal_rows
     y = _complex(rng, op.m)
@@ -241,7 +242,7 @@ def test_as_complex_vector_validation():
 
 
 def test_apply_rejects_wrong_length(rng):
-    op = make_partial_wht(32, 8, rng)
+    op = make_operator("wht", 32, 8, rng)
     with pytest.raises(DimensionMismatchError):
         op.apply(np.ones(31))
     with pytest.raises(DimensionMismatchError):
@@ -249,12 +250,12 @@ def test_apply_rejects_wrong_length(rng):
 
 
 def test_factory_shapes_and_determinism():
-    op1 = make_partial_wht(64, 24, np.random.default_rng(5))
-    op2 = make_partial_wht(64, 24, np.random.default_rng(5))
+    op1 = make_operator("wht", 64, 24, np.random.default_rng(5))
+    op2 = make_operator("wht", 64, 24, np.random.default_rng(5))
     assert op1.shape == (24, 64)
     assert np.array_equal(op1.rows, op2.rows)
     assert np.array_equal(op1.signs, op2.signs)
-    g1 = orthonormal_gaussian_operator(6, 15, np.random.default_rng(7))
+    g1 = make_operator("orthgauss", 15, 6, np.random.default_rng(7))
     assert g1.shape == (6, 15)
     assert g1.orthonormal_rows
 
@@ -263,18 +264,18 @@ def test_factory_shapes_and_determinism():
 # complex inputs, dtypes included, recorded before the partial transforms
 # shared one base class.
 PARTIAL_TRANSFORM_DIGESTS = {
-    "wht": (make_partial_wht, 1024, 307,
+    "wht": (1024, 307,
             "c3bef5315e38071b10010d4d85419e042f9fb0bd82aabaafd312deb2af54a6ab"),
-    "dct": (make_partial_dct, 1000, 300,
+    "dct": (1000, 300,
             "fc420b480f13d4c2293f418e51ee324fee0fbbc7929412082d1e966110cd63aa"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PARTIAL_TRANSFORM_DIGESTS))
 def test_partial_transform_outputs_are_pinned(kind):
-    factory, n, m, digest = PARTIAL_TRANSFORM_DIGESTS[kind]
+    n, m, digest = PARTIAL_TRANSFORM_DIGESTS[kind]
     rng = np.random.default_rng(8)
-    op = factory(n, m, rng)
+    op = make_operator(kind, n, m, rng)
     x = rng.standard_normal(n)
     xc = x + 1j * rng.standard_normal(n)
     y = rng.standard_normal(m)
@@ -287,7 +288,7 @@ def test_partial_transform_outputs_are_pinned(kind):
 
 
 def test_counting_operator_counts_applications_and_delegates_the_rest(rng):
-    op = make_partial_wht(64, 20, rng)
+    op = make_operator("wht", 64, 20, rng)
     counting = CountingOperator(op)
     assert counting.shape == (20, 64)
     assert counting.kind == op.kind
@@ -301,3 +302,11 @@ def test_counting_operator_counts_applications_and_delegates_the_rest(rng):
     assert counting.count == 2
     with pytest.raises(AttributeError):
         counting.no_such_attribute
+
+
+def test_every_exported_name_resolves():
+    # A stale name in __all__ breaks ``from module import *``.
+    for info in pkgutil.walk_packages(adl1.__path__, "adl1."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), "%s.__all__ names %r" % (info.name, name)

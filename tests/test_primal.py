@@ -16,7 +16,7 @@ import pytest
 
 from adl1.errors import ConfigError, DivergenceError, StepSizeError
 from adl1.models import ModelSpec
-from adl1.operators import DenseOperator, orthonormal_gaussian_operator
+from adl1.operators import DenseOperator, make_operator
 from adl1.prox import shrink
 from adl1.solvers.common import SolverOptions, run_solve
 from adl1.solvers.primal import (
@@ -52,7 +52,7 @@ def test_default_parameters(rng):
 
 
 def test_step_size_guard():
-    op = orthonormal_gaussian_operator(4, 10, np.random.default_rng(0))
+    op = make_operator("orthgauss", 10, 4, np.random.default_rng(0))
     b = np.ones(4, dtype=np.complex128)
     # lambda_max = 1, so tau + gamma = 2.5 must be rejected.
     with pytest.raises(StepSizeError):
@@ -211,7 +211,7 @@ def test_matvec_accounting(rng):
 
 
 def test_rejected_models():
-    op = orthonormal_gaussian_operator(3, 7, np.random.default_rng(1))
+    op = make_operator("orthgauss", 7, 3, np.random.default_rng(1))
     b = np.ones(3, dtype=np.complex128)
     with pytest.raises(ConfigError):
         padm_solve(ModelSpec.l1l1(0.5), op, b)
