@@ -12,14 +12,14 @@ from .errors import (AdlError, ConfigError, DimensionMismatchError,
                      DivergenceError, FileFormatError, StepSizeError)
 from .harness import (ExperimentConfig, ExperimentResult, MODEL_FAMILIES,
                       NoiseSpec, PARAM_GRID, PROTOCOLS, ProblemInstance,
-                      RACE_GRID, RACE_GRID_BP, add_noise, gen_spikes,
-                      make_instance, model_for_param, run_protocol)
+                      RACE_GRID, RACE_GRID_BP, gen_spikes, make_instance,
+                      model_for_param, run_protocol)
 from .io import (canonical_json, config_hash, read_matrix, read_matrix_csv,
                  read_vector, read_vector_csv, write_matrix, write_vector,
                  write_vector_csv)
 from .models import (Diagnostics, ModelSpec, compute_res, extract_l1l1,
                      l1_norm, objective_value, reformulate_l1l1, relchg,
-                     relerr, snr_db)
+                     relerr)
 from .operators import (AugmentedOperator, DenseOperator,
                         PartialDCTOperator, PartialWalshHadamardOperator,
                         SensingOperator, as_complex_vector,

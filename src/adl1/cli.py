@@ -119,7 +119,7 @@ def _build_model(spec, flags):
     return ModelSpec.from_dict(spec)
 
 
-def _build_options(spec, flags, x_true):
+def _build_options(spec, flags):
     """SolverOptions from the solver block and the flags; "eps" is "tol"."""
     spec = dict(spec or {})
     _check_keys(spec, SOLVER_KEYS, "solver")
@@ -130,7 +130,7 @@ def _build_options(spec, flags, x_true):
     for key, cast in (("tol", float), ("max_iter", int)):
         if key in spec:
             spec[key] = cast(spec[key])
-    return SolverOptions(x_true=x_true, **spec)
+    return SolverOptions(**spec)
 
 
 def cmd_solve(args):
@@ -141,7 +141,7 @@ def cmd_solve(args):
     A = _build_operator(config.get("operator", {}), default_seed)
     b, x_true = _build_b(config.get("b", {}), A, default_seed)
     model = _build_model(config.get("model"), args)
-    opts = _build_options(config.get("solver"), args, x_true)
+    opts = _build_options(config.get("solver"), args)
     name = args.solver or (config.get("solver") or {}).get("name", "dadm")
     # run.json carries this text as its config, so the hash covers its bytes.
     config_text = canonical_json(config)

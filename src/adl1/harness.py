@@ -4,9 +4,14 @@ protocols, trial aggregation, and CSV/JSON persistence.
 ``run_protocol`` is the one experiment entry point, and ``PROTOCOL_DEFAULTS``
 holds every protocol's settings. A protocol runs instance groups: a race has
 one per grid cell, and model-choice has one whose family x parameter cells
-share each trial's instance. err-vs-opt instead records the per-iteration
-history of one dadm solve per noise case; its trial count, solver and cases
-are fixed, and overriding them is an error.
+share each trial's instance, and cells that map to one model (the
+parameter-0 cells, all plain bp) share one solve. err-vs-opt instead records
+the per-iteration history of one dadm solve per noise case; its trial count,
+solver and cases are fixed, and overriding them is an error.
+
+Every protocol scores a solve by the relative error and residual of the
+returned x. Only err-vs-opt, which plots the error of every iterate against
+its optimality residue, hands the ground truth to the solve.
 
 Reproducibility contract: every artifact embeds the resolved config, its hash,
 and the base seed. Trial t of group g always draws from
@@ -20,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +33,7 @@ import numpy as np
 from .errors import ConfigError
 from .io import config_hash, write_csv
 from .models import ModelSpec, relerr, relres
-from .operators import SensingOperator, as_complex_vector, make_operator
+from .operators import SensingOperator, make_operator
 from .solvers import SOLVERS, SolverOptions, solve
 
 # (m/n, k/m) cells of the solver races; the basis-pursuit race drops the
@@ -89,21 +94,12 @@ class NoiseSpec:
         if self.target_snr_db is not None and self.sigma > 0:
             raise ValueError("give either sigma or target_snr_db, not both")
 
-    def to_dict(self):
-        return {
-            "sigma": self.sigma,
-            "impulse_fraction": self.impulse_fraction,
-            "target_snr_db": self.target_snr_db,
-        }
-
 
 @dataclass
 class ProblemInstance:
     A: SensingOperator
     b: np.ndarray
     x_true: np.ndarray
-    noise: NoiseSpec
-    seed: object
     p_white: np.ndarray
     p_impulse: np.ndarray
 
@@ -169,16 +165,6 @@ def _apply_noise(b_clean, noise, rng):
     return b, p_white, p_impulse, scale
 
 
-def add_noise(b_clean, sigma, impulse_fraction, seed, target_snr_db=None):
-    """Measurement noise per the acquisition rule: optional white noise, then,
-    when impulse_fraction > 0, rescale to unit infinity-norm and replace
-    round(fraction*m) entries by +-1. Returns (b, p_white, p_impulse)."""
-    b_clean = as_complex_vector(b_clean)
-    noise = NoiseSpec(sigma=sigma, impulse_fraction=impulse_fraction, target_snr_db=target_snr_db)
-    b, p_white, p_impulse, _ = _apply_noise(b_clean, noise, _as_rng(seed))
-    return b, p_white, p_impulse
-
-
 def synthesize(A, k, noise, rng, field="real"):
     """Plant k spikes, measure them through A and add ``noise``.
 
@@ -195,10 +181,7 @@ def make_instance(kind, n, m, k, noise, seed, field="real"):
     rng = _as_rng(seed)
     A = make_operator(kind, n, m, rng)
     b, x_true, p_white, p_impulse = synthesize(A, k, noise, rng, field=field)
-    return ProblemInstance(
-        A=A, b=b, x_true=x_true, noise=noise, seed=seed,
-        p_white=p_white, p_impulse=p_impulse,
-    )
+    return ProblemInstance(A=A, b=b, x_true=x_true, p_white=p_white, p_impulse=p_impulse)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +338,8 @@ def _aggregate(trial_rows):
     return means
 
 
-def _options(cfg, inst):
-    return SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"], stop=cfg["stop"],
-                         x_true=inst.x_true)
+def _options(cfg):
+    return SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"], stop=cfg["stop"])
 
 
 def _trial_row(cfg, inst, cell, solver, trial, model):
@@ -366,9 +348,8 @@ def _trial_row(cfg, inst, cell, solver, trial, model):
     The row's ``seconds`` stays 0.0 unless the config asks for timing; the
     measured wall time rides along as ``_measured`` for ``run_protocol``.
     """
-    opts = _options(cfg, inst)
     t0 = time.perf_counter()
-    rec = solve(solver, model, inst.A, inst.b, opts)
+    rec = solve(solver, model, inst.A, inst.b, _options(cfg))
     dt = time.perf_counter() - t0
     return {
         "cell": cell, "solver": solver, "trial": trial,
@@ -445,7 +426,7 @@ def _error_vs_optimality(cfg):
         inst = make_instance(cfg["kind"], cfg["n"], cfg["m"], cfg["k"], _CASE_NOISE[case], ss,
                              field=cfg["field"])
         for solver in cfg["solvers"]:
-            opts = _options(cfg, inst)
+            opts = replace(_options(cfg), x_true=inst.x_true)
             t0 = time.perf_counter()
             rec = solve(solver, ModelSpec.bp(), inst.A, inst.b, opts)
             dt = time.perf_counter() - t0
@@ -463,8 +444,9 @@ def run_protocol(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment protocol; the one experiment entry point.
 
     Trial t of group g solves the instance drawn from SeedSequence(seed,
-    (g, t)) with every listed solver on every cell of the group. Trial rows
-    go group by group, then cell by cell, trial by trial, solver by solver.
+    (g, t)) with every listed solver on every cell of the group; cells with
+    the same model share one solve and its row. Trial rows go group by
+    group, then cell by cell, trial by trial, solver by solver.
     """
     cfg = config.resolved()
     if cfg["protocol"] == "err-vs-opt":
@@ -475,10 +457,16 @@ def run_protocol(config: ExperimentConfig) -> ExperimentResult:
         def one_trial(t):
             ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(g, t))
             inst = make_instance(cfg["kind"], cfg["n"], m, k, noise, ss, field=cfg["field"])
-            rows = []
+            # Cells that map to one model (model-choice's parameter-0 cells
+            # are all plain bp) share its solve, timing included.
+            rows, solved = [], {}
             for label, model_of in cells:
                 model = model_of(inst)
-                rows += [_trial_row(cfg, inst, label, solver, t, model) for solver in cfg["solvers"]]
+                for solver in cfg["solvers"]:
+                    key = (json.dumps(model.to_dict()), solver)
+                    if key not in solved:
+                        solved[key] = _trial_row(cfg, inst, label, solver, t, model)
+                    rows.append(dict(solved[key], cell=label))
             return rows
 
         rows = [r for trial_rows in _map_trials(one_trial, cfg["trials"]) for r in trial_rows]

@@ -75,15 +75,24 @@ def write_vector_csv(path, x):
         fh.write(lines)
 
 
-def read_vector_csv(path):
+def _read_csv_rows(path, skip=0):
+    """The float64 rows of a CSV file after ``skip`` header lines, as a 2-D
+    array, or None when no row follows: only blank or ``#`` comment lines,
+    on which loadtxt would warn and give shape (0, 1)."""
     with open(path) as fh:
-        lines = fh.read().splitlines()[1:]  # after the re,im header
-    if not any(map(str.strip, lines)):  # loadtxt would warn and give shape (0, 1)
-        return np.zeros(0, dtype=np.complex128)
+        lines = fh.read().splitlines()[skip:]
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        return None
     try:
-        data = np.loadtxt(lines, delimiter=",", ndmin=2)
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FileFormatError("%s: %s" % (path, exc)) from exc
+
+
+def read_vector_csv(path):
+    data = _read_csv_rows(path, skip=1)  # after the re,im header
+    if data is None:
+        return np.zeros(0, dtype=np.complex128)
     if data.shape[1] != 2:
         raise FileFormatError("%s: expected 2 columns (re,im), got %d" % (path, data.shape[1]))
     return _complex_columns(data)[:, 0]
@@ -120,10 +129,9 @@ def read_matrix(path):
 
 def read_matrix_csv(path):
     """CSV matrix: one row per matrix row, interleaved re,im,re,im,... columns."""
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise FileFormatError("%s: %s" % (path, exc)) from exc
+    data = _read_csv_rows(path)
+    if data is None:
+        raise FileFormatError("%s: holds no rows, need one line per matrix row" % path)
     if data.shape[1] % 2 != 0:
         raise FileFormatError("%s: odd column count %d, need interleaved re/im" % (path, data.shape[1]))
     return _complex_columns(data)

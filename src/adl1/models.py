@@ -31,7 +31,6 @@ __all__ = [
     "relres",
     "relchg",
     "relerr",
-    "snr_db",
     "l1_norm",
     "objective_value",
     "reformulate_l1l1",
@@ -170,7 +169,8 @@ class Diagnostics:
     sqrt(m)), and the duality gap ratio |Delta|/f_p with
     Delta = Re(b* y) - mu ||y||^2 - ||x||_1 and f_p = ||x||_1 + mu ||y||^2 / 2.
     ``res`` is the max of the available components. Fields that do not apply
-    (gap for the mu = 0 models, relerr without ground truth) are NaN.
+    are NaN: gap for the mu = 0 models, and relerr (percent), which
+    ``run_solve`` sets only for a solve given ground truth.
     """
 
     r_p: float
@@ -203,21 +203,6 @@ def relerr(x, x_true):
     return float(100.0 * np.linalg.norm(np.asarray(x) - np.asarray(x_true)) / denom)
 
 
-def snr_db(b, p):
-    """SNR of data b against noise p: 20 log10(||b - mean(b)|| / ||p||).
-
-    Returns +inf for zero noise and -inf for constant data.
-    """
-    b = np.asarray(b)
-    num = np.linalg.norm(b - np.mean(b))
-    den = np.linalg.norm(p)
-    if den == 0.0:
-        return np.inf
-    if num == 0.0:
-        return -np.inf
-    return float(20.0 * np.log10(num / den))
-
-
 def data_norm(b):
     """||b||, the scale of the primal residue.
 
@@ -239,10 +224,12 @@ def relres(A, b, x):
 
 
 def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
-                Ax=None, Aty=None, x_prev=None, x_true=None, b_norm=None, signal=None):
+                Ax=None, Aty=None, x_prev=None, b_norm=None):
     """Optimality diagnostics for a primal-dual iterate (x, y, z).
 
-    Every solver's per-iteration history row is computed here.
+    Every solver's per-iteration history row is computed here. Its
+    ``relerr`` is NaN: ground truth is not an optimality measure, and
+    ``run_solve`` fills it only for a solve given ``x_true`` (err-vs-opt's).
 
     Parameters
     ----------
@@ -266,13 +253,10 @@ def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
         Positive l1 weights, defaults to 1.
     Ax, Aty : ndarray, keyword
         Cached products A x and A* y; computed when omitted.
-    x_prev, x_true : ndarray, keyword
-        Fill ``relchg`` and ``relerr`` (percent) when available.
+    x_prev : ndarray, keyword
+        Fills ``relchg`` when given.
     b_norm : float, keyword
         ``data_norm(b)``, when the caller computed it once for many iterates.
-    signal : callable, keyword
-        Maps x to the signal that ``relerr`` compares with x_true (for the
-        reformulated l1/l1 model, the signal block); defaults to x itself.
 
     Returns
     -------
@@ -311,12 +295,8 @@ def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
     objective = x_l1 + 0.5 * float(np.linalg.norm(misfit) ** 2) / mu if mu > 0 else x_l1
 
     chg = relchg(x, x_prev) if x_prev is not None else np.nan
-    if x_true is None:
-        err = np.nan
-    else:
-        err = relerr(x if signal is None else signal(x), x_true)
     return Diagnostics(r_p=r_p, r_d=r_d, gap=gap, res=res,
-                       relchg=chg, objective=objective, relerr=err)
+                       relchg=chg, objective=objective, relerr=np.nan)
 
 
 def reformulate_l1l1(A, b, nu):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DivergenceError
-from ..models import Diagnostics, compute_res, data_norm
+from ..models import Diagnostics, compute_res, data_norm, relerr
 from ..operators import as_complex_vector
 
 __all__ = ["STOP_RULES", "SolverOptions", "RunRecord", "CountingOperator", "working_data",
@@ -28,7 +28,8 @@ class SolverOptions:
     raises ConfigError for one it does not use. The solve stops once the
     diagnostics field ``stop`` names is below ``tol``. ``x_true`` is optional
     instrumentation; each history row then carries the relative error
-    against it (percent).
+    against it (percent). Only err-vs-opt, which plots that error per
+    iteration, passes it: every other caller scores the returned ``x``.
     """
 
     beta: float | None = None
@@ -164,7 +165,9 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
     Each sweep steps, checks that the new iterate and multiplier are finite
     (DivergenceError otherwise), diagnoses them through ``compute_res``,
     records the diagnostics and the running ``aat``, and stops when
-    ``opts.stop`` is met or after ``opts.max_iter`` sweeps.
+    ``opts.stop`` is met or after ``opts.max_iter`` sweeps. Given
+    ``opts.x_true`` (only err-vs-opt passes it), each row's ``relerr`` is
+    the error of the sweep's signal estimate against it.
 
     Parameters
     ----------
@@ -219,8 +222,9 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
         y, z, Aty = (None, None, None) if dual is None else dual(state, counting)
         check_finite(state.x, y, state.k)
         diag = compute_res(state.x, y, z, counting, b, mu, delta=delta, weights=weights,
-                           Ax=state.Ax, Aty=Aty, x_prev=x_prev, x_true=opts.x_true,
-                           b_norm=b_norm, signal=signal)
+                           Ax=state.Ax, Aty=Aty, x_prev=x_prev, b_norm=b_norm)
+        if opts.x_true is not None:
+            diag.relerr = relerr(state.x if signal is None else signal(state.x), opts.x_true)
         history.append(diag)
         aat_history.append(counting.count)
         if getattr(diag, opts.stop) < opts.tol:

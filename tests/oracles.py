@@ -13,6 +13,9 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from adl1.harness import NoiseSpec, _apply_noise
+from adl1.operators import as_complex_vector
+
 
 def fwht_butterfly(x):
     """Unnormalized natural-order Walsh-Hadamard transform of a copy of x.
@@ -228,3 +231,31 @@ def vector_csv_text(x):
     for v in np.asarray(x, dtype=np.complex128):
         lines.append("%.17g,%.17g\n" % (v.real, v.imag))
     return "".join(lines)
+
+
+def add_noise(b_clean, sigma, impulse_fraction, seed, target_snr_db=None):
+    """Measurement noise per the acquisition rule: optional white noise, then,
+    when impulse_fraction > 0, rescale to unit infinity-norm and replace
+    round(fraction*m) entries by +-1. Returns (b, p_white, p_impulse).
+
+    The harness's own noise rule applied to a bare vector, so the tests can
+    check that rule apart from an instance."""
+    b_clean = as_complex_vector(b_clean)
+    noise = NoiseSpec(sigma=sigma, impulse_fraction=impulse_fraction, target_snr_db=target_snr_db)
+    b, p_white, p_impulse, _ = _apply_noise(b_clean, noise, np.random.default_rng(seed))
+    return b, p_white, p_impulse
+
+
+def snr_db(b, p):
+    """SNR of data b against noise p: 20 log10(||b - mean(b)|| / ||p||).
+
+    Returns +inf for zero noise and -inf for constant data.
+    """
+    b = np.asarray(b)
+    num = np.linalg.norm(b - np.mean(b))
+    den = np.linalg.norm(p)
+    if den == 0.0:
+        return np.inf
+    if num == 0.0:
+        return -np.inf
+    return float(20.0 * np.log10(num / den))

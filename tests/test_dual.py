@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from adl1.errors import ConfigError, StepSizeError
 from adl1.harness import NoiseSpec, make_instance
-from adl1.models import ModelSpec, objective_value
+from adl1.models import ModelSpec, objective_value, relerr
 from adl1.operators import DenseOperator, make_operator
 from adl1.solvers.common import SolverOptions
 from adl1.solvers.dual import (
@@ -351,3 +351,19 @@ def test_history_carries_relerr_when_truth_given(rng):
     errs = [h.relerr for h in run.history]
     assert np.all(np.isfinite(errs))
     assert errs[-1] < 1e-3  # percent
+
+
+def test_l1l1_history_relerr_scores_the_signal_block(rng):
+    # the solve iterates on (nu x; b - Ax); relerr must compare only the
+    # signal block, exactly as a caller scores the returned x
+    op = make_operator("wht", 64, 32, rng)
+    x_true, b = _sparse_instance(op, 4, rng)
+    b[rng.choice(32, 2, replace=False)] += 1.0
+    model = ModelSpec.l1l1(0.5)
+    opts = dict(max_iter=300, tol=1e-8, stop="res")
+    run = dadm_solve(model, op, b, SolverOptions(x_true=x_true, **opts))
+    assert run.history[-1].relerr == relerr(run.x, x_true)
+    # ground truth only scores the iterates; it never steers them
+    blind = dadm_solve(model, op, b, SolverOptions(**opts))
+    assert blind.x.tobytes() == run.x.tobytes()
+    assert all(np.isnan(h.relerr) for h in blind.history)

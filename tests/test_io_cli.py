@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,23 @@ def test_matrix_csv_interleaved(tmp_path):
     path.write_text("1.0,2.0,3.0\n")
     with pytest.raises(FileFormatError, match="odd column count"):
         read_matrix_csv(path)
+
+
+def test_empty_matrix_csv_says_it_holds_no_rows(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in ("", "\n# no data\n"):
+            path.write_text(text)
+            with pytest.raises(FileFormatError, match="holds no rows"):
+                read_matrix_csv(path)
+        cfg = tmp_path / "dense.json"
+        cfg.write_text(json.dumps({"operator": {"kind": "dense", "file": str(path)},
+                                   "b": str(tmp_path / "b.csv")}))
+        out = tmp_path / "run"
+        assert cli.main(["solve", str(cfg), "--out", str(out)]) == 1
+    assert "holds no rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ def test_cli_solve_records_one_solver_span(tracer_module, tmp_path):
     assert solves == {"padm": 0, "dadm": 1, "ist": 0, "fista": 0}
     assert metrics["operators.apply.calls"] >= 1
     assert metrics["models.compute_res.calls"] == metrics["solvers.dadm.iterations"]
+    # the returned x is scored once, for run.json; no sweep is scored
+    assert metrics["models.relerr.calls"] == 1
 
 
 def test_experiment_reaches_every_solver_and_the_trial_loop(tracer_module, tmp_path):
@@ -61,14 +63,16 @@ def test_experiment_reaches_every_solver_and_the_trial_loop(tracer_module, tmp_p
         assert metrics["solvers.%s.solves" % solver] == 6, solver  # one per race cell
     assert metrics["harness.pool.workers"] == 1
     assert metrics["harness.make_instance.calls"] == 6
+    assert metrics["models.relerr.calls"] == 6 * 4  # one per trial row, none per sweep
 
 
 def test_model_choice_draws_one_instance_per_trial(tracer_module, tmp_path):
-    # the 63 family x parameter cells of a trial share that trial's instance
+    # the 63 family x parameter cells of a trial share that trial's instance,
+    # and its three parameter-0 cells (all plain bp) share one solve
     argv = ["experiment", "model-choice", "--n", "64", "--trials", "2", "--max-iter", "20",
             "--out", str(tmp_path / "mc")]
     rc, metrics = _traced(tracer_module, argv)
     assert rc == 0
     assert metrics["harness.make_instance.calls"] == 2
-    assert metrics["solvers.dadm.solves"] == 2 * 63
+    assert metrics["solvers.dadm.solves"] == 2 * 61
     assert metrics["harness.pool.workers"] == 1
