@@ -104,12 +104,6 @@ class ProblemInstance:
     p_impulse: np.ndarray
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def gen_spikes(n, k, seed, field="real"):
     """k-sparse vector with uniform random support and Gaussian values.
 
@@ -118,7 +112,7 @@ def gen_spikes(n, k, seed, field="real"):
     """
     if k <= 0 or k > n:
         raise ValueError("need 0 < k <= n, got k=%d n=%d" % (k, n))
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     pos = rng.choice(n, size=k, replace=False)
     x = np.zeros(n, dtype=np.complex128)
     if field == "complex":
@@ -178,7 +172,7 @@ def synthesize(A, k, noise, rng, field="real"):
 
 def make_instance(kind, n, m, k, noise, seed, field="real"):
     """Build a seeded ProblemInstance; x_true is stored in the scale of b."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     A = make_operator(kind, n, m, rng)
     b, x_true, p_white, p_impulse = synthesize(A, k, noise, rng, field=field)
     return ProblemInstance(A=A, b=b, x_true=x_true, p_white=p_white, p_impulse=p_impulse)

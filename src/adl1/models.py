@@ -223,9 +223,8 @@ def relres(A, b, x):
     return float(r / nb) if nb > 0 else float(r)
 
 
-def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
-                Ax=None, Aty=None, x_prev=None, b_norm=None):
-    """Optimality diagnostics for a primal-dual iterate (x, y, z).
+def compute_res(x, y, z, A, b, model, *, Ax=None, Aty=None, x_prev=None, b_norm=None):
+    """Optimality diagnostics for a primal-dual iterate (x, y, z) of ``model``.
 
     Every solver's per-iteration history row is computed here. Its
     ``relerr`` is NaN: ground truth is not an optimality measure, and
@@ -242,15 +241,14 @@ def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
         are NaN.
     A : SensingOperator
     b : ndarray
-    mu : float
-        Penalty parameter; 0 selects the constrained models, where the gap
+    model : ModelSpec
+        The model the iterate solves (for the l1/l1 model, the basis
+        pursuit on the augmented pair that ``dadm_solve`` iterates). Its
+        ``mu`` > 0 selects the penalized residues; with mu = 0 the gap
         component is omitted (NaN) because the r = mu y identification that
-        defines it degenerates.
-    delta : float, keyword
-        Ball radius for bpdn-style feasibility: with mu = 0 and delta > 0 the
-        primal residue is dist(Ax, delta-ball around b) / ||b||.
-    weights : ndarray, keyword
-        Positive l1 weights, defaults to 1.
+        defines it degenerates, and ``delta`` > 0 makes the primal residue
+        dist(Ax, delta-ball around b) / ||b||. ``weights`` weight the l1
+        term.
     Ax, Aty : ndarray, keyword
         Cached products A x and A* y; computed when omitted.
     x_prev : ndarray, keyword
@@ -264,6 +262,7 @@ def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
         Residues are relative; when ||b|| = 0 the primal residue falls back
         to the absolute norm with a warning.
     """
+    mu, delta = model.mu, model.delta
     if Ax is None:
         Ax = A.apply(x)
     misfit = Ax - b
@@ -279,7 +278,7 @@ def compute_res(x, y, z, A, b, mu, *, delta=0.0, weights=None,
             rp_norm = float(np.linalg.norm(misfit))
         r_p = rp_norm / b_norm
 
-    x_l1 = l1_norm(x, weights)
+    x_l1 = l1_norm(x, model.weights)
     if z is not None:
         if Aty is None:
             Aty = A.adjoint(y)

@@ -83,14 +83,12 @@ def _baseline_solve(name, step, model, A, b, opts):
         raise ConfigError("%s takes no beta or gamma; its one step size is tau" % name)
     if opts.stop != "relchg":
         raise ConfigError("baseline solvers stop on relative change only")
-    b = working_data(A, b, opts)
+    b = working_data(A, b)
     tau = 1.0 if opts.tau is None else float(opts.tau)
-
-    def start(x0, Ax0, y0, A):
-        return FistaState(x=x0, x_prev=x0, Ax=Ax0, Ax_prev=Ax0)
-
-    return run_solve(name, model.describe(), A, b, opts, start=start,
-                     step=lambda state, A: step(state, A, b, model.mu, tau), mu=model.mu)
+    zero_n, zero_m = np.zeros(A.n, dtype=b.dtype), np.zeros(A.m, dtype=b.dtype)
+    state = FistaState(x=zero_n, x_prev=zero_n, Ax=zero_m, Ax_prev=zero_m)
+    return run_solve(name, model.describe(), model, A, b, opts, state,
+                     lambda state, A: step(state, A, b, model.mu, tau))
 
 
 def fista_solve(model, A, b, opts=None):

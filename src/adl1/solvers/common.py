@@ -1,9 +1,8 @@
 """Shared solver plumbing: options, run records, matvec accounting, and the
-one solve loop every solver runs."""
+one solve loop every solver runs. Every solve starts from zero."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +37,6 @@ class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 1000
     stop: str = "relchg"
-    x0: np.ndarray | None = None
-    y0: np.ndarray | None = None
     x_true: np.ndarray | None = None
 
     def __post_init__(self):
@@ -74,7 +71,6 @@ class RunRecord:
     status: str
     iterations: int
     aat: int
-    seconds: float
     x: np.ndarray
     history: list[Diagnostics] = field(default_factory=list)
     aat_history: list[int] = field(default_factory=list)
@@ -91,7 +87,7 @@ class RunRecord:
     def to_dict(self):
         """JSON-ready summary. The solution vector and history are not in it."""
         return {key: getattr(self, key)
-                for key in ("solver", "model", "status", "iterations", "aat", "seconds")}
+                for key in ("solver", "model", "status", "iterations", "aat")}
 
 
 class CountingOperator:
@@ -135,31 +131,24 @@ def check_finite(x, y, k):
         raise DivergenceError(f"multiplier became nonfinite at iteration {k}")
 
 
-def working_data(A, b, opts):
+def working_data(A, b):
     """Validate the data b of a solve on A and cast it to the solve's dtype.
 
     The one place a solve picks its arithmetic: float64 when A is
-    ``real_valued`` and b, ``opts.x0`` and ``opts.y0`` have no nonzero
-    imaginary part, complex128 otherwise. ``run_solve`` starts its iterates
-    in the dtype of the data it is given, and every sweep keeps it.
+    ``real_valued`` and b has no nonzero imaginary part, complex128
+    otherwise. Every solve starts from a zero state in that dtype, and every
+    sweep keeps it.
 
     Raises DimensionMismatchError if b is not a length-m vector and
     ValueError if it has nonfinite entries.
     """
     b = as_complex_vector(b, A.m)
-    if A.real_valued and not any(np.any(np.imag(v)) for v in (b, opts.x0, opts.y0)
-                                 if v is not None):
+    if A.real_valued and not np.any(b.imag):
         return b.real.copy()
     return b
 
 
-def _start_vector(v, length, dtype):
-    v = as_complex_vector(v, length)
-    return v if dtype == np.complex128 else v.real.copy()
-
-
-def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
-              weights=None, dual=None, signal=None, nonneg=False):
+def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None, signal=None):
     """Run the solve loop shared by every solver and return its RunRecord.
 
     Each sweep steps, checks that the new iterate and multiplier are finite
@@ -171,24 +160,23 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
 
     Parameters
     ----------
-    solver, model : str
-        Labels written into the record.
+    solver, label : str
+        The solver's name and the caller's model label, written into the
+        record.
+    model : ModelSpec
+        The model the iteration solves: the caller's, or for the l1/l1
+        model the basis pursuit on the augmented pair. ``compute_res``
+        reads its terms, and its ``nonneg`` clips the returned signal.
     A, b
         Operator and data the iteration works on (the augmented pair for
         the l1/l1 model). A is wrapped here to count applications. b comes
         from ``working_data``; the iterates take its dtype.
     opts : SolverOptions
-    start : callable
-        ``start(x0, Ax0, y0, A)`` builds the initial state. x0 and A x0 are
-        zero unless ``opts.x0`` is given (its application is charged); y0 is
-        ``opts.y0`` as a validated vector, or None. All three are in b's
-        dtype.
+    state
+        The zero state in b's dtype. Every state carries the iterate ``x``,
+        its cached product ``Ax`` and the sweep count ``k``.
     step : callable
-        ``step(state, A)`` returns the next state. Every state carries the
-        iterate ``x``, its cached product ``Ax`` and the sweep count ``k``;
-        ``start`` fills every cached product a step reads.
-    mu, delta, weights
-        Model terms of the residues, as ``compute_res`` takes them.
+        ``step(state, A)`` returns the next state.
     dual : callable, optional
         ``dual(state, A)`` returns ``(y, z, Aty)``, the multiplier, the dual
         auxiliary and A* y; z and Aty may be None, leaving the dual residue,
@@ -196,32 +184,21 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
     signal : callable, optional
         Maps an iterate to the signal estimate: relerr is measured on it and
         the record returns it (the l1/l1 model's signal block).
-    nonneg : bool
-        Clip the real part of the returned signal at zero.
 
     The record's x is complex128 whatever the working dtype.
     """
     counting = CountingOperator(A)
-    if opts.x0 is None:
-        x0 = np.zeros(A.n, dtype=b.dtype)
-        Ax0 = np.zeros(A.m, dtype=b.dtype)
-    else:
-        x0 = _start_vector(opts.x0, A.n, b.dtype)
-        Ax0 = counting.apply(x0)
-    y0 = None if opts.y0 is None else _start_vector(opts.y0, A.m, b.dtype)
-    state = start(x0, Ax0, y0, counting)
     # Once per solve, so a zero-data warning fires once, not every sweep.
     b_norm = None if dual is None else data_norm(b)
 
     history, aat_history = [], []
     status = "max_iter"
-    t0 = time.perf_counter()
     for _ in range(opts.max_iter):
         x_prev = state.x
         state = step(state, counting)
         y, z, Aty = (None, None, None) if dual is None else dual(state, counting)
         check_finite(state.x, y, state.k)
-        diag = compute_res(state.x, y, z, counting, b, mu, delta=delta, weights=weights,
+        diag = compute_res(state.x, y, z, counting, b, model,
                            Ax=state.Ax, Aty=Aty, x_prev=x_prev, b_norm=b_norm)
         if opts.x_true is not None:
             diag.relerr = relerr(state.x if signal is None else signal(state.x), opts.x_true)
@@ -230,11 +207,9 @@ def run_solve(solver, model, A, b, opts, *, start, step, mu=0.0, delta=0.0,
         if getattr(diag, opts.stop) < opts.tol:
             status = "converged"
             break
-    seconds = time.perf_counter() - t0
 
     x = state.x if signal is None else signal(state.x)
-    x = np.maximum(x.real, 0.0) if nonneg else x
-    return RunRecord(solver=solver, model=model, status=status, iterations=state.k,
-                     aat=counting.count, seconds=seconds,
-                     x=x.astype(np.complex128, copy=False), history=history,
-                     aat_history=aat_history)
+    x = np.maximum(x.real, 0.0) if model.nonneg else x
+    return RunRecord(solver=solver, model=label, status=status, iterations=state.k,
+                     aat=counting.count, x=x.astype(np.complex128, copy=False),
+                     history=history, aat_history=aat_history)

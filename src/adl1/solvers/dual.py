@@ -15,9 +15,12 @@ one steepest-descent step with exact steplength replaces the y-update
 (``dadm_nonorth_step``), at three applications per sweep. The operator's
 ``orthonormal_rows`` flag picks the sweep.
 
-The l1/l1 model is solved as basis pursuit on the augmented operator
-[A, nu I]/sqrt(1+nu^2); nonnegative models only swap the z-projection to
-the half-space Re(z) <= w and clip the final output.
+Each sweep reads its model from ``DadmParams.model``, a ModelSpec. The
+l1/l1 model is solved as basis pursuit on the augmented operator
+[A, nu I]/sqrt(1+nu^2): ``dadm_solve`` builds that bp ModelSpec once, with
+the model's nonnegativity and its weights extended by ones. Nonnegative
+models only swap the z-projection to the half-space Re(z) <= w and clip the
+final output. Every solve starts from the zero state.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, StepSizeError
-from ..models import extract_l1l1, reformulate_l1l1
+from ..models import ModelSpec, extract_l1l1, reformulate_l1l1
 from ..prox import project_halfspace, project_linf_ball, shrink_l2
 from .common import SolverOptions, run_solve, working_data
 
@@ -40,8 +43,10 @@ DEFAULT_GAMMA = 1.618
 
 @dataclass(frozen=True, eq=False)
 class DadmParams:
-    """Validated parameters for the dual solver.
+    """Validated step sizes for the dual solver, and the model it sweeps.
 
+    ``model`` is the ModelSpec the steps read mu, delta and weights from
+    (for the l1/l1 model, basis pursuit on the augmented pair).
     ``halfspace_prefix`` marks how many leading components of z project onto
     the half-space Re(z) <= w instead of the magnitude ball |z| <= w: 0 for
     the plain models, n for nonnegative ones, and the signal-block length
@@ -50,9 +55,7 @@ class DadmParams:
 
     beta: float
     gamma: float
-    mu: float = 0.0
-    delta: float = 0.0
-    weights: np.ndarray | None = None
+    model: ModelSpec = ModelSpec.bp()
     halfspace_prefix: int = 0
 
     def __post_init__(self):
@@ -61,23 +64,19 @@ class DadmParams:
         if not (0 < self.gamma < GOLDEN_RATIO):
             raise StepSizeError(
                 f"gamma must lie in (0, (1+sqrt(5))/2), got {self.gamma}")
-        if self.mu < 0 or self.delta < 0:
-            raise StepSizeError("mu and delta must be nonnegative")
-        if self.mu > 0 and self.delta > 0:
-            raise StepSizeError("mu and delta are mutually exclusive")
         if self.halfspace_prefix < 0:
             raise StepSizeError("halfspace_prefix must be nonnegative")
 
     @classmethod
-    def from_operator(cls, A, b, *, gamma=None, beta=None, mu=0.0, delta=0.0,
-                      weights=None, halfspace_prefix=0):
+    def from_operator(cls, A, b, model=ModelSpec.bp(), *, gamma=None, beta=None,
+                      halfspace_prefix=0):
         """Fill the standard defaults: gamma=1.618, beta=||b||_1/m."""
         gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
         if beta is None:
             b_l1 = float(np.sum(np.abs(b)))
             beta = b_l1 / A.m if b_l1 > 0 else 1.0
-        return cls(beta=float(beta), gamma=gamma, mu=float(mu), delta=float(delta),
-                   weights=weights, halfspace_prefix=int(halfspace_prefix))
+        return cls(beta=float(beta), gamma=gamma, model=model,
+                   halfspace_prefix=int(halfspace_prefix))
 
 
 @dataclass
@@ -94,7 +93,7 @@ class DadmState:
 
 def _project_dual(v, p):
     """Project onto the model's dual feasible set, componentwise."""
-    w = 1.0 if p.weights is None else p.weights
+    w = 1.0 if p.model.weights is None else p.model.weights
     k = p.halfspace_prefix
     if k == 0:
         return project_linf_ball(v, w)
@@ -107,10 +106,10 @@ def _project_dual(v, p):
 
 
 def dadm_step(state, A, b, p):
-    """One exact sweep of the model ``p`` describes.
+    """One exact sweep of the model ``p.model``.
 
-    The models differ only in the y-update: qp when p.mu > 0, bpdn when
-    p.delta > 0, bp otherwise.
+    The models differ only in the y-update: qp when mu > 0, bpdn when
+    delta > 0, bp otherwise.
     """
     if not A.orthonormal_rows:
         raise StepSizeError("exact dual steps require orthonormal rows (A A* = I); "
@@ -121,10 +120,11 @@ def dadm_step(state, A, b, p):
     z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), p)
     Az = A.apply(z_new)
     v = Az - (state.Ax - b) * (1.0 / p.beta)
-    if p.mu > 0:
-        y_new = (p.beta / (p.mu + p.beta)) * v
-    elif p.delta > 0:
-        y_new = shrink_l2(v, p.delta / p.beta)
+    mu, delta = p.model.mu, p.model.delta
+    if mu > 0:
+        y_new = (p.beta / (mu + p.beta)) * v
+    elif delta > 0:
+        y_new = shrink_l2(v, delta / p.beta)
     else:
         y_new = v
     Aty_new = A.adjoint(y_new)
@@ -140,14 +140,15 @@ def dadm_nonorth_step(state, A, b, p):
     Supports mu >= 0 (bp and qp); the delta-ball model has no closed
     steplength and is rejected. Costs three operator applications per sweep.
     """
-    if p.delta > 0:
+    mu = p.model.mu
+    if p.model.delta > 0:
         raise ConfigError("the steepest-descent dual step supports only the bp and qp models")
     z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), p)
-    g = p.mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
+    g = mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
     g_sq = float(np.linalg.norm(g) ** 2)
     if g_sq > 0.0:
         Atg = A.adjoint(g)
-        denom = p.mu * g_sq + p.beta * float(np.linalg.norm(Atg) ** 2)
+        denom = mu * g_sq + p.beta * float(np.linalg.norm(Atg) ** 2)
         if denom > 0.0:
             alpha = g_sq / denom
             y_new = state.y - alpha * g
@@ -161,15 +162,6 @@ def dadm_nonorth_step(state, A, b, p):
     x_new = state.x - p.gamma * p.beta * (z_new - Aty_new)
     Ax_new = A.apply(x_new)
     return DadmState(x=x_new, y=y_new, z=z_new, Ax=Ax_new, Aty=Aty_new, k=state.k + 1)
-
-
-def _dadm_start(x0, Ax0, y0, A):
-    if y0 is None:
-        y0 = np.zeros(A.m, dtype=x0.dtype)
-        Aty0 = np.zeros(A.n, dtype=x0.dtype)
-    else:
-        Aty0 = A.adjoint(y0)
-    return DadmState(x=x0, y=y0, z=np.zeros(A.n, dtype=x0.dtype), Ax=Ax0, Aty=Aty0)
 
 
 def dadm_solve(model, A, b, opts=None):
@@ -193,26 +185,24 @@ def dadm_solve(model, A, b, opts=None):
     opts = opts if opts is not None else SolverOptions()
     if opts.tau is not None:
         raise ConfigError("dadm takes no tau; its step sizes are beta and gamma")
-    b = working_data(A, b, opts)
-    weights = model.weights
-    signal = None
+    b = working_data(A, b)
+    solved, signal = model, None
     if model.family == "l1l1":
         op, data = reformulate_l1l1(A, b, model.nu)
-        if weights is not None:
-            weights = np.concatenate([weights, np.ones(A.m)])
+        weights = (None if model.weights is None
+                   else np.concatenate([model.weights, np.ones(A.m)]))
+        solved = ModelSpec.bp(nonneg=model.nonneg, weights=weights)
 
         def signal(xh):
             return extract_l1l1(xh, A.n, model.nu)
     else:
         op, data = A, b
 
-    params = DadmParams.from_operator(
-        op, data, gamma=opts.gamma, beta=opts.beta, mu=model.mu,
-        delta=model.delta, weights=weights, halfspace_prefix=A.n if model.nonneg else 0)
-
+    params = DadmParams.from_operator(op, data, solved, gamma=opts.gamma, beta=opts.beta,
+                                      halfspace_prefix=A.n if model.nonneg else 0)
     step = dadm_step if op.orthonormal_rows else dadm_nonorth_step
-    return run_solve("dadm", model.describe(), op, data, opts, start=_dadm_start,
-                     step=lambda state, A: step(state, A, data, params),
-                     mu=params.mu, delta=params.delta, weights=params.weights,
-                     dual=lambda state, A: (state.y, state.z, state.Aty), signal=signal,
-                     nonneg=model.nonneg)
+    zero_n, zero_m = np.zeros(op.n, dtype=data.dtype), np.zeros(op.m, dtype=data.dtype)
+    state = DadmState(x=zero_n, y=zero_m, z=zero_n, Ax=zero_m, Aty=zero_n)
+    return run_solve("dadm", model.describe(), solved, op, data, opts, state,
+                     lambda state, A: step(state, A, data, params),
+                     dual=lambda state, A: (state.y, state.z, state.Aty), signal=signal)

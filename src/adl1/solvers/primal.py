@@ -11,7 +11,9 @@ The x-update already sees the new r. Each iteration costs one forward and
 one adjoint application (A x+ is cached for the next sweep). Convergence
 requires tau lambda_max(A*A) + gamma < 2, enforced at parameter
 construction; no orthonormality of A is needed, which makes this the
-fallback solver for general dense operators.
+fallback solver for general dense operators. Each sweep reads its model
+from ``PadmParams.model``, a ModelSpec; every solve starts from the zero
+state.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, StepSizeError
+from ..models import ModelSpec
 from ..prox import project_l2_ball, project_linf_ball, shrink
 from .common import SolverOptions, run_solve, working_data
 
@@ -32,8 +35,9 @@ DEFAULT_GAMMA = 1.199
 
 @dataclass(frozen=True, eq=False)
 class PadmParams:
-    """Validated step sizes for the primal solver.
+    """Validated step sizes for the primal solver, and the model it sweeps.
 
+    ``model`` is the ModelSpec the step reads mu, delta and weights from.
     Build through ``from_operator`` in normal use: it fills the standard
     defaults (tau=0.8, gamma=1.199, beta=2m/||b||_1) and enforces the
     convergence guard tau lambda_max + gamma < 2.
@@ -42,9 +46,7 @@ class PadmParams:
     beta: float
     gamma: float
     tau: float
-    mu: float = 0.0
-    delta: float = 0.0
-    weights: np.ndarray | None = None
+    model: ModelSpec = ModelSpec.bp()
 
     def __post_init__(self):
         if not (self.beta > 0):
@@ -53,14 +55,9 @@ class PadmParams:
             raise StepSizeError(f"tau must be positive, got {self.tau}")
         if not (0 < self.gamma < 2):
             raise StepSizeError(f"gamma must lie in (0, 2), got {self.gamma}")
-        if self.mu < 0 or self.delta < 0:
-            raise StepSizeError("mu and delta must be nonnegative")
-        if self.mu > 0 and self.delta > 0:
-            raise StepSizeError("mu and delta are mutually exclusive")
 
     @classmethod
-    def from_operator(cls, A, b, *, tau=None, gamma=None, beta=None,
-                      mu=0.0, delta=0.0, weights=None):
+    def from_operator(cls, A, b, model=ModelSpec.bp(), *, tau=None, gamma=None, beta=None):
         """Fill defaults from (A, b) and run the convergence guard.
 
         Raises StepSizeError when tau lambda_max(A*A) + gamma >= 2.
@@ -75,8 +72,7 @@ class PadmParams:
             raise StepSizeError(
                 f"step sizes violate tau*lambda_max + gamma < 2: "
                 f"{tau} * {lam:.6g} + {gamma} = {tau * lam + gamma:.6g}")
-        return cls(beta=float(beta), gamma=gamma, tau=tau, mu=float(mu),
-                   delta=float(delta), weights=weights)
+        return cls(beta=float(beta), gamma=gamma, tau=tau, model=model)
 
 
 @dataclass
@@ -91,21 +87,22 @@ class PadmState:
 
 
 def padm_step(state, A, b, p):
-    """One sweep r -> x -> y of the model ``p`` describes.
+    """One sweep r -> x -> y of the model ``p.model``.
 
-    The models differ only in the r-update: qp when p.mu > 0, bpdn when
-    p.delta > 0, bp (r pinned at zero) otherwise.
+    The models differ only in the r-update: qp when mu > 0, bpdn when
+    delta > 0, bp (r pinned at zero) otherwise.
     """
+    mu, delta, weights = p.model.mu, p.model.delta, p.model.weights
     # y * (1/beta), not y / beta: see dadm_step.
-    if p.mu > 0:
-        coeff = p.mu * p.beta / (1.0 + p.mu * p.beta)
+    if mu > 0:
+        coeff = mu * p.beta / (1.0 + mu * p.beta)
         r_new = coeff * (state.y * (1.0 / p.beta) - (state.Ax - b))
-    elif p.delta > 0:
-        r_new = project_l2_ball(state.y * (1.0 / p.beta) - (state.Ax - b), p.delta)
+    elif delta > 0:
+        r_new = project_l2_ball(state.y * (1.0 / p.beta) - (state.Ax - b), delta)
     else:
         r_new = np.zeros_like(b)
     g = A.adjoint(state.Ax + r_new - b - state.y * (1.0 / p.beta))
-    thresh = p.tau / p.beta if p.weights is None else (p.tau / p.beta) * p.weights
+    thresh = p.tau / p.beta if weights is None else (p.tau / p.beta) * weights
     x_new = shrink(state.x - p.tau * g, thresh)
     Ax_new = A.apply(x_new)
     y_new = state.y - p.gamma * p.beta * (Ax_new + r_new - b)
@@ -136,14 +133,9 @@ def padm_solve(model, A, b, opts=None):
         raise ConfigError("the l1/l1 model runs through the dual solver after reformulation")
     if model.nonneg:
         raise ConfigError("nonnegative models run through the dual solver")
-    b = working_data(A, b, opts)
-    params = PadmParams.from_operator(
-        A, b, tau=opts.tau, gamma=opts.gamma, beta=opts.beta,
-        mu=model.mu, delta=model.delta, weights=model.weights)
-
-    def start(x0, Ax0, y0, A):
-        y0 = np.zeros_like(Ax0) if y0 is None else y0
-        return PadmState(x=x0, r=np.zeros_like(Ax0), y=y0, Ax=Ax0)
+    b = working_data(A, b)
+    params = PadmParams.from_operator(A, b, model, tau=opts.tau, gamma=opts.gamma,
+                                      beta=opts.beta)
 
     if opts.stop == "res":
         # The primal solver has no dual auxiliary; measure dual feasibility
@@ -151,12 +143,13 @@ def padm_solve(model, A, b, opts=None):
         # of the usual two applications.
         def dual(state, A):
             Aty = A.adjoint(state.y)
-            z = project_linf_ball(Aty, 1.0 if params.weights is None else params.weights)
+            z = project_linf_ball(Aty, 1.0 if model.weights is None else model.weights)
             return state.y, z, Aty
     else:
         def dual(state, A):
             return state.y, None, None
 
-    return run_solve("padm", model.describe(), A, b, opts, start=start,
-                     step=lambda state, A: padm_step(state, A, b, params),
-                     mu=params.mu, delta=params.delta, weights=params.weights, dual=dual)
+    zero_m = np.zeros(A.m, dtype=b.dtype)
+    state = PadmState(x=np.zeros(A.n, dtype=b.dtype), r=zero_m, y=zero_m, Ax=zero_m)
+    return run_solve("padm", model.describe(), model, A, b, opts, state,
+                     lambda state, A: padm_step(state, A, b, params), dual=dual)

@@ -228,7 +228,7 @@ def test_criterion_6_monotone_descent_and_guard():
         b = rng.standard_normal(m)
         x_ref, _ = qp_oracle(a, b, mu)
         y_ref = (b - a @ x_ref) / mu
-        p = PadmParams.from_operator(op, b.astype(np.complex128), mu=mu)
+        p = PadmParams.from_operator(op, b.astype(np.complex128), ModelSpec.qp(mu))
         assert p.tau * op.lambda_max() + p.gamma < 2.0
 
         def dist_sq(x, y):

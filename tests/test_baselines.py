@@ -75,9 +75,8 @@ def test_ist_step_has_no_momentum(rng):
 def test_accelerated_beats_plain_at_fixed_budget(rng):
     for _ in range(5):
         op, b = _instance(rng)
-        x0 = op.adjoint(b)
         mu = 0.05
-        opts = lambda: SolverOptions(max_iter=200, tol=0.0, x0=x0)
+        opts = lambda: SolverOptions(max_iter=200, tol=0.0)
         run_f = fista_solve(ModelSpec.qp(mu), op, b, opts())
         run_i = ist_solve(ModelSpec.qp(mu), op, b, opts())
         assert run_f.final().objective <= run_i.final().objective * (1 + 1e-12)
@@ -156,9 +155,8 @@ def test_matvec_accounting(rng):
     run = ist_solve(ModelSpec.qp(0.1), op, b, SolverOptions(max_iter=9, tol=0.0))
     assert run.aat == 2 * 9
     assert run.aat_history == [2 * (k + 1) for k in range(9)]
-    x0 = rng.standard_normal(op.n).astype(np.complex128)
-    run2 = fista_solve(ModelSpec.qp(0.1), op, b, SolverOptions(max_iter=9, tol=0.0, x0=x0))
-    assert run2.aat == 2 * 9 + 1
+    run2 = fista_solve(ModelSpec.qp(0.1), op, b, SolverOptions(max_iter=9, tol=0.0))
+    assert run2.aat == 2 * 9
     assert run2.solver == "fista"
     assert run2.model == "qp(mu=0.1)"
 

@@ -11,9 +11,12 @@ updates the digest and says why.
 The experiment runs are tiny ``run_protocol`` runs at seed 1234, and the
 default resolved config of every protocol is pinned by its hash; the solves
 run ``adl1 solve demos/tiny_bp.json`` with a few solver and model flags. A
-``{weights}`` flag stands for the path of ``WEIGHTS``, written per test.
+``{weights}`` flag stands for the path of ``WEIGHTS``, written per test. The
+history digests pin what no artifact shows: every row of every solve's
+history, over each solver, model and stop rule on three tiny instances.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,8 +25,12 @@ import numpy as np
 import pytest
 
 from adl1 import cli
-from adl1.harness import ExperimentConfig, run_protocol
+from adl1.errors import AdlError
+from adl1.harness import ExperimentConfig, NoiseSpec, gen_spikes, make_instance, run_protocol
 from adl1.io import config_hash, write_vector
+from adl1.models import ModelSpec
+from adl1.operators import DenseOperator
+from adl1.solvers import SOLVERS, STOP_RULES, SolverOptions, solve
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TINY_BP = os.path.join(ROOT, "demos", "tiny_bp.json")
@@ -150,3 +157,78 @@ def test_cli_solve_is_pinned(tmp_path, flags):
         status, iterations, aat, model)
     assert _sha256(out / "x.bin") == x_sha
     assert _sha256(out / "x.csv") == csv_sha
+
+
+# History digests: every solve on three seeded tiny instances, per operator
+# and solver. Each digest covers, case by case, the exception name of a
+# refused (model, stop) pair or the record's label, status, iterations,
+# aat, aat_history, x and every history row's seven fields as float64 bits.
+# The relchg cases run without ground truth (relerr NaN), the res cases with.
+HISTORY_WEIGHTS = np.linspace(0.5, 2.0, 64)
+HISTORY_MODELS = (
+    ModelSpec.bp(),
+    ModelSpec.bp(nonneg=True),
+    ModelSpec.bpdn(0.05),
+    ModelSpec.bpdn(0.0),
+    ModelSpec.qp(1e-2),
+    ModelSpec.qp(1e-2, weights=HISTORY_WEIGHTS),
+    ModelSpec.qp(1e-2, nonneg=True, weights=HISTORY_WEIGHTS),
+    ModelSpec.l1l1(0.5),
+    ModelSpec.l1l1(0.5, nonneg=True, weights=HISTORY_WEIGHTS),
+)
+
+HISTORY_DIGESTS = {
+    ("wht", "padm"): "fb187fc1404fa31d52705e68868669247db3e77459e89c7502a66610e32cc43d",
+    ("wht", "dadm"): "f1a9348ca1f0b0c5257d28f55369d7b46dda65428dde8e7b7995f2fecf1f9e37",
+    ("wht", "ist"): "3e4975caebfcb4d94a055164446e3d67a0c1fb603ec78c3249918a4a55f31a8a",
+    ("wht", "fista"): "75b8bb2178206c1b7ce0bf263a5458fcda4156971a5a94ef24caac44121cf69e",
+    ("dct", "padm"): "719b03e3a585e8510f1aa56cd79250d51a7ff512f935f7d1ce64ca8b6a2d4073",
+    ("dct", "dadm"): "a3606758448d641328bbe20c2c973828fd924b55d06f2ab53df4bdc64b7c9fb7",
+    ("dct", "ist"): "6957f1558c35f252f07c012b82a10ae714273c8ac0d5330cf16cef5a1a65743d",
+    ("dct", "fista"): "da3ba99f3e6660b9d015d46c2f26d9c27413aa9e08e84e82376b2518e03a79de",
+    ("dense", "padm"): "f3dbf4d83e6a2d2f09e0ddb2f8943ab196effc72a5cc8eb00fd8acf239832dad",
+    ("dense", "dadm"): "d1b5a039bbe3b48506aaef47fb4d1eff1859518acdd63c9c42860863f81c5bc9",
+    ("dense", "ist"): "d351c35fde177bd32d5c1b8135b886fd908153823ce89eef936065b2e10b64b5",
+    ("dense", "fista"): "b350d32fbff9c7d916ef94a842cf315d4fe02ce65e132b9e781a54c2905e7170",
+}
+
+
+def _history_instances():
+    noise = NoiseSpec(sigma=1e-2)
+    wht = make_instance("wht", n=64, m=20, k=4, noise=noise, seed=11)
+    dct = make_instance("dct", n=60, m=20, k=4, noise=noise, seed=12, field="complex")
+    rng = np.random.default_rng(13)
+    # Scaled so that A A* has lambda_max < 1 and padm's step guard passes.
+    A = DenseOperator(rng.standard_normal((12, 32)) / 12.0)
+    x_true = gen_spikes(32, 3, rng)
+    b = A.apply(x_true) + 1e-2 * rng.standard_normal(12)
+    return {"wht": (wht.A, wht.b, wht.x_true), "dct": (dct.A, dct.b, dct.x_true),
+            "dense": (A, b, x_true)}
+
+
+def _history_digest(A, b, x_true, solver):
+    h = hashlib.sha256()
+    for model in HISTORY_MODELS:
+        if model.weights is not None:
+            model = dataclasses.replace(model, weights=model.weights[:A.n])
+        for stop in STOP_RULES:
+            opts = SolverOptions(tol=1e-3, max_iter=30, stop=stop,
+                                 x_true=x_true if stop == "res" else None)
+            try:
+                rec = solve(solver, model, A, b, opts)
+            except AdlError as exc:
+                h.update(type(exc).__name__.encode())
+                continue
+            h.update(("%s|%s|%d|%d" % (rec.model, rec.status, rec.iterations,
+                                       rec.aat)).encode())
+            h.update(np.asarray(rec.aat_history, dtype=np.int64).tobytes())
+            h.update(np.asarray(rec.x, dtype=np.complex128).tobytes())
+            rows = [dataclasses.astuple(d) for d in rec.history]
+            h.update(np.asarray(rows, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_solve_histories_are_pinned():
+    got = {(name, solver): _history_digest(*data, solver)
+           for name, data in _history_instances().items() for solver in SOLVERS}
+    assert got == HISTORY_DIGESTS

@@ -122,7 +122,7 @@ def test_compute_res_constrained_families(rng):
     y = np.array([0.5, 0.5], dtype=np.complex128)
     z = np.array([0.5, 0.5], dtype=np.complex128)
 
-    d = compute_res(x, y, z, a, b, mu=0.0)
+    d = compute_res(x, y, z, a, b, ModelSpec.bp())
     assert np.isnan(d.gap)
     assert d.r_p == pytest.approx(0.3 / np.sqrt(2.0))
     assert d.r_d == 0.0
@@ -131,9 +131,9 @@ def test_compute_res_constrained_families(rng):
     assert np.isnan(d.relchg) and np.isnan(d.relerr)
 
     # Inside the delta ball the primal residue clips to zero.
-    d2 = compute_res(x, y, z, a, b, mu=0.0, delta=0.5)
+    d2 = compute_res(x, y, z, a, b, ModelSpec.bpdn(0.5))
     assert d2.r_p == 0.0
-    d3 = compute_res(x, y, z, a, b, mu=0.0, delta=0.1)
+    d3 = compute_res(x, y, z, a, b, ModelSpec.bpdn(0.1))
     assert d3.r_p == pytest.approx(0.2 / np.sqrt(2.0))
 
 
@@ -144,7 +144,7 @@ def test_compute_res_penalized_gap():
     mu = 0.5
     y = (b - x) / mu  # saddle identification r = mu y
     z = np.array([1.0, 0.0], dtype=np.complex128)
-    d = compute_res(x, y, z, a, b, mu=mu)
+    d = compute_res(x, y, z, a, b, ModelSpec.qp(mu))
     assert d.r_p == pytest.approx(0.0, abs=1e-15)
     delta_gap = np.real(np.vdot(b, y)) - mu * np.linalg.norm(y) ** 2 - 1.5
     f_p = 1.5 + 0.5 * mu * np.linalg.norm(y) ** 2
@@ -159,7 +159,7 @@ def test_compute_res_optional_fields(rng):
     x = rng.standard_normal(5).astype(np.complex128)
     y = rng.standard_normal(3).astype(np.complex128)
     z = a.adjoint(y)
-    d = compute_res(x, y, z, a, b, mu=0.0, x_prev=np.zeros(5))
+    d = compute_res(x, y, z, a, b, ModelSpec.bp(), x_prev=np.zeros(5))
     assert d.r_d == pytest.approx(0.0, abs=1e-14)
     assert d.relchg == pytest.approx(float(np.linalg.norm(x)))
     # ground truth is run_solve's to score, never compute_res's
@@ -170,7 +170,7 @@ def test_compute_res_zero_data_warns():
     a = DenseOperator(np.eye(2))
     with pytest.warns(RuntimeWarning):
         d = compute_res(np.ones(2), np.zeros(2), np.zeros(2), a,
-                        np.zeros(2, dtype=np.complex128), mu=0.0)
+                        np.zeros(2, dtype=np.complex128), ModelSpec.bp())
     assert d.r_p == pytest.approx(np.sqrt(2.0))
 
 

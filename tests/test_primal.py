@@ -70,8 +70,6 @@ def test_parameter_validation():
         PadmParams(beta=1.0, gamma=2.0, tau=0.5)
     with pytest.raises(StepSizeError):
         PadmParams(beta=1.0, gamma=1.0, tau=-0.5)
-    with pytest.raises(StepSizeError):
-        PadmParams(beta=1.0, gamma=1.0, tau=0.5, mu=0.1, delta=0.2)
 
 
 def test_saddle_point_is_fixed(rng):
@@ -82,7 +80,7 @@ def test_saddle_point_is_fixed(rng):
         xt, _ = qp_oracle(a, b, mu)
         rt = b - a @ xt
         yt = rt / mu
-        p = PadmParams.from_operator(op, b.astype(np.complex128), mu=mu)
+        p = PadmParams.from_operator(op, b.astype(np.complex128), ModelSpec.qp(mu))
         state = PadmState(x=xt.astype(np.complex128), r=rt.astype(np.complex128),
                           y=yt.astype(np.complex128), k=0,
                           Ax=(a @ xt).astype(np.complex128))
@@ -104,7 +102,7 @@ def test_weighted_distance_contracts_toward_saddle(rng):
         b = rng.standard_normal(m)
         xt, _ = qp_oracle(a, b, mu)
         yt = (b - a @ xt) / mu
-        p = PadmParams.from_operator(op, b.astype(np.complex128), mu=mu)
+        p = PadmParams.from_operator(op, b.astype(np.complex128), ModelSpec.qp(mu))
         lam = op.lambda_max()
         assert p.tau * lam + p.gamma < 2.0
         dlt = 1.0 - p.tau * lam / (2.0 - p.gamma)
@@ -200,10 +198,6 @@ def test_matvec_accounting(rng):
     assert run.iterations == 17
     assert run.aat == 2 * 17
     assert run.aat_history == [2 * (k + 1) for k in range(17)]
-    # Warm start costs one extra forward application.
-    x0 = rng.standard_normal(9).astype(np.complex128)
-    run2 = padm_solve(ModelSpec.qp(0.3), op, b, SolverOptions(max_iter=5, tol=0.0, x0=x0))
-    assert run2.aat == 2 * 5 + 1
     # The residue-based stop adds one adjoint per sweep.
     run3 = padm_solve(ModelSpec.qp(0.3), op, b,
                       SolverOptions(max_iter=5, tol=0.0, stop="res"))
@@ -227,15 +221,13 @@ def test_divergence_is_detected(rng):
     opts = SolverOptions(tau=200.0, gamma=1.9, max_iter=5000, tol=0.0)
     with pytest.raises(StepSizeError):
         padm_solve(ModelSpec.qp(1e-3), op, b, opts)
-    p = PadmParams(beta=2.0 * 4 / np.sum(np.abs(b)), gamma=1.9, tau=200.0, mu=1e-3)
-
-    def start(x0, Ax0, y0, A):
-        return PadmState(x=x0, r=np.zeros(4, np.complex128), y=np.zeros(4, np.complex128), Ax=Ax0)
+    model = ModelSpec.qp(1e-3)
+    p = PadmParams(beta=2.0 * 4 / np.sum(np.abs(b)), gamma=1.9, tau=200.0, model=model)
 
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
-            run_solve("padm", "qp", op, b, opts, start=start,
-                      step=lambda state, A: padm_step(state, A, b, p), mu=p.mu,
+            run_solve("padm", "qp", model, op, b, opts, _zero_state(4, 9),
+                      lambda state, A: padm_step(state, A, b, p),
                       dual=lambda state, A: (state.y, None, None))
 
 
