@@ -17,9 +17,8 @@ from .harness import (ExperimentConfig, ExperimentResult, MODEL_FAMILIES,
 from .io import (canonical_json, config_hash, read_matrix, read_matrix_csv,
                  read_vector, read_vector_csv, write_matrix, write_vector,
                  write_vector_csv)
-from .models import (Diagnostics, ModelSpec, compute_res, extract_l1l1,
-                     l1_norm, objective_value, reformulate_l1l1, relchg,
-                     relerr)
+from .models import (Diagnostics, ModelSpec, compute_res, l1_norm,
+                     objective_value, relchg, relerr)
 from .operators import (AugmentedOperator, DenseOperator,
                         PartialDCTOperator, PartialWalshHadamardOperator,
                         SensingOperator, as_complex_vector,

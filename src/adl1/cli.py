@@ -45,7 +45,7 @@ DRAWN_KEYS = ("kind", "n", "m", "seed")
 OPERATOR_KEYS = dict(dict.fromkeys(PARTIAL_TRANSFORMS, DRAWN_KEYS + ("rows", "signs", "sign_seed")),
                      dense=("kind", "file", "orthonormal_rows"), orthgauss=DRAWN_KEYS)
 SYNTHETIC_KEYS = ("k", "seed", "sigma", "impulse_fraction", "target_snr_db", "field")
-SOLVER_KEYS = ("name", "beta", "gamma", "tau", "tol", "eps", "max_iter", "stop")
+SOLVER_KEYS = ("name", "beta", "gamma", "tau", "tol", "max_iter", "stop")
 
 
 def _check_keys(block, known, what):
@@ -67,9 +67,13 @@ def _build_operator(spec, default_seed):
         raise ConfigError("unknown operator kind %r (dense, %s)" % (kind, ", ".join(OPERATOR_KINDS)))
     _check_keys(spec, OPERATOR_KEYS[kind], "%s operator" % kind)
     if kind == "dense":
+        orthonormal_rows = spec.get("orthonormal_rows", False)
+        if not isinstance(orthonormal_rows, bool):
+            raise ConfigError("dense operator: 'orthonormal_rows' must be true or false, got %r"
+                              % (orthonormal_rows,))
         path = spec["file"]
         matrix = read_matrix_csv(path) if path.endswith(".csv") else read_matrix(path)
-        return DenseOperator(matrix, orthonormal_rows=bool(spec.get("orthonormal_rows", False)))
+        return DenseOperator(matrix, orthonormal_rows=orthonormal_rows)
     n = int(spec["n"])
     seed = spec.get("seed", default_seed)
     if "rows" in spec:
@@ -120,12 +124,10 @@ def _build_model(spec, flags):
 
 
 def _build_options(spec, flags):
-    """SolverOptions from the solver block and the flags; "eps" is "tol"."""
+    """SolverOptions from the solver block and the flags."""
     spec = dict(spec or {})
     _check_keys(spec, SOLVER_KEYS, "solver")
     spec.pop("name", None)
-    if "eps" in spec:
-        spec.setdefault("tol", spec.pop("eps"))
     spec = _overridden(spec, flags, ("beta", "gamma", "tau", "tol", "max_iter", "stop"))
     for key, cast in (("tol", float), ("max_iter", int)):
         if key in spec:

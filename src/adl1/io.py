@@ -170,9 +170,9 @@ def write_json_lines(path, fields, **texts):
             "  %s: %s" % (json.dumps(k), values[k]) for k in sorted(values)))
 
 
-def write_csv(path, header, rows, newline="\n"):
-    """Write pre-formatted string cells; callers own all number formatting."""
+def write_csv(path, header, rows):
+    """Write pre-formatted string cells as LF-ended lines; callers own all number formatting."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + newline)
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(row) + newline)
+            fh.write(",".join(row) + "\n")

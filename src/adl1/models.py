@@ -8,9 +8,10 @@ optional positive weights on the l1 term (eight models total):
 - ``qp``     min ||x||_1 + ||Ax - b||_2^2 / (2 mu)
 - ``l1l1``   min ||x||_1 + ||Ax - b||_1 / nu
 
-The l1/l1 model is solved by rewriting it as basis pursuit on the augmented
+The dual solver rewrites the l1/l1 model as basis pursuit on the augmented
 operator [A, nu I]/sqrt(1+nu^2), which keeps orthonormal rows whenever A has
-them; see ``reformulate_l1l1``.
+them. That layout belongs to ``operators.AugmentedOperator``; this module
+knows models, not operators.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .operators import AugmentedOperator
 
 __all__ = [
     "ModelSpec",
@@ -33,8 +33,6 @@ __all__ = [
     "relerr",
     "l1_norm",
     "objective_value",
-    "reformulate_l1l1",
-    "extract_l1l1",
 ]
 
 FAMILIES = ("bp", "bpdn", "qp", "l1l1")
@@ -67,6 +65,8 @@ class ModelSpec:
             raise ConfigError(f"bpdn model needs a finite delta >= 0, got {self.delta}")
         if self.family == "l1l1" and not 0 < self.nu < np.inf:
             raise ConfigError(f"l1l1 model needs a finite nu > 0, got {self.nu}")
+        if not isinstance(self.nonneg, bool):
+            raise ConfigError(f"'nonneg' must be true or false, got {self.nonneg!r}")
         for name in ("mu", "delta", "nu"):
             val = getattr(self, name)
             if val != 0.0 and name != self._param_name():
@@ -122,7 +122,7 @@ class ModelSpec:
         family = d.pop("family", None)
         if family not in FAMILIES:
             raise ConfigError(f"model config needs a family in {FAMILIES}, got {family!r}")
-        nonneg = bool(d.pop("nonneg", False))
+        nonneg = d.pop("nonneg", False)
         weights = d.pop("weights", None)
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
@@ -297,30 +297,3 @@ def compute_res(x, y, z, A, b, model, *, Ax=None, Aty=None, x_prev=None, b_norm=
     return Diagnostics(r_p=r_p, r_d=r_d, gap=gap, res=res,
                        relchg=chg, objective=objective, relerr=np.nan)
 
-
-def reformulate_l1l1(A, b, nu):
-    """Rewrite the l1/l1 model as basis pursuit on augmented variables.
-
-    min ||x||_1 + ||Ax-b||_1/nu  ==  min ||xh||_1 s.t. Ah xh = bh, up to the
-    factor nu, with Ah = [A, nu I]/sqrt(1+nu^2), bh = nu b/sqrt(1+nu^2), and
-    xh = (nu x; b - Ax). Ah keeps orthonormal rows when A has them.
-
-    Returns
-    -------
-    (AugmentedOperator, ndarray)
-    """
-    Ah = AugmentedOperator(A, nu)
-    bh = (nu / np.sqrt(1.0 + nu * nu)) * np.asarray(b, dtype=np.result_type(b, np.float64))
-    return Ah, bh
-
-
-def extract_l1l1(xh, n, nu):
-    """Recover the signal block from an augmented-variable solution: xh[:n]/nu.
-
-    Computed as xh[:n] * (1/nu), which is how numpy divides complex xh, so
-    float64 and complex128 solutions give the same real parts.
-    """
-    xh = np.asarray(xh)
-    if xh.shape[0] <= n:
-        raise ValueError(f"augmented solution must be longer than n={n}, got {xh.shape[0]}")
-    return xh[:n] * (1.0 / nu)

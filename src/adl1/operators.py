@@ -4,8 +4,10 @@ Every operator maps C^n -> C^m through ``apply`` and C^m -> C^n through
 ``adjoint``. Solvers never form matrices; they only call these two methods.
 Operators with orthonormal rows (A A* = I) advertise it through the
 ``orthonormal_rows`` flag, from which the dual solver picks its exact or
-inexact update steps. ``make_operator(kind, n, m, rng)`` draws every random
-operator; ``make_partial_transform`` also takes given rows or signs.
+inexact update steps. ``signal_n`` and ``signal`` name the signal block of
+the variables: all n, except on the l1/l1 model's ``AugmentedOperator``.
+``make_operator(kind, n, m, rng)`` draws every random operator;
+``make_partial_transform`` also takes given rows or signs.
 
 All vectors are 1-D arrays, complex128 or float64. An operator whose
 ``real_valued`` property is True (the partial Walsh-Hadamard and DCT
@@ -99,7 +101,7 @@ class SensingOperator:
         if m <= 0 or n <= 0:
             raise ValueError(f"operator dimensions must be positive, got ({m}, {n})")
         self.m = int(m)
-        self.n = int(n)
+        self.n = self.signal_n = int(n)
         self.orthonormal_rows = bool(orthonormal_rows)
         self._lambda_max_cache = None
 
@@ -116,6 +118,10 @@ class SensingOperator:
         declares otherwise.
         """
         return False
+
+    def signal(self, x):
+        """The signal estimate an iterate x holds: x itself, all ``signal_n`` = n entries."""
+        return x
 
     def apply(self, x):
         """Return A x for a length-n vector x."""
@@ -332,6 +338,10 @@ class AugmentedOperator(SensingOperator):
 
     Maps C^(n+m) -> C^m. Inherits orthonormal rows from the base operator,
     since A_hat A_hat* = (A A* + nu^2 I) / (1 + nu^2).
+
+    The l1/l1 model min ||x||_1 + ||Ax-b||_1/nu is, up to the factor nu,
+    basis pursuit with A_hat and ``data(b)`` on xh = (nu x; b - Ax): the
+    signal block is the first ``signal_n`` = n entries, scaled by nu.
     """
 
     kind = "augmented"
@@ -343,12 +353,27 @@ class AugmentedOperator(SensingOperator):
             raise ValueError(f"nu must be positive, got {nu}")
         super().__init__(base.m, base.n + base.m, orthonormal_rows=base.orthonormal_rows)
         self.base = base
+        self.signal_n = base.n
         self.nu = float(nu)
         self._scale = 1.0 / np.sqrt(1.0 + nu * nu)
 
     @property
     def real_valued(self):
         return self.base.real_valued
+
+    def signal(self, xh):
+        """xh[:n] * (1/nu), as numpy divides complex xh, so float64 and
+        complex128 iterates give the same real parts. xh must be longer than n.
+        """
+        n = self.signal_n
+        if xh.shape[0] <= n:
+            raise ValueError(f"augmented solution must be longer than n={n}, got {xh.shape[0]}")
+        return xh[:n] * (1.0 / self.nu)
+
+    def data(self, b):
+        """The augmented data nu b / sqrt(1 + nu^2) for data b of the base operator."""
+        return (self.nu / np.sqrt(1.0 + self.nu * self.nu)) * np.asarray(
+            b, dtype=np.result_type(b, np.float64))
 
     def _apply(self, x):
         head = x[: self.base.n]

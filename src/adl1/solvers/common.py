@@ -148,7 +148,7 @@ def working_data(A, b):
     return b
 
 
-def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None, signal=None):
+def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None):
     """Run the solve loop shared by every solver and return its RunRecord.
 
     Each sweep steps, checks that the new iterate and multiplier are finite
@@ -156,7 +156,7 @@ def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None, signa
     records the diagnostics and the running ``aat``, and stops when
     ``opts.stop`` is met or after ``opts.max_iter`` sweeps. Given
     ``opts.x_true`` (only err-vs-opt passes it), each row's ``relerr`` is
-    the error of the sweep's signal estimate against it.
+    the error of the sweep's signal estimate ``A.signal(x)`` against it.
 
     Parameters
     ----------
@@ -169,8 +169,9 @@ def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None, signa
         reads its terms, and its ``nonneg`` clips the returned signal.
     A, b
         Operator and data the iteration works on (the augmented pair for
-        the l1/l1 model). A is wrapped here to count applications. b comes
-        from ``working_data``; the iterates take its dtype.
+        the l1/l1 model). A is wrapped here to count applications, and its
+        ``signal`` maps an iterate to the signal estimate. b comes from
+        ``working_data``; the iterates take its dtype.
     opts : SolverOptions
     state
         The zero state in b's dtype. Every state carries the iterate ``x``,
@@ -181,11 +182,9 @@ def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None, signa
         ``dual(state, A)`` returns ``(y, z, Aty)``, the multiplier, the dual
         auxiliary and A* y; z and Aty may be None, leaving the dual residue,
         gap and res NaN. Omitted for a method without a multiplier.
-    signal : callable, optional
-        Maps an iterate to the signal estimate: relerr is measured on it and
-        the record returns it (the l1/l1 model's signal block).
 
-    The record's x is complex128 whatever the working dtype.
+    The record's x is the signal estimate of the last iterate, clipped at
+    zero for a nonnegative model, in complex128 whatever the working dtype.
     """
     counting = CountingOperator(A)
     # Once per solve, so a zero-data warning fires once, not every sweep.
@@ -201,14 +200,14 @@ def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None, signa
         diag = compute_res(state.x, y, z, counting, b, model,
                            Ax=state.Ax, Aty=Aty, x_prev=x_prev, b_norm=b_norm)
         if opts.x_true is not None:
-            diag.relerr = relerr(state.x if signal is None else signal(state.x), opts.x_true)
+            diag.relerr = relerr(A.signal(state.x), opts.x_true)
         history.append(diag)
         aat_history.append(counting.count)
         if getattr(diag, opts.stop) < opts.tol:
             status = "converged"
             break
 
-    x = state.x if signal is None else signal(state.x)
+    x = A.signal(state.x)
     x = np.maximum(x.real, 0.0) if model.nonneg else x
     return RunRecord(solver=solver, model=label, status=status, iterations=state.k,
                      aat=counting.count, x=x.astype(np.complex128, copy=False),

@@ -16,11 +16,12 @@ one steepest-descent step with exact steplength replaces the y-update
 ``orthonormal_rows`` flag picks the sweep.
 
 Each sweep reads its model from ``DadmParams.model``, a ModelSpec. The
-l1/l1 model is solved as basis pursuit on the augmented operator
+l1/l1 model is solved as basis pursuit on the ``AugmentedOperator``
 [A, nu I]/sqrt(1+nu^2): ``dadm_solve`` builds that bp ModelSpec once, with
-the model's nonnegativity and its weights extended by ones. Nonnegative
-models only swap the z-projection to the half-space Re(z) <= w and clip the
-final output. Every solve starts from the zero state.
+the model's nonnegativity and its weights extended by ones. A nonnegative
+model only swaps the z-projection of the operator's signal block
+(``A.signal_n`` leading components) to the half-space Re(z) <= w, and the
+solve clips the final output. Every solve starts from the zero state.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, StepSizeError
-from ..models import ModelSpec, extract_l1l1, reformulate_l1l1
+from ..models import ModelSpec
+from ..operators import AugmentedOperator
 from ..prox import project_halfspace, project_linf_ball, shrink_l2
 from .common import SolverOptions, run_solve, working_data
 
@@ -45,18 +47,13 @@ DEFAULT_GAMMA = 1.618
 class DadmParams:
     """Validated step sizes for the dual solver, and the model it sweeps.
 
-    ``model`` is the ModelSpec the steps read mu, delta and weights from
-    (for the l1/l1 model, basis pursuit on the augmented pair).
-    ``halfspace_prefix`` marks how many leading components of z project onto
-    the half-space Re(z) <= w instead of the magnitude ball |z| <= w: 0 for
-    the plain models, n for nonnegative ones, and the signal-block length
-    for the reformulated nonnegative l1/l1 model.
+    ``model`` is the ModelSpec the steps read mu, delta, weights and
+    nonneg from (for the l1/l1 model, basis pursuit on the augmented pair).
     """
 
     beta: float
     gamma: float
     model: ModelSpec = ModelSpec.bp()
-    halfspace_prefix: int = 0
 
     def __post_init__(self):
         if not (self.beta > 0):
@@ -64,19 +61,15 @@ class DadmParams:
         if not (0 < self.gamma < GOLDEN_RATIO):
             raise StepSizeError(
                 f"gamma must lie in (0, (1+sqrt(5))/2), got {self.gamma}")
-        if self.halfspace_prefix < 0:
-            raise StepSizeError("halfspace_prefix must be nonnegative")
 
     @classmethod
-    def from_operator(cls, A, b, model=ModelSpec.bp(), *, gamma=None, beta=None,
-                      halfspace_prefix=0):
+    def from_operator(cls, A, b, model=ModelSpec.bp(), *, gamma=None, beta=None):
         """Fill the standard defaults: gamma=1.618, beta=||b||_1/m."""
         gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
         if beta is None:
             b_l1 = float(np.sum(np.abs(b)))
             beta = b_l1 / A.m if b_l1 > 0 else 1.0
-        return cls(beta=float(beta), gamma=gamma, model=model,
-                   halfspace_prefix=int(halfspace_prefix))
+        return cls(beta=float(beta), gamma=gamma, model=model)
 
 
 @dataclass
@@ -91,12 +84,13 @@ class DadmState:
     k: int = 0
 
 
-def _project_dual(v, p):
-    """Project onto the model's dual feasible set, componentwise."""
+def _project_dual(v, A, p):
+    """Project onto the model's dual set, componentwise: Re(z) <= w on A's
+    signal block if the model is nonnegative, |z| <= w everywhere else."""
     w = 1.0 if p.model.weights is None else p.model.weights
-    k = p.halfspace_prefix
-    if k == 0:
+    if not p.model.nonneg:
         return project_linf_ball(v, w)
+    k = A.signal_n
     if k >= v.shape[0]:
         return project_halfspace(v, w)
     w_head = w if np.ndim(w) == 0 else w[:k]
@@ -117,7 +111,7 @@ def dadm_step(state, A, b, p):
     # Division by a scalar is written as a product with its reciprocal: numpy
     # computes complex x / beta that way, so float64 iterates equal the real
     # parts of complex ones bit for bit.
-    z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), p)
+    z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), A, p)
     Az = A.apply(z_new)
     v = Az - (state.Ax - b) * (1.0 / p.beta)
     mu, delta = p.model.mu, p.model.delta
@@ -143,7 +137,7 @@ def dadm_nonorth_step(state, A, b, p):
     mu = p.model.mu
     if p.model.delta > 0:
         raise ConfigError("the steepest-descent dual step supports only the bp and qp models")
-    z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), p)
+    z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), A, p)
     g = mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
     g_sq = float(np.linalg.norm(g) ** 2)
     if g_sq > 0.0:
@@ -170,7 +164,8 @@ def dadm_solve(model, A, b, opts=None):
     The l1/l1 families are rewritten as basis pursuit on the augmented
     operator before iterating; their history rows (relative change,
     residues, objective) then describe the augmented problem, while
-    ``relerr`` and the returned x always live in the original signal space.
+    ``relerr`` and the returned x are its ``signal`` block, in the original
+    signal space.
     Nonnegative models clip Re(x) at zero on output.
 
     On an operator with orthonormal rows each sweep is ``dadm_step``; on any
@@ -186,23 +181,18 @@ def dadm_solve(model, A, b, opts=None):
     if opts.tau is not None:
         raise ConfigError("dadm takes no tau; its step sizes are beta and gamma")
     b = working_data(A, b)
-    solved, signal = model, None
+    solved, op, data = model, A, b
     if model.family == "l1l1":
-        op, data = reformulate_l1l1(A, b, model.nu)
+        op = AugmentedOperator(A, model.nu)
+        data = op.data(b)
         weights = (None if model.weights is None
                    else np.concatenate([model.weights, np.ones(A.m)]))
         solved = ModelSpec.bp(nonneg=model.nonneg, weights=weights)
 
-        def signal(xh):
-            return extract_l1l1(xh, A.n, model.nu)
-    else:
-        op, data = A, b
-
-    params = DadmParams.from_operator(op, data, solved, gamma=opts.gamma, beta=opts.beta,
-                                      halfspace_prefix=A.n if model.nonneg else 0)
+    params = DadmParams.from_operator(op, data, solved, gamma=opts.gamma, beta=opts.beta)
     step = dadm_step if op.orthonormal_rows else dadm_nonorth_step
     zero_n, zero_m = np.zeros(op.n, dtype=data.dtype), np.zeros(op.m, dtype=data.dtype)
     state = DadmState(x=zero_n, y=zero_m, z=zero_n, Ax=zero_m, Aty=zero_n)
     return run_solve("dadm", model.describe(), solved, op, data, opts, state,
                      lambda state, A: step(state, A, data, params),
-                     dual=lambda state, A: (state.y, state.z, state.Aty), signal=signal)
+                     dual=lambda state, A: (state.y, state.z, state.Aty))

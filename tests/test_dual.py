@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from adl1.errors import ConfigError, StepSizeError
 from adl1.harness import NoiseSpec, make_instance
 from adl1.models import ModelSpec, objective_value, relerr
-from adl1.operators import DenseOperator, make_operator
+from adl1.operators import AugmentedOperator, DenseOperator, make_operator
 from adl1.solvers.common import SolverOptions
 from adl1.solvers.dual import (
     GOLDEN_RATIO,
@@ -61,8 +61,6 @@ def test_gamma_bound_is_strict():
     DadmParams(beta=1.0, gamma=GOLDEN_RATIO - 1e-9)
     with pytest.raises(StepSizeError):
         DadmParams(beta=0.0, gamma=1.0)
-    with pytest.raises(StepSizeError):
-        DadmParams(beta=1.0, gamma=1.0, halfspace_prefix=-1)
 
 
 @pytest.mark.parametrize("kind,n,m", [("wht", 64, 16), ("dct", 50, 14)],
@@ -107,7 +105,7 @@ def test_weighted_dual_ball_and_halfspace(rng):
     for _ in range(20):
         state = dadm_step(state, op, b, p)
         assert np.all(np.abs(state.z) <= w * (1 + 1e-12))
-    p2 = DadmParams.from_operator(op, b, halfspace_prefix=32)
+    p2 = DadmParams.from_operator(op, b, ModelSpec.bp(nonneg=True))
     state = _zero_state(12, 32)
     for _ in range(20):
         state = dadm_step(state, op, b, p2)
@@ -264,6 +262,27 @@ def test_nonneg_model_recovers_and_clips(rng):
     assert np.all(run.x.real >= 0)
     assert np.all(run.x.imag == 0)
     assert np.linalg.norm(run.x - x_true) <= 1e-5
+
+
+@pytest.mark.parametrize("model", [ModelSpec.bp(nonneg=True), ModelSpec.l1l1(0.5, nonneg=True)],
+                         ids=["bp", "l1l1"])
+def test_direct_nonneg_sweeps_equal_the_solve(model, rng):
+    # The public step reads nonnegativity from params.model alone: direct
+    # sweeps, clipped at zero, give the solve's x bit for bit.
+    op = make_operator("wht", 32, 12, rng)
+    b = op.apply(rng.standard_normal(32)).real
+    run = dadm_solve(model, op, b, SolverOptions(max_iter=200, tol=0.0))
+    A, data, solved = op, b, model
+    if model.family == "l1l1":
+        A = AugmentedOperator(op, model.nu)
+        data, solved = A.data(b), ModelSpec.bp(nonneg=True)
+    p = DadmParams.from_operator(A, data, solved)
+    state = DadmState(x=np.zeros(A.n), y=np.zeros(A.m), z=np.zeros(A.n),
+                      Ax=np.zeros(A.m), Aty=np.zeros(A.n))
+    for _ in range(200):
+        state = dadm_step(state, A, data, p)
+    assert run.iterations == 200
+    assert np.array_equal(run.x, np.maximum(A.signal(state.x).real, 0.0))
 
 
 def test_qp_duality_gap_closes_at_optimum(rng):

@@ -431,8 +431,8 @@ def test_solve_rejects_nonfinite_scalars(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("where,key", [
     ((), "sed"), (("operator",), "colour"), (("b", "synthetic"), "sigmaa"),
-    (("solver",), "max_itr"), (("b",), "fiel"),
-], ids=["top", "operator", "synthetic", "solver", "b"])
+    (("solver",), "max_itr"), (("b",), "fiel"), (("solver",), "eps"),
+], ids=["top", "operator", "synthetic", "solver", "b", "solver-eps"])
 def test_solve_rejects_unknown_config_keys(tmp_path, capsys, where, key):
     _, cfg = _bp_config(tmp_path)
     block = cfg
@@ -440,6 +440,22 @@ def test_solve_rejects_unknown_config_keys(tmp_path, capsys, where, key):
         block = block[name]
     block[key] = 0.5
     path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "adl1: error (ConfigError)" in err and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block,key", [("model", "nonneg"), ("operator", "orthonormal_rows")])
+def test_solve_refuses_string_booleans(tmp_path, capsys, rng, block, key):
+    # The string "false" is truthy: read as a flag it would switch the option on.
+    write_matrix(tmp_path / "A.bin", make_operator("orthgauss", 32, 12, rng).matrix)
+    cfg = {"operator": {"kind": "dense", "file": str(tmp_path / "A.bin")},
+           "b": {"synthetic": {"k": 2, "seed": 5}}, "model": {"family": "bp"}}
+    cfg[block][key] = "false"
+    path = tmp_path / "strbool.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     assert cli.main(["solve", str(path), "--out", str(out)]) == 1

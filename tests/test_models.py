@@ -1,4 +1,4 @@
-"""Model catalog, metrics, diagnostics, and the l1/l1 reformulation."""
+"""Model catalog, metrics and diagnostics."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from adl1.errors import ConfigError
 from adl1.models import (
     ModelSpec,
     compute_res,
-    extract_l1l1,
     l1_norm,
     objective_value,
-    reformulate_l1l1,
     relchg,
     relerr,
 )
@@ -78,6 +76,12 @@ def test_model_spec_dict_roundtrip():
         ModelSpec.from_dict({"family": "qp", "mu": 0.1, "rho": 2})
     with pytest.raises(ConfigError):
         ModelSpec.from_dict({"mu": 0.1})
+    # The string "false" is truthy: refused, not read as nonneg=True.
+    for value in ("false", 1, None):
+        with pytest.raises(ConfigError, match="nonneg"):
+            ModelSpec.from_dict({"family": "bp", "nonneg": value})
+        with pytest.raises(ConfigError, match="nonneg"):
+            ModelSpec.qp(0.1, nonneg=value)
 
 
 def test_l1_norm_and_objectives():
@@ -172,24 +176,3 @@ def test_compute_res_zero_data_warns():
         d = compute_res(np.ones(2), np.zeros(2), np.zeros(2), a,
                         np.zeros(2, dtype=np.complex128), ModelSpec.bp())
     assert d.r_p == pytest.approx(np.sqrt(2.0))
-
-
-def test_reformulate_l1l1_identities(rng):
-    m, n, nu = 4, 7, 0.6
-    a = DenseOperator(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-    b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    ah, bh = reformulate_l1l1(a, b, nu)
-    assert ah.shape == (m, n + m)
-    assert np.allclose(bh, nu * b / np.sqrt(1 + nu * nu), atol=1e-14)
-    # The lifting (nu x; b - Ax) is feasible for the augmented equality.
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    xh = np.concatenate([nu * x, b - a.apply(x)])
-    assert np.allclose(ah.apply(xh), bh, atol=1e-12)
-    assert np.allclose(extract_l1l1(xh, n, nu), x, atol=1e-14)
-
-
-def test_extract_l1l1_length_guard():
-    with pytest.raises(ValueError):
-        extract_l1l1(np.ones(5), 5, 0.5)
-    with pytest.raises(ValueError):
-        extract_l1l1(np.ones(4), 5, 0.5)

@@ -218,6 +218,32 @@ def test_augmented_operator_keeps_orthonormal_rows(rng):
     assert np.allclose(op.apply(op.adjoint(y)), y, atol=1e-12)
 
 
+def test_augmented_operator_l1l1_identities(rng):
+    m, n, nu = 4, 7, 0.6
+    a = DenseOperator(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    ah = AugmentedOperator(a, nu)
+    bh = ah.data(b)
+    assert ah.shape == (m, n + m)
+    assert np.allclose(bh, nu * b / np.sqrt(1 + nu * nu), atol=1e-14)
+    # The lifting (nu x; b - Ax) is feasible for the augmented equality.
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    xh = np.concatenate([nu * x, b - a.apply(x)])
+    assert np.allclose(ah.apply(xh), bh, atol=1e-12)
+    assert np.allclose(ah.signal(xh), x, atol=1e-14)
+    # The signal block is the first n variables; a plain operator's is all of them.
+    assert ah.signal_n == a.signal_n == n
+    assert a.signal(x) is x
+
+
+def test_augmented_signal_length_guard():
+    ah = AugmentedOperator(DenseOperator(np.ones((2, 5))), 0.5)
+    with pytest.raises(ValueError):
+        ah.signal(np.ones(5))
+    with pytest.raises(ValueError):
+        ah.signal(np.ones(4))
+
+
 def test_augmented_operator_validation(rng):
     base = DenseOperator(_complex(rng, (3, 5)))
     with pytest.raises(ValueError):
