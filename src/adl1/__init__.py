@@ -26,6 +26,6 @@ from .operators import (AugmentedOperator, DenseOperator,
 from .prox import (project_halfspace, project_l2_ball, project_linf_ball,
                    shrink, shrink_l2)
 from .solvers import (SOLVERS, DadmParams, DadmState, FistaState, PadmParams,
-                      PadmState, RunRecord, SolverOptions, dadm_nonorth_step,
-                      dadm_solve, dadm_step, fista_solve, fista_step,
-                      ist_solve, ist_step, padm_solve, padm_step, solve)
+                      PadmState, RunRecord, SolverOptions, dadm_solve,
+                      dadm_step, fista_solve, fista_step, ist_solve, ist_step,
+                      padm_solve, padm_step, solve)

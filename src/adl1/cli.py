@@ -46,6 +46,12 @@ OPERATOR_KEYS = dict(dict.fromkeys(PARTIAL_TRANSFORMS, DRAWN_KEYS + ("rows", "si
                      dense=("kind", "file", "orthonormal_rows"), orthgauss=DRAWN_KEYS)
 SYNTHETIC_KEYS = ("k", "seed", "sigma", "impulse_fraction", "target_snr_db", "field")
 SOLVER_KEYS = ("name", "beta", "gamma", "tau", "tol", "max_iter", "stop")
+# The number keys, in any block. An integer key takes only a JSON integer
+# (12, not 12.0), a real key any JSON number, and neither a bool or a string;
+# "rows" is a list of integers.
+INT_KEYS = ("n", "m", "k", "seed", "sign_seed", "max_iter")
+REAL_KEYS = ("mu", "delta", "nu", "sigma", "impulse_fraction", "target_snr_db",
+             "beta", "gamma", "tau", "tol")
 
 
 def _check_keys(block, known, what):
@@ -53,6 +59,23 @@ def _check_keys(block, known, what):
     if unknown:
         raise ConfigError("unknown %s key %s (known: %s)"
                           % (what, ", ".join(map(repr, unknown)), ", ".join(known)))
+    _check_numbers(block, what)
+
+
+def _check_numbers(block, what):
+    """Refuse a number key whose value JSON does not type as the key needs."""
+    for key, value in block.items():
+        if key == "rows":
+            need = "a list of integers"
+            ok = isinstance(value, list) and all(type(v) is int for v in value)
+        elif key in INT_KEYS:
+            ok, need = type(value) is int, "an integer"
+        elif key in REAL_KEYS:
+            ok, need = type(value) in (int, float), "a number"
+        else:
+            continue
+        if not ok:
+            raise ConfigError("%s: %r must be %s, got %r" % (what, key, need, value))
 
 
 def _load_vector_file(path):
@@ -74,21 +97,21 @@ def _build_operator(spec, default_seed):
         path = spec["file"]
         matrix = read_matrix_csv(path) if path.endswith(".csv") else read_matrix(path)
         return DenseOperator(matrix, orthonormal_rows=orthonormal_rows)
-    n = int(spec["n"])
+    n = spec["n"]
     seed = spec.get("seed", default_seed)
     if "rows" in spec:
         if "signs" in spec and "sign_seed" in spec:
             raise ConfigError("%s operator: give 'signs' or 'sign_seed', not both" % kind)
         rng = np.random.default_rng(spec.get("sign_seed", seed))
         A = make_partial_transform(kind, n, rng, rows=spec["rows"], signs=spec.get("signs"))
-        if int(spec.get("m", A.m)) != A.m:
+        if spec.get("m", A.m) != A.m:
             raise ConfigError("%s operator: m=%s but %d rows given" % (kind, spec["m"], A.m))
         return A
     for key in ("signs", "sign_seed"):
         if key in spec:
             raise ConfigError("%s operator: %r only applies with 'rows' (without them, rows and "
                               "signs are drawn from 'seed')" % (kind, key))
-    return make_operator(kind, n, int(spec["m"]), np.random.default_rng(seed))
+    return make_operator(kind, n, spec["m"], np.random.default_rng(seed))
 
 
 def _build_b(spec, A, default_seed):
@@ -102,7 +125,7 @@ def _build_b(spec, A, default_seed):
         syn = dict(spec["synthetic"])
         _check_keys(syn, SYNTHETIC_KEYS, "b.synthetic")
         rng = np.random.default_rng(syn.pop("seed", default_seed))
-        k, field = int(syn.pop("k")), syn.pop("field", "real")
+        k, field = syn.pop("k"), syn.pop("field", "real")
         b, x_true, _, _ = synthesize(A, k, NoiseSpec(**syn), rng, field=field)
         return b, x_true
     raise ConfigError("b spec needs a 'file' path or a 'synthetic' block")
@@ -118,6 +141,7 @@ def _overridden(spec, flags, names):
 def _build_model(spec, flags):
     spec = _overridden(spec, flags, ("family", "mu", "delta", "nu", "nonneg", "weights"))
     spec.setdefault("family", "bp")
+    _check_numbers(spec, "model")
     if isinstance(spec.get("weights"), str):
         spec["weights"] = np.real(_load_vector_file(spec["weights"]))
     return ModelSpec.from_dict(spec)
@@ -129,9 +153,6 @@ def _build_options(spec, flags):
     _check_keys(spec, SOLVER_KEYS, "solver")
     spec.pop("name", None)
     spec = _overridden(spec, flags, ("beta", "gamma", "tau", "tol", "max_iter", "stop"))
-    for key, cast in (("tol", float), ("max_iter", int)):
-        if key in spec:
-            spec[key] = cast(spec[key])
     return SolverOptions(**spec)
 
 

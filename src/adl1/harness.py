@@ -67,8 +67,22 @@ PROTOCOL_DEFAULTS = {
 }
 PROTOCOLS = tuple(PROTOCOL_DEFAULTS)
 
-CSV_HEADER = ("cell", "solver", "iter", "aat", "relerr_pct", "res", "seconds")
-CSV_HEADER_TRIALS = ("cell", "solver", "trial", "iter", "aat", "relerr_pct", "res", "seconds")
+# The experiment CSV columns as (name, trial-row format, mean-row format).
+# The means CSV groups trial rows by the "%s" columns and averages each other
+# column that has a mean format; "trial" has none.
+CSV_COLUMNS = (
+    ("cell", "%s", "%s"),
+    ("solver", "%s", "%s"),
+    ("trial", "%d", None),
+    ("iter", "%d", "%.4f"),
+    ("aat", "%d", "%.4f"),
+    ("relerr_pct", "%.10e", "%.10e"),
+    ("res", "%.10e", "%.10e"),
+    ("seconds", "%.6f", "%.6f"),
+)
+_TRIAL_FORMATS = [(name, fmt) for name, fmt, _ in CSV_COLUMNS]
+_MEAN_FORMATS = [(name, fmt) for name, _, fmt in CSV_COLUMNS if fmt]
+_MEAN_KEYS = tuple(name for name, fmt in _MEAN_FORMATS if fmt == "%s")
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +282,10 @@ class ExperimentResult:
                 )
         protocol = self.config["protocol"]
         files = {"means": protocol + ".csv"}
-        write_csv(
-            os.path.join(outdir, files["means"]),
-            CSV_HEADER,
-            [_format_mean_row(r) for r in self.mean_rows],
-        )
+        _write_rows(os.path.join(outdir, files["means"]), self.mean_rows, _MEAN_FORMATS)
         if self.trial_rows:
             files["trials"] = protocol + "_trials.csv"
-            write_csv(
-                os.path.join(outdir, files["trials"]),
-                CSV_HEADER_TRIALS,
-                [_format_trial_row(r) for r in self.trial_rows],
-            )
+            _write_rows(os.path.join(outdir, files["trials"]), self.trial_rows, _TRIAL_FORMATS)
         from . import __version__
 
         manifest = {
@@ -300,35 +306,24 @@ class ExperimentResult:
         return manifest
 
 
-def _format_trial_row(r):
-    return (
-        r["cell"], r["solver"], str(r["trial"]), str(r["iter"]), str(r["aat"]),
-        "%.10e" % r["relerr_pct"], "%.10e" % r["res"], "%.6f" % r["seconds"],
-    )
-
-
-def _format_mean_row(r):
-    return (
-        r["cell"], r["solver"], "%.4f" % r["iter"], "%.4f" % r["aat"],
-        "%.10e" % r["relerr_pct"], "%.10e" % r["res"], "%.6f" % r["seconds"],
-    )
+def _write_rows(path, rows, formats):
+    """One CSV of ``rows``: a header of the column names, then each row formatted."""
+    write_csv(path, [name for name, _ in formats],
+              [[fmt % r[name] for name, fmt in formats] for r in rows])
 
 
 def _aggregate(trial_rows):
+    """One mean row per (cell, solver) group, in first-seen order."""
     groups = {}
     for r in trial_rows:
-        groups.setdefault((r["cell"], r["solver"]), []).append(r)
+        groups.setdefault(tuple(r[key] for key in _MEAN_KEYS), []).append(r)
     means = []
-    for (cell, solver), rows in groups.items():
-        means.append({
-            "cell": cell,
-            "solver": solver,
-            "iter": float(np.mean([r["iter"] for r in rows])),
-            "aat": float(np.mean([r["aat"] for r in rows])),
-            "relerr_pct": float(np.mean([r["relerr_pct"] for r in rows])),
-            "res": float(np.mean([r["res"] for r in rows])),
-            "seconds": float(np.mean([r["seconds"] for r in rows])),
-        })
+    for key, rows in groups.items():
+        mean = dict(zip(_MEAN_KEYS, key))
+        for name, _ in _MEAN_FORMATS:
+            if name not in mean:
+                mean[name] = float(np.mean([r[name] for r in rows]))
+        means.append(mean)
     return means
 
 

@@ -2,11 +2,12 @@
 
 Vector files: 16-byte header (8-byte magic ``ADL1VEC1``, little-endian u32
 length, 4 reserved zero bytes) followed by interleaved little-endian float64
-(re, im) pairs. Matrix files use the magic ``ADL1MAT1`` with u32 rows and u32
-cols in the header and column-major interleaved pairs. CSV alternatives exist
-for both so other tools can produce inputs without writing binary. Readers
-keep every float64 bit they decode: signed zeros, infinities and NaN come
-back as stored.
+(re, im) pairs, the layout of numpy's ``<c16`` dtype, which writers and
+readers both use. Matrix files use the magic ``ADL1MAT1`` with u32 rows and
+u32 cols in the header and column-major interleaved pairs. CSV alternatives
+exist for both so other tools can produce inputs without writing binary.
+Readers keep every float64 bit they decode: signed zeros, infinities and NaN
+come back as stored.
 
 ``adl1 solve`` writes two text files beside ``x.bin``:
 
@@ -32,16 +33,13 @@ MATRIX_MAGIC = b"ADL1MAT1"
 
 
 def write_vector(path, x):
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
+    x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
         raise FileFormatError("vector files hold 1-D data, got shape %r" % (x.shape,))
     header = VECTOR_MAGIC + np.uint32(x.size).tobytes() + b"\x00" * 4
-    pairs = np.empty(2 * x.size, dtype="<f8")
-    pairs[0::2] = x.real
-    pairs[1::2] = x.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(pairs.tobytes())
+        fh.write(x.astype("<c16", copy=False).tobytes())
 
 
 def read_vector(path):
@@ -104,13 +102,9 @@ def write_matrix(path, a):
         raise FileFormatError("matrix files hold 2-D data, got shape %r" % (a.shape,))
     m, n = a.shape
     header = MATRIX_MAGIC + np.uint32(m).tobytes() + np.uint32(n).tobytes()
-    col_major = np.asfortranarray(a).ravel(order="F")
-    pairs = np.empty(2 * col_major.size, dtype="<f8")
-    pairs[0::2] = col_major.real
-    pairs[1::2] = col_major.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(pairs.tobytes())
+        fh.write(a.astype("<c16", copy=False).tobytes(order="F"))
 
 
 def read_matrix(path):

@@ -5,16 +5,14 @@ does not use."""
 from ..errors import ConfigError
 from .baselines import FistaState, fista_solve, fista_step, ist_solve, ist_step
 from .common import STOP_RULES, CountingOperator, RunRecord, SolverOptions, run_solve
-from .dual import (GOLDEN_RATIO, DadmParams, DadmState, dadm_nonorth_step,
-                   dadm_solve, dadm_step)
+from .dual import GOLDEN_RATIO, DadmParams, DadmState, dadm_solve, dadm_step
 from .primal import PadmParams, PadmState, padm_solve, padm_step
 
 __all__ = [
     "SOLVERS", "STOP_RULES", "solve",
     "CountingOperator", "RunRecord", "SolverOptions", "run_solve",
     "PadmParams", "PadmState", "padm_step", "padm_solve",
-    "GOLDEN_RATIO", "DadmParams", "DadmState", "dadm_step",
-    "dadm_nonorth_step", "dadm_solve",
+    "GOLDEN_RATIO", "DadmParams", "DadmState", "dadm_step", "dadm_solve",
     "FistaState", "fista_step", "ist_step", "fista_solve", "ist_solve",
 ]
 

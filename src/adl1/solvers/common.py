@@ -42,6 +42,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.stop not in STOP_RULES:
             raise ConfigError(f"stop must be one of {STOP_RULES}, got {self.stop!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ConfigError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
         # Chained comparisons, so that NaN fails them too.

@@ -11,9 +11,9 @@ The y-updates are exact minimizers only when A A* = I, which every partial
 transform operator here satisfies; A x is then maintained by the identity
 A x+ = A x - gamma beta (A z+ - y+) so each sweep costs exactly one forward
 and one adjoint application. On any other operator the method is inexact:
-one steepest-descent step with exact steplength replaces the y-update
-(``dadm_nonorth_step``), at three applications per sweep. The operator's
-``orthonormal_rows`` flag picks the sweep.
+one steepest-descent step with exact steplength replaces the y-update, at
+three applications per sweep. ``dadm_step`` is the one sweep for both; the
+operator's ``orthonormal_rows`` flag picks its y-update.
 
 Each sweep reads its model from ``DadmParams.model``, a ModelSpec. The
 l1/l1 model is solved as basis pursuit on the ``AugmentedOperator``
@@ -37,7 +37,7 @@ from ..prox import project_halfspace, project_linf_ball, shrink_l2
 from .common import SolverOptions, run_solve, working_data
 
 __all__ = ["DadmParams", "DadmState", "GOLDEN_RATIO",
-           "dadm_step", "dadm_nonorth_step", "dadm_solve"]
+           "dadm_step", "dadm_solve"]
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 DEFAULT_GAMMA = 1.618
@@ -100,61 +100,50 @@ def _project_dual(v, A, p):
 
 
 def dadm_step(state, A, b, p):
-    """One exact sweep of the model ``p.model``.
+    """One sweep of the model ``p.model`` on any operator.
 
-    The models differ only in the y-update: qp when mu > 0, bpdn when
-    delta > 0, bp otherwise.
+    The z-projection and the x-update are the same on every operator; the
+    y-update is picked by ``A.orthonormal_rows``. Under A A* = I it is the
+    exact minimizer, which differs by model only (qp when mu > 0, bpdn when
+    delta > 0, bp otherwise), and A x follows by an identity: two
+    applications per sweep. On any other operator it is one steepest-descent
+    step with exact steplength, at three applications; the delta-ball model
+    has no closed steplength there, so bpdn raises ConfigError.
     """
-    if not A.orthonormal_rows:
-        raise StepSizeError("exact dual steps require orthonormal rows (A A* = I); "
-                            "see dadm_nonorth_step for the general-operator variant")
+    exact = A.orthonormal_rows
+    mu, delta = p.model.mu, p.model.delta
+    if not exact and delta > 0:
+        raise ConfigError("the steepest-descent dual step supports only the bp and qp models")
     # Division by a scalar is written as a product with its reciprocal: numpy
     # computes complex x / beta that way, so float64 iterates equal the real
     # parts of complex ones bit for bit.
     z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), A, p)
-    Az = A.apply(z_new)
-    v = Az - (state.Ax - b) * (1.0 / p.beta)
-    mu, delta = p.model.mu, p.model.delta
-    if mu > 0:
-        y_new = (p.beta / (mu + p.beta)) * v
-    elif delta > 0:
-        y_new = shrink_l2(v, delta / p.beta)
-    else:
-        y_new = v
-    Aty_new = A.adjoint(y_new)
-    x_new = state.x - p.gamma * p.beta * (z_new - Aty_new)
-    # Exact under A A* = I; keeps the sweep at two applications.
-    Ax_new = state.Ax - p.gamma * p.beta * (Az - y_new)
-    return DadmState(x=x_new, y=y_new, z=z_new, Ax=Ax_new, Aty=Aty_new, k=state.k + 1)
-
-
-def dadm_nonorth_step(state, A, b, p):
-    """General-operator sweep: steepest descent with exact steplength on y.
-
-    Supports mu >= 0 (bp and qp); the delta-ball model has no closed
-    steplength and is rejected. Costs three operator applications per sweep.
-    """
-    mu = p.model.mu
-    if p.model.delta > 0:
-        raise ConfigError("the steepest-descent dual step supports only the bp and qp models")
-    z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), A, p)
-    g = mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
-    g_sq = float(np.linalg.norm(g) ** 2)
-    if g_sq > 0.0:
-        Atg = A.adjoint(g)
-        denom = mu * g_sq + p.beta * float(np.linalg.norm(Atg) ** 2)
-        if denom > 0.0:
-            alpha = g_sq / denom
-            y_new = state.y - alpha * g
-            Aty_new = state.Aty - alpha * Atg
+    if exact:
+        Az = A.apply(z_new)
+        v = Az - (state.Ax - b) * (1.0 / p.beta)
+        if mu > 0:
+            y_new = (p.beta / (mu + p.beta)) * v
+        elif delta > 0:
+            y_new = shrink_l2(v, delta / p.beta)
         else:
-            # g lies in the null space of A* with mu = 0: no curvature along
-            # it, leave y alone rather than taking an unbounded step.
-            y_new, Aty_new = state.y, state.Aty
+            y_new = v
+        Aty_new = A.adjoint(y_new)
     else:
+        g = mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
+        g_sq = float(np.linalg.norm(g) ** 2)
+        # y stays when g = 0, or when g lies in the null space of A* with
+        # mu = 0: no curvature along it, so no bounded step.
         y_new, Aty_new = state.y, state.Aty
+        if g_sq > 0.0:
+            Atg = A.adjoint(g)
+            denom = mu * g_sq + p.beta * float(np.linalg.norm(Atg) ** 2)
+            if denom > 0.0:
+                alpha = g_sq / denom
+                y_new = state.y - alpha * g
+                Aty_new = state.Aty - alpha * Atg
     x_new = state.x - p.gamma * p.beta * (z_new - Aty_new)
-    Ax_new = A.apply(x_new)
+    # Exact under A A* = I; keeps that sweep at two applications.
+    Ax_new = state.Ax - p.gamma * p.beta * (Az - y_new) if exact else A.apply(x_new)
     return DadmState(x=x_new, y=y_new, z=z_new, Ax=Ax_new, Aty=Aty_new, k=state.k + 1)
 
 
@@ -168,10 +157,10 @@ def dadm_solve(model, A, b, opts=None):
     signal space.
     Nonnegative models clip Re(x) at zero on output.
 
-    On an operator with orthonormal rows each sweep is ``dadm_step``; on any
-    other it is the inexact ``dadm_nonorth_step``, which takes the bp and qp
-    models (and l1/l1, solved as bp) and raises ConfigError for bpdn. No
-    dual step takes ``opts.tau``, so it raises ConfigError too.
+    Each sweep is ``dadm_step``: exact on an operator with orthonormal rows,
+    inexact on any other, where it takes the bp and qp models (and l1/l1,
+    solved as bp) and raises ConfigError for bpdn. No dual step takes
+    ``opts.tau``, so it raises ConfigError too.
 
     Returns
     -------
@@ -190,9 +179,8 @@ def dadm_solve(model, A, b, opts=None):
         solved = ModelSpec.bp(nonneg=model.nonneg, weights=weights)
 
     params = DadmParams.from_operator(op, data, solved, gamma=opts.gamma, beta=opts.beta)
-    step = dadm_step if op.orthonormal_rows else dadm_nonorth_step
     zero_n, zero_m = np.zeros(op.n, dtype=data.dtype), np.zeros(op.m, dtype=data.dtype)
     state = DadmState(x=zero_n, y=zero_m, z=zero_n, Ax=zero_m, Aty=zero_n)
     return run_solve("dadm", model.describe(), solved, op, data, opts, state,
-                     lambda state, A: step(state, A, data, params),
+                     lambda state, A: dadm_step(state, A, data, params),
                      dual=lambda state, A: (state.y, state.z, state.Aty))

@@ -14,7 +14,6 @@ from adl1.solvers.dual import (
     GOLDEN_RATIO,
     DadmParams,
     DadmState,
-    dadm_nonorth_step,
     dadm_solve,
     dadm_step,
 )
@@ -306,7 +305,8 @@ def test_nonorth_step_equals_exact_step_on_orthonormal_rows(rng):
     state.Ax = op.apply(state.x)
     state.Aty = op.adjoint(state.y)
     exact = dadm_step(state, op, b, p)
-    descent = dadm_nonorth_step(state, op, b, p)
+    # The same matrix without the flag takes the steepest-descent y-update.
+    descent = dadm_step(state, DenseOperator(materialize(op), orthonormal_rows=False), b, p)
     assert np.allclose(exact.x, descent.x, atol=1e-12)
     assert np.allclose(exact.y, descent.y, atol=1e-12)
 
@@ -335,10 +335,34 @@ def test_solver_options_reject_nonfinite_scalars(kwargs):
         SolverOptions(**kwargs)
 
 
-def test_nonorth_step_rejects_delta_ball():
+@pytest.mark.parametrize("max_iter", [2.9, 3.0, True, "3"])
+def test_solver_options_refuse_a_non_integer_max_iter(max_iter):
+    with pytest.raises(ConfigError, match="max_iter"):
+        SolverOptions(max_iter=max_iter)
+
+
+def test_nonorth_step_rejects_delta_ball(rng):
     p = DadmParams(beta=1.0, gamma=1.0, model=ModelSpec.bpdn(0.5))
+    op = DenseOperator(rng.standard_normal((3, 6)).astype(np.complex128))
     with pytest.raises(ConfigError):
-        dadm_nonorth_step(_zero_state(3, 6), None, np.zeros(3, np.complex128), p)
+        dadm_step(_zero_state(3, 6), op, np.zeros(3, np.complex128), p)
+
+
+@pytest.mark.parametrize("model", [ModelSpec.bp(), ModelSpec.qp(0.1)], ids=["bp", "qp"])
+def test_direct_sweeps_on_a_general_operator_equal_the_solve(model, rng):
+    # dadm_step takes the inexact y-update itself on an operator without
+    # orthonormal rows: direct sweeps give the solve's iterate bit for bit.
+    a = rng.standard_normal((12, 32))
+    op = DenseOperator(a / np.linalg.norm(a, 2))
+    b = op.apply(rng.standard_normal(32)).real
+    run = dadm_solve(model, op, b, SolverOptions(max_iter=200, tol=0.0))
+    p = DadmParams.from_operator(op, b, model)
+    state = DadmState(x=np.zeros(32), y=np.zeros(12), z=np.zeros(32),
+                      Ax=np.zeros(12), Aty=np.zeros(32))
+    for _ in range(200):
+        state = dadm_step(state, op, b, p)
+    assert run.iterations == 200 and run.aat == 3 * 200
+    assert np.array_equal(run.x, state.x)
 
 
 def test_matvec_accounting(rng):

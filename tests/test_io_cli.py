@@ -9,6 +9,7 @@ reproducibility contract of the benchmark harness.
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -135,6 +136,22 @@ def _pairs(values):
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_binary_writers_lay_out_the_documented_bytes(tmp_path):
+    # Built by hand, so a writer and a reader that agreed on another entry
+    # order (row-major, say) would fail here.
+    x = np.array([complex(1.5, -0.0), complex(np.nan, 2.0), complex(-3.0, 0.25)])
+    want = b"ADL1VEC1" + struct.pack("<II", 3, 0)
+    want += b"".join(struct.pack("<dd", v.real, v.imag) for v in x)
+    write_vector(tmp_path / "v.bin", x)
+    assert (tmp_path / "v.bin").read_bytes() == want
+    a = np.array([[1.0, complex(-0.0, 1.0), 2.0], [np.nan, complex(3.0, -4.0), -5.0]])
+    want = b"ADL1MAT1" + struct.pack("<II", 2, 3)
+    want += b"".join(struct.pack("<dd", a[i, j].real, a[i, j].imag)
+                     for j in range(3) for i in range(2))
+    write_matrix(tmp_path / "a.bin", a)
+    assert (tmp_path / "a.bin").read_bytes() == want
 
 
 def _write_matrix_csv(path, a):
@@ -461,6 +478,33 @@ def test_solve_refuses_string_booleans(tmp_path, capsys, rng, block, key):
     assert cli.main(["solve", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "adl1: error (ConfigError)" in err and repr(key) in err
+    assert not out.exists()
+
+
+# Mistyped numbers, each in a wht 32x12 synthetic config, and the key named.
+MISTYPED_NUMBERS = {
+    "max_iter-and-tol": ({"solver": {"max_iter": 2.9, "tol": "1e-12"}}, "max_iter"),
+    "k": ({"b": {"synthetic": {"k": 2.7}}}, "k"),
+    "rows": ({"operator": {"kind": "wht", "n": 32, "rows": [1.5, 2.9, 7]}}, "rows"),
+    "mu": ({"model": {"family": "qp", "mu": "0.1"}}, "mu"),
+    "seed": ({"seed": 2.5}, "seed"),
+    "beta": ({"solver": {"beta": "2"}}, "beta"),
+    "sigma": ({"b": {"synthetic": {"k": 2, "sigma": "0.1"}}}, "sigma"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISTYPED_NUMBERS))
+def test_solve_refuses_mistyped_numbers(tmp_path, capsys, case):
+    override, key = MISTYPED_NUMBERS[case]
+    cfg = dict({"operator": {"kind": "wht", "n": 32, "m": 12},
+                "b": {"synthetic": {"k": 2}}}, **override)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("adl1: error (ConfigError)")
+    assert repr(key) in err[0]
     assert not out.exists()
 
 
