@@ -47,11 +47,13 @@ OPERATOR_KEYS = dict(dict.fromkeys(PARTIAL_TRANSFORMS, DRAWN_KEYS + ("rows", "si
 SYNTHETIC_KEYS = ("k", "seed", "sigma", "impulse_fraction", "target_snr_db", "field")
 SOLVER_KEYS = ("name", "beta", "gamma", "tau", "tol", "max_iter", "stop")
 # The number keys, in any block. An integer key takes only a JSON integer
-# (12, not 12.0), a real key any JSON number, and neither a bool or a string;
-# "rows" is a list of integers.
+# (12, not 12.0), a real key any JSON number, and neither a bool, a string or
+# null; "rows" is a list of integers, "signs" a list of numbers, and
+# "weights" a list of numbers or a file path.
 INT_KEYS = ("n", "m", "k", "seed", "sign_seed", "max_iter")
 REAL_KEYS = ("mu", "delta", "nu", "sigma", "impulse_fraction", "target_snr_db",
              "beta", "gamma", "tau", "tol")
+REAL_LIST_KEYS = ("signs", "weights")
 
 
 def _check_keys(block, known, what):
@@ -68,6 +70,9 @@ def _check_numbers(block, what):
         if key == "rows":
             need = "a list of integers"
             ok = isinstance(value, list) and all(type(v) is int for v in value)
+        elif key in REAL_LIST_KEYS and not (key == "weights" and isinstance(value, str)):
+            need = "a list of numbers"
+            ok = isinstance(value, list) and all(type(v) in (int, float) for v in value)
         elif key in INT_KEYS:
             ok, need = type(value) is int, "an integer"
         elif key in REAL_KEYS:

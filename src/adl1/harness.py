@@ -415,7 +415,7 @@ def _error_vs_optimality(cfg):
         inst = make_instance(cfg["kind"], cfg["n"], cfg["m"], cfg["k"], _CASE_NOISE[case], ss,
                              field=cfg["field"])
         for solver in cfg["solvers"]:
-            opts = replace(_options(cfg), x_true=inst.x_true)
+            opts = replace(_options(cfg), history=True, x_true=inst.x_true)
             t0 = time.perf_counter()
             rec = solve(solver, ModelSpec.bp(), inst.A, inst.b, opts)
             dt = time.perf_counter() - t0

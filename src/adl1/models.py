@@ -223,12 +223,47 @@ def relres(A, b, x):
     return float(r / nb) if nb > 0 else float(r)
 
 
+def residues(x, y, z, A, b, model, *, misfit, Aty, b_norm, x_l1=None):
+    """(r_p, r_d, gap, res) of the iterate, NaN where they do not apply.
+
+    ``misfit`` is Ax - b. r_p needs the multiplier y; r_d, gap and res need
+    the dual auxiliary z too, and the gap needs mu > 0 and the iterate's
+    (weighted) l1 norm ``x_l1``, computed here when omitted.
+    """
+    mu, delta = model.mu, model.delta
+    r_p = r_d = gap = res = np.nan
+    if y is not None:
+        if mu > 0:
+            rp_norm = float(np.linalg.norm(misfit + mu * y))
+        elif delta > 0:
+            rp_norm = max(0.0, float(np.linalg.norm(misfit)) - delta)
+        else:
+            rp_norm = float(np.linalg.norm(misfit))
+        r_p = rp_norm / b_norm
+    if z is not None:
+        r_d = float(np.linalg.norm(Aty - z)) / np.sqrt(A.m)
+        if mu > 0:
+            if x_l1 is None:
+                x_l1 = l1_norm(x, model.weights)
+            y_sq = float(np.linalg.norm(y) ** 2)
+            delta_gap = float(np.real(np.vdot(b, y))) - mu * y_sq - x_l1
+            f_p = x_l1 + 0.5 * mu * y_sq
+            gap = abs(delta_gap) / (f_p if f_p > 0 else 1.0)
+            res = max(r_p, r_d, gap)
+        else:
+            res = max(r_p, r_d)
+    return r_p, r_d, gap, res
+
+
 def compute_res(x, y, z, A, b, model, *, Ax=None, Aty=None, x_prev=None, b_norm=None):
     """Optimality diagnostics for a primal-dual iterate (x, y, z) of ``model``.
 
-    Every solver's per-iteration history row is computed here. Its
-    ``relerr`` is NaN: ground truth is not an optimality measure, and
-    ``run_solve`` fills it only for a solve given ``x_true`` (err-vs-opt's).
+    The row is ``residues``, ``relchg`` and the objective. ``run_solve``
+    builds one at the final iterate, and one per sweep for a solve that
+    asks for its history; each sweep's stop test calls ``residues`` or
+    ``relchg`` alone. The row's ``relerr`` is NaN: ground truth is not an
+    optimality measure, and ``run_solve`` fills it only for a solve given
+    ``x_true`` (err-vs-opt's).
 
     Parameters
     ----------
@@ -262,38 +297,17 @@ def compute_res(x, y, z, A, b, model, *, Ax=None, Aty=None, x_prev=None, b_norm=
         Residues are relative; when ||b|| = 0 the primal residue falls back
         to the absolute norm with a warning.
     """
-    mu, delta = model.mu, model.delta
     if Ax is None:
         Ax = A.apply(x)
     misfit = Ax - b
-    r_p = r_d = gap = res = np.nan
-    if y is not None:
-        if b_norm is None:
-            b_norm = data_norm(b)
-        if mu > 0:
-            rp_norm = float(np.linalg.norm(misfit + mu * y))
-        elif delta > 0:
-            rp_norm = max(0.0, float(np.linalg.norm(misfit)) - delta)
-        else:
-            rp_norm = float(np.linalg.norm(misfit))
-        r_p = rp_norm / b_norm
-
-    x_l1 = l1_norm(x, model.weights)
-    if z is not None:
-        if Aty is None:
-            Aty = A.adjoint(y)
-        r_d = float(np.linalg.norm(Aty - z)) / np.sqrt(A.m)
-        if mu > 0:
-            y_sq = float(np.linalg.norm(y) ** 2)
-            delta_gap = float(np.real(np.vdot(b, y))) - mu * y_sq - x_l1
-            f_p = x_l1 + 0.5 * mu * y_sq
-            gap = abs(delta_gap) / (f_p if f_p > 0 else 1.0)
-            res = max(r_p, r_d, gap)
-        else:
-            res = max(r_p, r_d)
+    if y is not None and b_norm is None:
+        b_norm = data_norm(b)
+    if z is not None and Aty is None:
+        Aty = A.adjoint(y)
+    mu, x_l1 = model.mu, l1_norm(x, model.weights)
+    r_p, r_d, gap, res = residues(x, y, z, A, b, model, misfit=misfit, Aty=Aty, b_norm=b_norm,
+                                  x_l1=x_l1)
     objective = x_l1 + 0.5 * float(np.linalg.norm(misfit) ** 2) / mu if mu > 0 else x_l1
-
     chg = relchg(x, x_prev) if x_prev is not None else np.nan
     return Diagnostics(r_p=r_p, r_d=r_d, gap=gap, res=res,
                        relchg=chg, objective=objective, relerr=np.nan)
-

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DivergenceError
-from ..models import Diagnostics, compute_res, data_norm, relerr
+from ..models import Diagnostics, compute_res, data_norm, relchg, relerr, residues
 from ..operators import as_complex_vector
 
 __all__ = ["STOP_RULES", "SolverOptions", "RunRecord", "CountingOperator", "working_data",
@@ -25,10 +25,13 @@ class SolverOptions:
     beta/gamma/tau default to None, meaning "use the solver's standard rule"
     (penalty from ||b||_1, steplengths from the published defaults); a solver
     raises ConfigError for one it does not use. The solve stops once the
-    diagnostics field ``stop`` names is below ``tol``. ``x_true`` is optional
-    instrumentation; each history row then carries the relative error
-    against it (percent). Only err-vs-opt, which plots that error per
-    iteration, passes it: every other caller scores the returned ``x``.
+    diagnostics field ``stop`` names is below ``tol``; each sweep computes
+    that field alone. ``history=True`` records a full diagnostics row at
+    every sweep; otherwise the record holds one, at the final iterate.
+    ``x_true`` is optional instrumentation; each recorded row then carries
+    the relative error against it (percent). Only err-vs-opt, which plots
+    that error per iteration, sets either: every other caller scores the
+    returned ``x``.
     """
 
     beta: float | None = None
@@ -37,11 +40,14 @@ class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 1000
     stop: str = "relchg"
+    history: bool = False
     x_true: np.ndarray | None = None
 
     def __post_init__(self):
         if self.stop not in STOP_RULES:
             raise ConfigError(f"stop must be one of {STOP_RULES}, got {self.stop!r}")
+        if not isinstance(self.history, bool):
+            raise ConfigError(f"'history' must be true or false, got {self.history!r}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ConfigError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
@@ -64,8 +70,10 @@ class RunRecord:
     solvers on an orthonormal-rows operator, 3 for the dual solver's inexact
     sweep on any other. Spectral setup is memoized on the operator and
     final-quality metrics are recomputed by callers, so neither is charged
-    here. ``history[k]`` describes iterate k+1; ``aat_history[k]`` is the
-    cumulative count after that iteration.
+    here. ``aat_history[k]`` is the cumulative count after iteration k+1.
+    With ``SolverOptions.history`` set, ``history[k]`` describes iterate
+    k+1; otherwise ``history`` holds one row, the final iterate's, so
+    ``final()`` is the same either way.
     """
 
     solver: str
@@ -127,9 +135,9 @@ def check_finite(x, y, k):
 
     y is the multiplier, or None for a method without one.
     """
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DivergenceError(f"primal iterate became nonfinite at iteration {k}")
-    if y is not None and not np.all(np.isfinite(y)):
+    if y is not None and not np.isfinite(y).all():
         raise DivergenceError(f"multiplier became nonfinite at iteration {k}")
 
 
@@ -154,11 +162,16 @@ def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None):
     """Run the solve loop shared by every solver and return its RunRecord.
 
     Each sweep steps, checks that the new iterate and multiplier are finite
-    (DivergenceError otherwise), diagnoses them through ``compute_res``,
-    records the diagnostics and the running ``aat``, and stops when
-    ``opts.stop`` is met or after ``opts.max_iter`` sweeps. Given
-    ``opts.x_true`` (only err-vs-opt passes it), each row's ``relerr`` is
-    the error of the sweep's signal estimate ``A.signal(x)`` against it.
+    (DivergenceError otherwise), computes the one diagnostics field
+    ``opts.stop`` names, records the running ``aat``, and stops when that
+    field is below ``opts.tol`` or after ``opts.max_iter`` sweeps. The field
+    is ``relchg`` alone, or under ``stop="res"`` the ``residues`` (the gap
+    only when mu > 0): the functions ``compute_res`` calls, so it equals the
+    full row's bit for bit. ``compute_res`` builds one full row at the final
+    iterate, or one per sweep under ``opts.history``. Given
+    ``opts.x_true`` (only err-vs-opt passes it), each recorded row's
+    ``relerr`` is the error of the sweep's signal estimate ``A.signal(x)``
+    against it.
 
     Parameters
     ----------
@@ -167,8 +180,8 @@ def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None):
         record.
     model : ModelSpec
         The model the iteration solves: the caller's, or for the l1/l1
-        model the basis pursuit on the augmented pair. ``compute_res``
-        reads its terms, and its ``nonneg`` clips the returned signal.
+        model the basis pursuit on the augmented pair. The diagnostics read
+        its terms, and its ``nonneg`` clips the returned signal.
     A, b
         Operator and data the iteration works on (the augmented pair for
         the l1/l1 model). A is wrapped here to count applications, and its
@@ -192,6 +205,19 @@ def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None):
     # Once per solve, so a zero-data warning fires once, not every sweep.
     b_norm = None if dual is None else data_norm(b)
 
+    def row(state, x_prev, y, z, Aty):
+        diag = compute_res(state.x, y, z, counting, b, model,
+                           Ax=state.Ax, Aty=Aty, x_prev=x_prev, b_norm=b_norm)
+        if opts.x_true is not None:
+            diag.relerr = relerr(A.signal(state.x), opts.x_true)
+        return diag
+
+    def stop_field(state, x_prev, y, z, Aty):
+        if opts.stop == "relchg":
+            return relchg(state.x, x_prev)
+        return residues(state.x, y, z, counting, b, model, misfit=state.Ax - b, Aty=Aty,
+                        b_norm=b_norm)[3]
+
     history, aat_history = [], []
     status = "max_iter"
     for _ in range(opts.max_iter):
@@ -199,15 +225,14 @@ def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None):
         state = step(state, counting)
         y, z, Aty = (None, None, None) if dual is None else dual(state, counting)
         check_finite(state.x, y, state.k)
-        diag = compute_res(state.x, y, z, counting, b, model,
-                           Ax=state.Ax, Aty=Aty, x_prev=x_prev, b_norm=b_norm)
-        if opts.x_true is not None:
-            diag.relerr = relerr(A.signal(state.x), opts.x_true)
-        history.append(diag)
+        if opts.history:
+            history.append(row(state, x_prev, y, z, Aty))
         aat_history.append(counting.count)
-        if getattr(diag, opts.stop) < opts.tol:
+        if stop_field(state, x_prev, y, z, Aty) < opts.tol:
             status = "converged"
             break
+    if not opts.history:
+        history.append(row(state, x_prev, y, z, Aty))
 
     x = A.signal(state.x)
     x = np.maximum(x.real, 0.0) if model.nonneg else x

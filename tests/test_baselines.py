@@ -102,7 +102,7 @@ def test_plain_variant_descends_monotonically(rng):
     # tau = 1 = 1/lambda_max majorizes the smooth part, so the plain
     # iteration never increases the objective.
     op, b = _instance(rng, m=12, n=30, k=5)
-    run = ist_solve(ModelSpec.qp(0.1), op, b, SolverOptions(max_iter=300, tol=0.0))
+    run = ist_solve(ModelSpec.qp(0.1), op, b, SolverOptions(max_iter=300, tol=0.0, history=True))
     objs = np.array([h.objective for h in run.history])
     assert np.all(np.diff(objs) <= 1e-12 * np.maximum(1.0, objs[:-1]))
 
@@ -139,8 +139,9 @@ def test_solve_runs_the_named_solver_bit_for_bit(rng):
     op, b = _instance(rng)
     model = ModelSpec.qp(0.05)
     for name in SOLVERS:
-        direct = getattr(adl1.solvers, name + "_solve")(model, op, b, SolverOptions(max_iter=25))
-        via = solve(name, model, op, b, SolverOptions(max_iter=25))
+        opts = SolverOptions(max_iter=25, history=True)
+        direct = getattr(adl1.solvers, name + "_solve")(model, op, b, opts)
+        via = solve(name, model, op, b, opts)
         assert (via.solver, via.status, via.iterations, via.aat) == \
             (name, direct.status, direct.iterations, direct.aat)
         assert np.array_equal(via.x.view(np.int64), direct.x.view(np.int64))

@@ -341,6 +341,12 @@ def test_solver_options_refuse_a_non_integer_max_iter(max_iter):
         SolverOptions(max_iter=max_iter)
 
 
+@pytest.mark.parametrize("history", [1, 0, "false", None])
+def test_solver_options_refuse_a_non_bool_history(history):
+    with pytest.raises(ConfigError, match="history"):
+        SolverOptions(history=history)
+
+
 def test_nonorth_step_rejects_delta_ball(rng):
     p = DadmParams(beta=1.0, gamma=1.0, model=ModelSpec.bpdn(0.5))
     op = DenseOperator(rng.standard_normal((3, 6)).astype(np.complex128))
@@ -384,7 +390,7 @@ def test_history_carries_relerr_when_truth_given(rng):
     op = make_operator("wht", 64, 24, rng)
     x_true, b = _sparse_instance(op, 5, rng)
     run = dadm_solve(ModelSpec.bp(), op, b,
-                     SolverOptions(max_iter=200, tol=1e-10, x_true=x_true))
+                     SolverOptions(max_iter=200, tol=1e-10, history=True, x_true=x_true))
     assert len(run.history) == run.iterations == len(run.aat_history)
     errs = [h.relerr for h in run.history]
     assert np.all(np.isfinite(errs))

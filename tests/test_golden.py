@@ -212,7 +212,7 @@ def _history_digest(A, b, x_true, solver):
         if model.weights is not None:
             model = dataclasses.replace(model, weights=model.weights[:A.n])
         for stop in STOP_RULES:
-            opts = SolverOptions(tol=1e-3, max_iter=30, stop=stop,
+            opts = SolverOptions(tol=1e-3, max_iter=30, stop=stop, history=True,
                                  x_true=x_true if stop == "res" else None)
             try:
                 rec = solve(solver, model, A, b, opts)
@@ -232,3 +232,33 @@ def test_solve_histories_are_pinned():
     got = {(name, solver): _history_digest(*data, solver)
            for name, data in _history_instances().items() for solver in SOLVERS}
     assert got == HISTORY_DIGESTS
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("max_iter", [30, 300])
+def test_lean_solves_equal_full_history_solves(solver, max_iter):
+    # A solve computes only its stop field per sweep, and one full row at the
+    # end; recording every row must not move a bit of what it returns. At the
+    # digests' 30 sweeps nearly every solve hits its cap; at 300 most stop
+    # on their rule.
+    for A, b, x_true in _history_instances().values():
+        for model in HISTORY_MODELS:
+            if model.weights is not None:
+                model = dataclasses.replace(model, weights=model.weights[:A.n])
+            for stop in STOP_RULES:
+                opts = SolverOptions(tol=1e-3, max_iter=max_iter, stop=stop, x_true=x_true)
+                try:
+                    lean = solve(solver, model, A, b, opts)
+                except AdlError:
+                    continue
+                full = solve(solver, model, A, b, dataclasses.replace(opts, history=True))
+                assert (lean.status, lean.iterations, lean.aat, lean.aat_history) == (
+                    full.status, full.iterations, full.aat, full.aat_history)
+                assert np.array_equal(lean.x.view(np.int64), full.x.view(np.int64))
+                assert len(lean.history) == 1 and len(full.history) == full.iterations
+                assert np.array_equal(_bits(dataclasses.astuple(lean.final())),
+                                      _bits(dataclasses.astuple(full.final())))

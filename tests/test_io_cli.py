@@ -490,6 +490,12 @@ MISTYPED_NUMBERS = {
     "seed": ({"seed": 2.5}, "seed"),
     "beta": ({"solver": {"beta": "2"}}, "beta"),
     "sigma": ({"b": {"synthetic": {"k": 2, "sigma": "0.1"}}}, "sigma"),
+    "weights": ({"model": {"family": "bp", "weights": ["2", True] + [1] * 30}}, "weights"),
+    "signs": ({"operator": {"kind": "wht", "n": 32, "rows": list(range(12)),
+                            "signs": ["-1", True] + [1.0] * 30}}, "signs"),
+    "weights-null": ({"model": {"family": "bp", "weights": None}}, "weights"),
+    "signs-null": ({"operator": {"kind": "wht", "n": 32, "rows": list(range(12)),
+                                 "signs": None}}, "signs"),
 }
 
 

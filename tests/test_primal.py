@@ -163,7 +163,7 @@ def test_solve_reaches_oracle_solution(rng):
     b = rng.standard_normal(5)
     mu = 0.25
     xt, val = qp_oracle(a, b, mu)
-    opts = SolverOptions(tol=1e-14, max_iter=5000)
+    opts = SolverOptions(tol=1e-14, max_iter=5000, history=True)
     run = padm_solve(ModelSpec.qp(mu), op, b.astype(np.complex128), opts)
     assert run.converged
     assert np.linalg.norm(run.x - xt) <= 1e-6 * max(1.0, np.linalg.norm(xt))

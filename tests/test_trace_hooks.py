@@ -49,7 +49,10 @@ def test_cli_solve_records_one_solver_span(tracer_module, tmp_path):
     solves = {s: metrics["solvers.%s.solves" % s] for s in tracer_module.SOLVERS}
     assert solves == {"padm": 0, "dadm": 1, "ist": 0, "fista": 0}
     assert metrics["operators.apply.calls"] >= 1
-    assert metrics["models.compute_res.calls"] == metrics["solvers.dadm.iterations"]
+    # each sweep computes only its stop field, relchg; one full row, at the
+    # final iterate, computes every field
+    assert metrics["models.compute_res.calls"] == 1
+    assert metrics["models.relchg.calls"] == metrics["solvers.dadm.iterations"] + 1
     # the returned x is scored once, for run.json; no sweep is scored
     assert metrics["models.relerr.calls"] == 1
 
