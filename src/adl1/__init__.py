@@ -17,8 +17,7 @@ from .harness import (ExperimentConfig, ExperimentResult, MODEL_FAMILIES,
 from .io import (canonical_json, config_hash, read_matrix, read_matrix_csv,
                  read_vector, read_vector_csv, write_matrix, write_vector,
                  write_vector_csv)
-from .models import (Diagnostics, ModelSpec, compute_res, l1_norm,
-                     objective_value, relchg, relerr)
+from .models import Diagnostics, ModelSpec, compute_res, l1_norm, relchg, relerr
 from .operators import (AugmentedOperator, DenseOperator,
                         PartialDCTOperator, PartialWalshHadamardOperator,
                         SensingOperator, as_complex_vector,
@@ -27,5 +26,5 @@ from .prox import (project_halfspace, project_l2_ball, project_linf_ball,
                    shrink, shrink_l2)
 from .solvers import (SOLVERS, DadmParams, DadmState, FistaState, PadmParams,
                       PadmState, RunRecord, SolverOptions, dadm_solve,
-                      dadm_step, fista_solve, fista_step, ist_solve, ist_step,
-                      padm_solve, padm_step, solve)
+                      dadm_step, fista_solve, ist_solve, padm_solve, padm_step,
+                      prox_grad_step, solve)

@@ -32,7 +32,6 @@ __all__ = [
     "relchg",
     "relerr",
     "l1_norm",
-    "objective_value",
 ]
 
 FAMILIES = ("bp", "bpdn", "qp", "l1l1")
@@ -146,20 +145,6 @@ def l1_norm(x, weights=None):
     return float(np.dot(weights, mag))
 
 
-def objective_value(model, A, b, x, Ax=None):
-    """Objective of ``model`` at x. ``Ax`` may be passed to avoid a matvec."""
-    val = l1_norm(x, model.weights)
-    if model.family in ("qp", "l1l1"):
-        if Ax is None:
-            Ax = A.apply(x)
-        misfit = Ax - b
-        if model.family == "qp":
-            val += float(np.linalg.norm(misfit) ** 2) / (2.0 * model.mu)
-        else:
-            val += float(np.sum(np.abs(misfit))) / model.nu
-    return float(val)
-
-
 @dataclass
 class Diagnostics:
     """Optimality residues and progress measures at one iterate.
@@ -255,7 +240,7 @@ def residues(x, y, z, A, b, model, *, misfit, Aty, b_norm, x_l1=None):
     return r_p, r_d, gap, res
 
 
-def compute_res(x, y, z, A, b, model, *, Ax=None, Aty=None, x_prev=None, b_norm=None):
+def compute_res(x, y, z, A, b, model, *, Ax, Aty, b_norm, x_prev=None):
     """Optimality diagnostics for a primal-dual iterate (x, y, z) of ``model``.
 
     The row is ``residues``, ``relchg`` and the objective. ``run_solve``
@@ -285,25 +270,18 @@ def compute_res(x, y, z, A, b, model, *, Ax=None, Aty=None, x_prev=None, b_norm=
         dist(Ax, delta-ball around b) / ||b||. ``weights`` weight the l1
         term.
     Ax, Aty : ndarray, keyword
-        Cached products A x and A* y; computed when omitted.
+        The products A x and A* y (Aty may be None when z is).
+    b_norm : float, keyword
+        ``data_norm(b)``, computed once per solve (may be None when y is).
     x_prev : ndarray, keyword
         Fills ``relchg`` when given.
-    b_norm : float, keyword
-        ``data_norm(b)``, when the caller computed it once for many iterates.
 
     Returns
     -------
     Diagnostics
-        Residues are relative; when ||b|| = 0 the primal residue falls back
-        to the absolute norm with a warning.
+        Residues are relative to ``b_norm``.
     """
-    if Ax is None:
-        Ax = A.apply(x)
     misfit = Ax - b
-    if y is not None and b_norm is None:
-        b_norm = data_norm(b)
-    if z is not None and Aty is None:
-        Aty = A.adjoint(y)
     mu, x_l1 = model.mu, l1_norm(x, model.weights)
     r_p, r_d, gap, res = residues(x, y, z, A, b, model, misfit=misfit, Aty=Aty, b_norm=b_norm,
                                   x_l1=x_l1)

@@ -3,7 +3,7 @@ A, b, opts=None)`` for a name in SOLVERS, and refuses the models and options it
 does not use."""
 
 from ..errors import ConfigError
-from .baselines import FistaState, fista_solve, fista_step, ist_solve, ist_step
+from .baselines import FistaState, fista_solve, ist_solve, prox_grad_step
 from .common import STOP_RULES, CountingOperator, RunRecord, SolverOptions, run_solve
 from .dual import GOLDEN_RATIO, DadmParams, DadmState, dadm_solve, dadm_step
 from .primal import PadmParams, PadmState, padm_solve, padm_step
@@ -13,7 +13,7 @@ __all__ = [
     "CountingOperator", "RunRecord", "SolverOptions", "run_solve",
     "PadmParams", "PadmState", "padm_step", "padm_solve",
     "GOLDEN_RATIO", "DadmParams", "DadmState", "dadm_step", "dadm_solve",
-    "FistaState", "fista_step", "ist_step", "fista_solve", "ist_solve",
+    "FistaState", "prox_grad_step", "fista_solve", "ist_solve",
 ]
 
 # Every solver name, in the order the solver races report them.

@@ -11,9 +11,9 @@ tau = 1 is the default and is valid whenever lambda_max(A*A) <= 1.
 The shrink threshold tau*mu is the one consistent with the objective
 ||x||_1 + ||Ax-b||^2/(2 mu).
 
-Momentum is applied to the cached products as well (A y = A x + w (A x -
-A x_prev)), so both methods cost one forward and one adjoint application per
-iteration including the objective evaluation.
+Both run ``prox_grad_step``, with and without momentum. Momentum is applied
+to the cached products as well (A y = A x + w (A x - A x_prev)), so both
+methods cost one forward and one adjoint application per iteration.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..errors import ConfigError
 from ..prox import shrink
 from .common import SolverOptions, run_solve, working_data
 
-__all__ = ["FistaState", "fista_step", "ist_step", "fista_solve", "ist_solve"]
+__all__ = ["FistaState", "prox_grad_step", "fista_solve", "ist_solve"]
 
 
 @dataclass
@@ -45,7 +45,9 @@ class FistaState:
     k: int = 0
 
 
-def _prox_grad_step(state, A, b, mu, tau, accelerate):
+def prox_grad_step(state, A, b, mu, tau=1.0, accelerate=True):
+    """One FISTA step of the qp model, or with ``accelerate=False`` one IST
+    step (momentum weight pinned at zero). Returns a new state with t advanced."""
     if not (mu > 0):
         raise ConfigError("baseline solvers need mu > 0")
     if not (tau > 0):
@@ -65,17 +67,7 @@ def _prox_grad_step(state, A, b, mu, tau, accelerate):
                       t=t_new, k=state.k + 1)
 
 
-def fista_step(state, A, b, mu, tau=1.0):
-    """One accelerated step. Returns a new state with t advanced."""
-    return _prox_grad_step(state, A, b, mu, tau, accelerate=True)
-
-
-def ist_step(state, A, b, mu, tau=1.0):
-    """One plain proximal-gradient step (momentum weight pinned at zero)."""
-    return _prox_grad_step(state, A, b, mu, tau, accelerate=False)
-
-
-def _baseline_solve(name, step, model, A, b, opts):
+def _baseline_solve(name, model, A, b, opts, accelerate):
     opts = opts if opts is not None else SolverOptions()
     if model.family != "qp" or model.nonneg or model.weights is not None:
         raise ConfigError("%s solves the plain qp model only, not %s" % (name, model.describe()))
@@ -83,19 +75,19 @@ def _baseline_solve(name, step, model, A, b, opts):
         raise ConfigError("%s takes no beta or gamma; its one step size is tau" % name)
     if opts.stop != "relchg":
         raise ConfigError("baseline solvers stop on relative change only")
-    b = working_data(A, b)
+    b = working_data(A, b, model)
     tau = 1.0 if opts.tau is None else float(opts.tau)
     zero_n, zero_m = np.zeros(A.n, dtype=b.dtype), np.zeros(A.m, dtype=b.dtype)
     state = FistaState(x=zero_n, x_prev=zero_n, Ax=zero_m, Ax_prev=zero_m)
     return run_solve(name, model.describe(), model, A, b, opts, state,
-                     lambda state, A: step(state, A, b, model.mu, tau))
+                     lambda state, A: prox_grad_step(state, A, b, model.mu, tau, accelerate))
 
 
 def fista_solve(model, A, b, opts=None):
     """Run FISTA on the plain qp model, min ||x||_1 + ||Ax-b||^2/(2 mu). Returns a RunRecord."""
-    return _baseline_solve("fista", fista_step, model, A, b, opts)
+    return _baseline_solve("fista", model, A, b, opts, accelerate=True)
 
 
 def ist_solve(model, A, b, opts=None):
     """Run IST on the plain qp model, min ||x||_1 + ||Ax-b||^2/(2 mu). Returns a RunRecord."""
-    return _baseline_solve("ist", ist_step, model, A, b, opts)
+    return _baseline_solve("ist", model, A, b, opts, accelerate=False)

@@ -7,12 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, DivergenceError
+from ..errors import ConfigError, DimensionMismatchError, DivergenceError
 from ..models import Diagnostics, compute_res, data_norm, relchg, relerr, residues
 from ..operators import as_complex_vector
+from ..prox import project_halfspace, project_linf_ball
 
 __all__ = ["STOP_RULES", "SolverOptions", "RunRecord", "CountingOperator", "working_data",
-           "run_solve"]
+           "project_dual", "run_solve"]
 
 # Each stop rule names the Diagnostics field a solve compares with tol.
 STOP_RULES = ("relchg", "res")
@@ -66,14 +67,16 @@ class RunRecord:
     """Everything one solve produced.
 
     ``aat`` counts operator applications (forward plus adjoint) made by the
-    solve loop itself: exactly 2 per iteration for the alternating-direction
-    solvers on an orthonormal-rows operator, 3 for the dual solver's inexact
-    sweep on any other. Spectral setup is memoized on the operator and
-    final-quality metrics are recomputed by callers, so neither is charged
-    here. ``aat_history[k]`` is the cumulative count after iteration k+1.
-    With ``SolverOptions.history`` set, ``history[k]`` describes iterate
-    k+1; otherwise ``history`` holds one row, the final iterate's, so
-    ``final()`` is the same either way.
+    solve loop itself, per iteration: 2 for the dual solver on an
+    orthonormal-rows operator and 3 for its inexact sweep on any other; 2
+    for the primal solver, plus 1 under ``stop="res"`` for the A* y its
+    dual residue reads; 2 for the proximal-gradient baselines. Spectral
+    setup is memoized on the operator and final-quality metrics are
+    recomputed by callers, so neither is charged here. ``aat_history[k]``
+    is the cumulative count after iteration k+1. With
+    ``SolverOptions.history`` set, ``history[k]`` describes iterate k+1;
+    otherwise ``history`` holds one row, the final iterate's, so ``final()``
+    is the same either way.
     """
 
     solver: str
@@ -141,21 +144,41 @@ def check_finite(x, y, k):
         raise DivergenceError(f"multiplier became nonfinite at iteration {k}")
 
 
-def working_data(A, b):
-    """Validate the data b of a solve on A and cast it to the solve's dtype.
+def working_data(A, b, model):
+    """Validate the data b of a solve of ``model`` on A and cast it to the solve's dtype.
 
     The one place a solve picks its arithmetic: float64 when A is
     ``real_valued`` and b has no nonzero imaginary part, complex128
     otherwise. Every solve starts from a zero state in that dtype, and every
     sweep keeps it.
 
-    Raises DimensionMismatchError if b is not a length-m vector and
-    ValueError if it has nonfinite entries.
+    Raises DimensionMismatchError if b is not a length-m vector or the
+    model's weights are not length n, and ValueError if b has nonfinite
+    entries.
     """
+    if model.weights is not None and model.weights.shape[0] != A.n:
+        raise DimensionMismatchError(f"weights have length {model.weights.shape[0]}, "
+                                     f"but the operator has n = {A.n} columns")
     b = as_complex_vector(b, A.m)
     if A.real_valued and not np.any(b.imag):
         return b.real.copy()
     return b
+
+
+def project_dual(v, A, model):
+    """Project v onto the dual set of ``model``, componentwise: Re(z) <= w on
+    A's signal block (its ``signal_n`` leading entries) if the model is
+    nonnegative, |z| <= w everywhere else; w is the model's weights, or 1."""
+    w = 1.0 if model.weights is None else model.weights
+    if not model.nonneg:
+        return project_linf_ball(v, w)
+    k = A.signal_n
+    if k >= v.shape[0]:
+        return project_halfspace(v, w)
+    w_head = w if np.ndim(w) == 0 else w[:k]
+    w_tail = w if np.ndim(w) == 0 else w[k:]
+    return np.concatenate([project_halfspace(v[:k], w_head),
+                           project_linf_ball(v[k:], w_tail)])
 
 
 def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None):

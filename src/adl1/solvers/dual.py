@@ -21,7 +21,9 @@ l1/l1 model is solved as basis pursuit on the ``AugmentedOperator``
 the model's nonnegativity and its weights extended by ones. A nonnegative
 model only swaps the z-projection of the operator's signal block
 (``A.signal_n`` leading components) to the half-space Re(z) <= w, and the
-solve clips the final output. Every solve starts from the zero state.
+solve clips the final output. The z-projection is ``common.project_dual``,
+which the primal solver's res stop shares. Every solve starts from the zero
+state.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 from ..errors import ConfigError, StepSizeError
 from ..models import ModelSpec
 from ..operators import AugmentedOperator
-from ..prox import project_halfspace, project_linf_ball, shrink_l2
-from .common import SolverOptions, run_solve, working_data
+from ..prox import shrink_l2
+from .common import SolverOptions, project_dual, run_solve, working_data
 
 __all__ = ["DadmParams", "DadmState", "GOLDEN_RATIO",
            "dadm_step", "dadm_solve"]
@@ -84,21 +86,6 @@ class DadmState:
     k: int = 0
 
 
-def _project_dual(v, A, p):
-    """Project onto the model's dual set, componentwise: Re(z) <= w on A's
-    signal block if the model is nonnegative, |z| <= w everywhere else."""
-    w = 1.0 if p.model.weights is None else p.model.weights
-    if not p.model.nonneg:
-        return project_linf_ball(v, w)
-    k = A.signal_n
-    if k >= v.shape[0]:
-        return project_halfspace(v, w)
-    w_head = w if np.ndim(w) == 0 else w[:k]
-    w_tail = w if np.ndim(w) == 0 else w[k:]
-    return np.concatenate([project_halfspace(v[:k], w_head),
-                           project_linf_ball(v[k:], w_tail)])
-
-
 def dadm_step(state, A, b, p):
     """One sweep of the model ``p.model`` on any operator.
 
@@ -117,7 +104,7 @@ def dadm_step(state, A, b, p):
     # Division by a scalar is written as a product with its reciprocal: numpy
     # computes complex x / beta that way, so float64 iterates equal the real
     # parts of complex ones bit for bit.
-    z_new = _project_dual(state.Aty + state.x * (1.0 / p.beta), A, p)
+    z_new = project_dual(state.Aty + state.x * (1.0 / p.beta), A, p.model)
     if exact:
         Az = A.apply(z_new)
         v = Az - (state.Ax - b) * (1.0 / p.beta)
@@ -169,7 +156,7 @@ def dadm_solve(model, A, b, opts=None):
     opts = opts if opts is not None else SolverOptions()
     if opts.tau is not None:
         raise ConfigError("dadm takes no tau; its step sizes are beta and gamma")
-    b = working_data(A, b)
+    b = working_data(A, b, model)
     solved, op, data = model, A, b
     if model.family == "l1l1":
         op = AugmentedOperator(A, model.nu)

@@ -24,8 +24,8 @@ import numpy as np
 
 from ..errors import ConfigError, StepSizeError
 from ..models import ModelSpec
-from ..prox import project_l2_ball, project_linf_ball, shrink
-from .common import SolverOptions, run_solve, working_data
+from ..prox import project_l2_ball, shrink
+from .common import SolverOptions, project_dual, run_solve, working_data
 
 __all__ = ["PadmParams", "PadmState", "padm_step", "padm_solve"]
 
@@ -133,21 +133,18 @@ def padm_solve(model, A, b, opts=None):
         raise ConfigError("the l1/l1 model runs through the dual solver after reformulation")
     if model.nonneg:
         raise ConfigError("nonnegative models run through the dual solver")
-    b = working_data(A, b)
+    b = working_data(A, b, model)
     params = PadmParams.from_operator(A, b, model, tau=opts.tau, gamma=opts.gamma,
                                       beta=opts.beta)
 
-    if opts.stop == "res":
-        # The primal solver has no dual auxiliary; measure dual feasibility
-        # of the multiplier directly. Costs one adjoint per iteration on top
-        # of the usual two applications.
-        def dual(state, A):
-            Aty = A.adjoint(state.y)
-            z = project_linf_ball(Aty, 1.0 if model.weights is None else model.weights)
-            return state.y, z, Aty
-    else:
-        def dual(state, A):
+    def dual(state, A):
+        # The primal solver has no dual auxiliary. Under the res stop, its
+        # dual residue measures the multiplier's own A* y against its
+        # projection onto the dual set, at one more adjoint per iteration.
+        if opts.stop != "res":
             return state.y, None, None
+        Aty = A.adjoint(state.y)
+        return state.y, project_dual(Aty, A, model), Aty
 
     zero_m = np.zeros(A.m, dtype=b.dtype)
     state = PadmState(x=np.zeros(A.n, dtype=b.dtype), r=zero_m, y=zero_m, Ax=zero_m)

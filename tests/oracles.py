@@ -233,6 +233,20 @@ def vector_csv_text(x):
     return "".join(lines)
 
 
+def objective_value(model, A, b, x):
+    """Objective of ``model`` at x, evaluated directly from its definition:
+    the (weighted) l1 norm of x, plus ||Ax - b||^2 / (2 mu) for qp or
+    ||Ax - b||_1 / nu for l1/l1."""
+    mag = np.abs(x)
+    val = float(np.sum(mag)) if model.weights is None else float(np.dot(model.weights, mag))
+    misfit = A.apply(x) - b
+    if model.family == "qp":
+        val += float(np.linalg.norm(misfit) ** 2) / (2.0 * model.mu)
+    elif model.family == "l1l1":
+        val += float(np.sum(np.abs(misfit))) / model.nu
+    return val
+
+
 def add_noise(b_clean, sigma, impulse_fraction, seed, target_snr_db=None):
     """Measurement noise per the acquisition rule: optional white noise, then,
     when impulse_fraction > 0, rescale to unit infinity-norm and replace

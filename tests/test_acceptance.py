@@ -21,14 +21,14 @@ from adl1.harness import (
     model_for_param,
     run_protocol,
 )
-from adl1.models import ModelSpec, objective_value, relerr
+from adl1.models import ModelSpec, relerr
 from adl1.operators import DenseOperator, make_operator
 from adl1.prox import project_halfspace, project_l2_ball, project_linf_ball, shrink, shrink_l2
 from adl1.solvers import SolverOptions, dadm_solve, fista_solve, ist_solve, padm_solve
 from adl1.solvers.dual import DadmParams, DadmState, dadm_step
 from adl1.solvers.primal import PadmParams, PadmState, padm_step
 
-from oracles import bp_oracle, materialize, qp_oracle, scalar_prox_grid
+from oracles import bp_oracle, materialize, objective_value, qp_oracle, scalar_prox_grid
 
 
 def _report(num, ok, detail):

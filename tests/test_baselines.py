@@ -11,7 +11,7 @@ from adl1.models import ModelSpec
 from adl1.operators import make_operator
 from adl1.prox import shrink
 from adl1.solvers import SOLVERS, solve
-from adl1.solvers.baselines import FistaState, fista_solve, fista_step, ist_solve, ist_step
+from adl1.solvers.baselines import FistaState, fista_solve, ist_solve, prox_grad_step
 from adl1.solvers.common import SolverOptions
 from adl1.solvers.dual import dadm_solve
 
@@ -35,7 +35,7 @@ def test_momentum_scalar_sequence(rng):
                        Ax=np.zeros(op.m, np.complex128), Ax_prev=np.zeros(op.m, np.complex128))
     seen = []
     for _ in range(3):
-        state = fista_step(state, op, b, mu=0.1)
+        state = prox_grad_step(state, op, b, mu=0.1)
         seen.append(state.t)
     for got, want in zip(seen, T_SEQUENCE):
         assert got == pytest.approx(want, abs=1e-15)
@@ -49,7 +49,7 @@ def test_fista_step_matches_explicit_formula(rng):
     state = FistaState(x=x, x_prev=x_prev, t=t_prev, k=2,
                        Ax=op.apply(x), Ax_prev=op.apply(x_prev))
     mu = 0.2
-    new = fista_step(state, op, b, mu=mu)
+    new = prox_grad_step(state, op, b, mu=mu)
     t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_prev ** 2)) / 2.0
     w = (t_prev - 1.0) / t_new
     y = x + w * (x - x_prev)
@@ -66,7 +66,7 @@ def test_ist_step_has_no_momentum(rng):
     state = FistaState(x=x, x_prev=x_prev, t=5.0, k=3,
                        Ax=op.apply(x), Ax_prev=op.apply(x_prev))
     mu = 0.2
-    new = ist_step(state, op, b, mu=mu)
+    new = prox_grad_step(state, op, b, mu=mu, accelerate=False)
     x_ref = shrink(x - op.adjoint(op.apply(x) - b), mu)
     assert np.allclose(new.x, x_ref, atol=1e-13)
     assert new.t == 1.0  # momentum weight stays pinned at zero
@@ -171,7 +171,7 @@ def test_momentum_on_cached_products_stays_consistent(rng):
     state = FistaState(x=np.zeros(64, np.complex128), x_prev=np.zeros(64, np.complex128),
                        Ax=np.zeros(24, np.complex128), Ax_prev=np.zeros(24, np.complex128))
     for _ in range(100):
-        state = fista_step(state, op, b, mu=0.05)
+        state = prox_grad_step(state, op, b, mu=0.05)
         drift = np.linalg.norm(state.Ax - op.apply(state.x))
         assert drift <= 1e-12 * max(1.0, np.linalg.norm(state.Ax))
 

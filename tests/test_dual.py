@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adl1.errors import ConfigError, StepSizeError
+from adl1.errors import ConfigError, DimensionMismatchError, StepSizeError
 from adl1.harness import NoiseSpec, make_instance
-from adl1.models import ModelSpec, objective_value, relerr
+from adl1.models import ModelSpec, relerr
 from adl1.operators import AugmentedOperator, DenseOperator, make_operator
+from adl1.solvers import solve
 from adl1.solvers.common import SolverOptions
 from adl1.solvers.dual import (
     GOLDEN_RATIO,
@@ -24,6 +25,7 @@ from oracles import (
     l1_lp_oracle,
     l1l1_oracle,
     materialize,
+    objective_value,
     qp_oracle,
 )
 
@@ -118,6 +120,29 @@ def test_unit_weights_match_unweighted_bitwise(rng):
     run_w = dadm_solve(ModelSpec.bp(weights=np.ones(64)), op, b, opts)
     run_u = dadm_solve(ModelSpec.bp(), op, b, opts)
     assert np.array_equal(run_w.x, run_u.x)
+
+
+WRONG_LENGTH_WEIGHTS = [("padm", ModelSpec.qp(1e-3, weights=[2.0])),
+                        ("padm", ModelSpec.bp(weights=[2.0])),
+                        ("dadm", ModelSpec.qp(1e-3, weights=[2.0])),
+                        ("dadm", ModelSpec.bp(weights=[2.0])),
+                        ("dadm", ModelSpec.l1l1(0.5, weights=[2.0]))]
+
+
+@pytest.mark.parametrize("solver,model", WRONG_LENGTH_WEIGHTS,
+                         ids=lambda v: v if isinstance(v, str) else v.family)
+def test_wrong_length_weights_fail_before_the_first_sweep(rng, solver, model):
+    # The l1/l1 solve iterates on [A, nu I] (length n + m); the error names
+    # the user's lengths, 1 against n = 64.
+    op = make_operator("wht", 64, 20, rng)
+    _, b = _sparse_instance(op, 5, rng)
+
+    def swept(v):
+        raise AssertionError("the solve applied the operator")
+
+    op.apply = op.adjoint = swept
+    with pytest.raises(DimensionMismatchError, match=r"length 1, but the operator has n = 64 "):
+        solve(solver, model, op, b)
 
 
 def test_bp_matches_vertex_oracle(rng):

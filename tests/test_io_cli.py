@@ -514,6 +514,27 @@ def test_solve_refuses_mistyped_numbers(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("solver,model", [("padm", {"family": "qp", "mu": 1e-3}),
+                                          ("padm", {"family": "bp"}),
+                                          ("dadm", {"family": "qp", "mu": 1e-3}),
+                                          ("dadm", {"family": "bp"}),
+                                          ("dadm", {"family": "l1l1", "nu": 0.5})],
+                         ids=lambda v: v if isinstance(v, str) else v["family"])
+def test_solve_refuses_wrong_length_weights(tmp_path, capsys, solver, model):
+    # One weight for n = 32 columns: exit 1 before any sweep, naming both
+    # lengths (for l1/l1 the user's, not the augmented operator's).
+    cfg = {"operator": {"kind": "wht", "n": 32, "m": 12}, "b": {"synthetic": {"k": 2}},
+           "model": dict(model, weights=[2.0]), "solver": {"name": solver}}
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("adl1: error (DimensionMismatchError)")
+    assert "length 1, but the operator has n = 32 " in err[0]
+    assert not out.exists()
+
+
 def test_solve_dense_nonorthonormal_matrix_with_default_solver(tmp_path, rng):
     # dadm takes its inexact y-step when A A* != I, with no switch to set.
     write_matrix(tmp_path / "A.bin", rng.standard_normal((12, 32)))

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from adl1.errors import ConfigError
-from adl1.models import (
-    ModelSpec,
-    compute_res,
-    l1_norm,
-    objective_value,
-    relchg,
-    relerr,
-)
+from adl1.models import ModelSpec, compute_res, data_norm, l1_norm, relchg, relerr
 from adl1.operators import DenseOperator
 
-from oracles import snr_db
+from oracles import objective_value, snr_db
 
 
 def test_model_spec_constructors_and_describe():
@@ -126,7 +119,8 @@ def test_compute_res_constrained_families(rng):
     y = np.array([0.5, 0.5], dtype=np.complex128)
     z = np.array([0.5, 0.5], dtype=np.complex128)
 
-    d = compute_res(x, y, z, a, b, ModelSpec.bp())
+    products = dict(Ax=a.apply(x), Aty=a.adjoint(y), b_norm=data_norm(b))
+    d = compute_res(x, y, z, a, b, ModelSpec.bp(), **products)
     assert np.isnan(d.gap)
     assert d.r_p == pytest.approx(0.3 / np.sqrt(2.0))
     assert d.r_d == 0.0
@@ -135,9 +129,9 @@ def test_compute_res_constrained_families(rng):
     assert np.isnan(d.relchg) and np.isnan(d.relerr)
 
     # Inside the delta ball the primal residue clips to zero.
-    d2 = compute_res(x, y, z, a, b, ModelSpec.bpdn(0.5))
+    d2 = compute_res(x, y, z, a, b, ModelSpec.bpdn(0.5), **products)
     assert d2.r_p == 0.0
-    d3 = compute_res(x, y, z, a, b, ModelSpec.bpdn(0.1))
+    d3 = compute_res(x, y, z, a, b, ModelSpec.bpdn(0.1), **products)
     assert d3.r_p == pytest.approx(0.2 / np.sqrt(2.0))
 
 
@@ -148,7 +142,8 @@ def test_compute_res_penalized_gap():
     mu = 0.5
     y = (b - x) / mu  # saddle identification r = mu y
     z = np.array([1.0, 0.0], dtype=np.complex128)
-    d = compute_res(x, y, z, a, b, ModelSpec.qp(mu))
+    d = compute_res(x, y, z, a, b, ModelSpec.qp(mu), Ax=a.apply(x), Aty=a.adjoint(y),
+                    b_norm=data_norm(b))
     assert d.r_p == pytest.approx(0.0, abs=1e-15)
     delta_gap = np.real(np.vdot(b, y)) - mu * np.linalg.norm(y) ** 2 - 1.5
     f_p = 1.5 + 0.5 * mu * np.linalg.norm(y) ** 2
@@ -163,7 +158,8 @@ def test_compute_res_optional_fields(rng):
     x = rng.standard_normal(5).astype(np.complex128)
     y = rng.standard_normal(3).astype(np.complex128)
     z = a.adjoint(y)
-    d = compute_res(x, y, z, a, b, ModelSpec.bp(), x_prev=np.zeros(5))
+    d = compute_res(x, y, z, a, b, ModelSpec.bp(), Ax=a.apply(x), Aty=a.adjoint(y),
+                    b_norm=data_norm(b), x_prev=np.zeros(5))
     assert d.r_d == pytest.approx(0.0, abs=1e-14)
     assert d.relchg == pytest.approx(float(np.linalg.norm(x)))
     # ground truth is run_solve's to score, never compute_res's
@@ -172,7 +168,9 @@ def test_compute_res_optional_fields(rng):
 
 def test_compute_res_zero_data_warns():
     a = DenseOperator(np.eye(2))
+    x, y, b = np.ones(2), np.zeros(2), np.zeros(2, dtype=np.complex128)
     with pytest.warns(RuntimeWarning):
-        d = compute_res(np.ones(2), np.zeros(2), np.zeros(2), a,
-                        np.zeros(2, dtype=np.complex128), ModelSpec.bp())
+        b_norm = data_norm(b)
+    d = compute_res(x, y, np.zeros(2), a, b, ModelSpec.bp(), Ax=a.apply(x), Aty=a.adjoint(y),
+                    b_norm=b_norm)
     assert d.r_p == pytest.approx(np.sqrt(2.0))
