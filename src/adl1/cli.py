@@ -83,6 +83,13 @@ def _check_numbers(block, what):
             raise ConfigError("%s: %r must be %s, got %r" % (what, key, need, value))
 
 
+def _required(block, key, what):
+    """block[key], or a ConfigError naming the block and the missing key."""
+    if key not in block:
+        raise ConfigError("the %s config needs %r" % (what, key))
+    return block[key]
+
+
 def _load_vector_file(path):
     if path.endswith(".csv"):
         return read_vector_csv(path)
@@ -99,10 +106,10 @@ def _build_operator(spec, default_seed):
         if not isinstance(orthonormal_rows, bool):
             raise ConfigError("dense operator: 'orthonormal_rows' must be true or false, got %r"
                               % (orthonormal_rows,))
-        path = spec["file"]
+        path = _required(spec, "file", "dense operator")
         matrix = read_matrix_csv(path) if path.endswith(".csv") else read_matrix(path)
         return DenseOperator(matrix, orthonormal_rows=orthonormal_rows)
-    n = spec["n"]
+    n = _required(spec, "n", "%s operator" % kind)
     seed = spec.get("seed", default_seed)
     if "rows" in spec:
         if "signs" in spec and "sign_seed" in spec:
@@ -116,7 +123,8 @@ def _build_operator(spec, default_seed):
         if key in spec:
             raise ConfigError("%s operator: %r only applies with 'rows' (without them, rows and "
                               "signs are drawn from 'seed')" % (kind, key))
-    return make_operator(kind, n, spec["m"], np.random.default_rng(seed))
+    m = _required(spec, "m", "%s operator" % kind)
+    return make_operator(kind, n, m, np.random.default_rng(seed))
 
 
 def _build_b(spec, A, default_seed):
@@ -129,6 +137,7 @@ def _build_b(spec, A, default_seed):
     if "synthetic" in spec:
         syn = dict(spec["synthetic"])
         _check_keys(syn, SYNTHETIC_KEYS, "b.synthetic")
+        _required(syn, "k", "b.synthetic")
         rng = np.random.default_rng(syn.pop("seed", default_seed))
         k, field = syn.pop("k"), syn.pop("field", "real")
         b, x_true, _, _ = synthesize(A, k, NoiseSpec(**syn), rng, field=field)

@@ -15,6 +15,9 @@ transforms, and an augmented operator on either) maps float64 input to
 float64 output, so a solve on real data runs in real arithmetic. Every other
 operator computes in complex128, embedding real input with zero imaginary
 parts.
+
+The partial DCT imports ``scipy.fft`` at its first transform, so a run on
+Walsh-Hadamard or dense operators alone never loads scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigError, DimensionMismatchError
 
@@ -75,11 +77,14 @@ def as_complex_vector(x, length=None):
     return v
 
 
-def _coerce(x, n, what):
-    """Check the shape of x; cast it to complex128, or to float64 when it is real."""
+def _coerce(x, n, kind, method):
+    """Check the shape of x; cast it to complex128, or to float64 when it is real.
+
+    ``kind`` and ``method`` name the call in the error message.
+    """
     x = np.asarray(x)
     if x.shape != (n,):
-        raise DimensionMismatchError(f"{what}: expected shape ({n},), got {x.shape}")
+        raise DimensionMismatchError(f"{kind}.{method}: expected shape ({n},), got {x.shape}")
     if x.dtype != np.complex128 and x.dtype != np.float64:
         x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64)
     return x
@@ -125,11 +130,11 @@ class SensingOperator:
 
     def apply(self, x):
         """Return A x for a length-n vector x."""
-        return self._apply(_coerce(x, self.n, f"{self.kind}.apply"))
+        return self._apply(_coerce(x, self.n, self.kind, "apply"))
 
     def adjoint(self, y):
         """Return A* y for a length-m vector y."""
-        return self._adjoint(_coerce(y, self.m, f"{self.kind}.adjoint"))
+        return self._adjoint(_coerce(y, self.m, self.kind, "adjoint"))
 
     def lambda_max(self):
         """Largest eigenvalue of A*A, memoized.
@@ -193,6 +198,7 @@ class DenseOperator(SensingOperator):
 _MAX_FACTOR_LOG2 = 4
 
 
+@functools.lru_cache(maxsize=None)
 def _factor_sizes(n):
     """Split n = 2**e into ceil(e / 4) nearly equal power-of-two factors, largest first."""
     e = n.bit_length() - 1
@@ -313,6 +319,23 @@ class PartialWalshHadamardOperator(_PartialTransformOperator):
         return self.signs * fwht(self._scatter(y)) * self._scale
 
 
+def _dct(x, inverse):
+    """Orthonormal DCT-II of x, or its inverse when ``inverse``, in x's dtype.
+
+    ``scipy.fft`` is imported at the first call, and ``dct``/``idct`` are
+    looked up on it at every call. Complex x is transformed as its (n, 2)
+    float64 view along axis 0: one pass over the real and imaginary parts,
+    bit for bit the complex transform.
+    """
+    import scipy.fft
+
+    transform = scipy.fft.idct if inverse else scipy.fft.dct
+    if x.dtype == np.complex128:
+        pairs = transform(x.view(np.float64).reshape(-1, 2), type=2, norm="ortho", axis=0)
+        return pairs.view(np.complex128).reshape(-1)
+    return transform(x, type=2, norm="ortho")
+
+
 class PartialDCTOperator(_PartialTransformOperator):
     """Randomized partial DCT sensing operator.
 
@@ -323,10 +346,10 @@ class PartialDCTOperator(_PartialTransformOperator):
     kind = "partial-dct"
 
     def _apply(self, x):
-        return scipy.fft.dct(self.signs * x, type=2, norm="ortho")[self.rows]
+        return _dct(self.signs * x, False)[self.rows]
 
     def _adjoint(self, y):
-        return self.signs * scipy.fft.idct(self._scatter(y), type=2, norm="ortho")
+        return self.signs * _dct(self._scatter(y), True)
 
 
 # The partial transforms by the kind name ``make_operator`` and the CLI take.
@@ -381,7 +404,12 @@ class AugmentedOperator(SensingOperator):
         return (self.base.apply(head) + self.nu * tail) * self._scale
 
     def _adjoint(self, y):
-        return np.concatenate([self.base.adjoint(y), self.nu * y]) * self._scale
+        head = self.base.adjoint(y)
+        out = np.empty(self.n, dtype=np.result_type(head, y))
+        out[: self.base.n] = head
+        np.multiply(self.nu, y, out=out[self.base.n :])
+        out *= self._scale
+        return out
 
 
 def estimate_lambda_max(op, tol=1e-6, max_iter=200):

@@ -514,6 +514,31 @@ def test_solve_refuses_mistyped_numbers(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# Configs that lack a key their block needs, and the key named.
+MISSING_KEYS = {
+    "wht-n": ({"operator": {"kind": "wht", "m": 12}}, "n"),
+    "dct-m": ({"operator": {"kind": "dct", "n": 32}}, "m"),
+    "orthgauss-m": ({"operator": {"kind": "orthgauss", "n": 32}}, "m"),
+    "dense-file": ({"operator": {"kind": "dense"}}, "file"),
+    "synthetic-k": ({"b": {"synthetic": {"seed": 5}}}, "k"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_KEYS))
+def test_solve_names_a_missing_config_key(tmp_path, capsys, case):
+    override, key = MISSING_KEYS[case]
+    cfg = dict({"operator": {"kind": "wht", "n": 32, "m": 12},
+                "b": {"synthetic": {"k": 2}}}, **override)
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("adl1: error (ConfigError)")
+    assert "config needs %r" % key in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("solver,model", [("padm", {"family": "qp", "mu": 1e-3}),
                                           ("padm", {"family": "bp"}),
                                           ("dadm", {"family": "qp", "mu": 1e-3}),

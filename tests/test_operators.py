@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -115,16 +116,28 @@ def test_fwht_rejects_bad_shapes(bad):
         fwht(bad)
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg costs tens of milliseconds of import time; the
-    # transforms need only numpy and scipy.fft.
+def test_import_leaves_scipy_linalg_unloaded(tmp_path):
+    # Importing scipy costs hundreds of milliseconds, and only the partial
+    # DCT needs it: scipy.fft loads at its first transform. So importing
+    # adl1 and its CLI and solving on a Walsh-Hadamard operator load no scipy.
+    config = tmp_path / "wht.json"
+    config.write_text(json.dumps({"operator": {"kind": "wht", "n": 32, "m": 12},
+                                  "b": {"synthetic": {"k": 2}}}))
+    code = ("import sys\n"
+            "import adl1\n"
+            "print('scipy' in sys.modules)\n"
+            "import adl1.cli\n"
+            "print('scipy' in sys.modules)\n"
+            "rc = adl1.cli.main(['solve', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(rc in (0, 2), 'scipy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, adl1; print('scipy.linalg' in sys.modules)"],
+        [sys.executable, "-c", code, str(config), str(tmp_path / "run")],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["False", "False", "True False"]
+    assert (tmp_path / "run" / "x.bin").exists()
 
 
 @pytest.mark.parametrize("kind,n", [("wht", 32), ("dct", 45)],
@@ -286,6 +299,15 @@ def test_factory_shapes_and_determinism():
     assert g1.orthonormal_rows
 
 
+def _sha256(*arrays):
+    """sha256 over each array's dtype string and bytes, in order."""
+    h = hashlib.sha256()
+    for v in arrays:
+        h.update(v.dtype.str.encode())
+        h.update(v.tobytes())
+    return h.hexdigest()
+
+
 # sha256 over the drawn rows and signs and over apply/adjoint of real and
 # complex inputs, dtypes included, recorded before the partial transforms
 # shared one base class.
@@ -306,11 +328,24 @@ def test_partial_transform_outputs_are_pinned(kind):
     xc = x + 1j * rng.standard_normal(n)
     y = rng.standard_normal(m)
     yc = y + 1j * rng.standard_normal(m)
-    h = hashlib.sha256()
-    for v in (op.rows, op.signs, op.apply(x), op.apply(xc), op.adjoint(y), op.adjoint(yc)):
-        h.update(v.dtype.str.encode())
-        h.update(v.tobytes())
-    assert h.hexdigest() == digest
+    assert _sha256(op.rows, op.signs, op.apply(x), op.apply(xc), op.adjoint(y),
+                   op.adjoint(yc)) == digest
+
+
+# The same sha256 over apply/adjoint of the l1/l1 model's augmented operator
+# on a partial DCT, recorded before the DCT ran on the float64 view of
+# complex input and the augmented adjoint filled one buffer.
+AUGMENTED_DCT_DIGEST = "9c0d3af3a823cce57b802c7bdee92f79234ceadcf477133c3c957cc5c3d43a4c"
+
+
+def test_augmented_dct_outputs_are_pinned():
+    rng = np.random.default_rng(8)
+    op = AugmentedOperator(make_operator("dct", 1000, 300, rng), 0.5)
+    x = rng.standard_normal(op.n)
+    xc = x + 1j * rng.standard_normal(op.n)
+    y = rng.standard_normal(op.m)
+    yc = y + 1j * rng.standard_normal(op.m)
+    assert _sha256(op.apply(x), op.apply(xc), op.adjoint(y), op.adjoint(yc)) == AUGMENTED_DCT_DIGEST
 
 
 def test_counting_operator_counts_applications_and_delegates_the_rest(rng):

@@ -78,4 +78,7 @@ def test_model_choice_draws_one_instance_per_trial(tracer_module, tmp_path):
     assert rc == 0
     assert metrics["harness.make_instance.calls"] == 2
     assert metrics["solvers.dadm.solves"] == 2 * 61
+    # every dadm sweep on the partial DCT applies A and A* at least once each,
+    # and the tracer sees each transform through scipy.fft
+    assert metrics["operators.dct.calls"] >= 2 * metrics["solvers.dadm.iterations"]
     assert metrics["harness.pool.workers"] == 1
