@@ -1,8 +1,12 @@
 """Command-line front end: solve one problem from a JSON config, or run a
 named experiment protocol.
 
+A solve takes every setting from its config file, so the config that
+run.json records is the run's whole description; only the output directory
+has a flag.
+
 Exit codes: 0 converged / experiment completed, 2 iteration cap hit,
-1 any input or configuration error.
+1 any usage, input or configuration error.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .io import (
     write_vector,
     write_vector_csv,
 )
-from .models import FAMILIES, ModelSpec, relerr, relres
+from .models import ModelSpec, relerr, relres
 from .operators import (
     OPERATOR_KINDS,
     PARTIAL_TRANSFORMS,
@@ -36,7 +40,7 @@ from .operators import (
     make_operator,
     make_partial_transform,
 )
-from .solvers import SOLVERS, STOP_RULES, SolverOptions, solve
+from .solvers import SolverOptions, solve
 
 # Keys an ``adl1 solve`` config may hold, by block; ModelSpec.from_dict
 # checks the model block.
@@ -145,15 +149,8 @@ def _build_b(spec, A, default_seed):
     raise ConfigError("b spec needs a 'file' path or a 'synthetic' block")
 
 
-def _overridden(spec, flags, names):
-    """A copy of the config block ``spec`` with the flags in ``names`` that are set put over it."""
+def _build_model(spec):
     spec = dict(spec or {})
-    spec.update((name, getattr(flags, name)) for name in names if getattr(flags, name) is not None)
-    return spec
-
-
-def _build_model(spec, flags):
-    spec = _overridden(spec, flags, ("family", "mu", "delta", "nu", "nonneg", "weights"))
     spec.setdefault("family", "bp")
     _check_numbers(spec, "model")
     if isinstance(spec.get("weights"), str):
@@ -161,25 +158,22 @@ def _build_model(spec, flags):
     return ModelSpec.from_dict(spec)
 
 
-def _build_options(spec, flags):
-    """SolverOptions from the solver block and the flags."""
+def _build_solver(spec):
+    """(solver name, SolverOptions) from the solver block."""
     spec = dict(spec or {})
     _check_keys(spec, SOLVER_KEYS, "solver")
-    spec.pop("name", None)
-    spec = _overridden(spec, flags, ("beta", "gamma", "tau", "tol", "max_iter", "stop"))
-    return SolverOptions(**spec)
+    return spec.pop("name", "dadm"), SolverOptions(**spec)
 
 
 def cmd_solve(args):
     with open(args.config) as fh:
         config = json.load(fh)
     _check_keys(config, CONFIG_KEYS, "config")
-    default_seed = args.seed if args.seed is not None else config.get("seed", 0)
+    default_seed = config.get("seed", 0)
     A = _build_operator(config.get("operator", {}), default_seed)
     b, x_true = _build_b(config.get("b", {}), A, default_seed)
-    model = _build_model(config.get("model"), args)
-    opts = _build_options(config.get("solver"), args)
-    name = args.solver or (config.get("solver") or {}).get("name", "dadm")
+    model = _build_model(config.get("model"))
+    name, opts = _build_solver(config.get("solver"))
     # run.json carries this text as its config, so the hash covers its bytes.
     config_text = canonical_json(config)
 
@@ -212,27 +206,21 @@ def cmd_experiment(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, so they exit 1
+    like any other bad input; exit code 2 means the iteration cap."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="adl1", description=__doc__)
+    parser = _Parser(prog="adl1", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve one problem from a JSON config")
-    ps.add_argument("config")
-    ps.add_argument("--solver", choices=SOLVERS)
-    ps.add_argument("--model", dest="family", choices=FAMILIES)
-    ps.add_argument("--mu", type=float)
-    ps.add_argument("--delta", type=float)
-    ps.add_argument("--nu", type=float)
-    ps.add_argument("--nonneg", action="store_true", default=None)
-    ps.add_argument("--weights", help="path to a positive weight vector file")
-    ps.add_argument("--beta", type=float)
-    ps.add_argument("--gamma", type=float)
-    ps.add_argument("--tau", type=float)
-    ps.add_argument("--eps", dest="tol", type=float, help="stopping tolerance")
-    ps.add_argument("--max-iter", dest="max_iter", type=int)
-    ps.add_argument("--stop", choices=STOP_RULES)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--out")
+    ps.add_argument("config", help="JSON config holding every setting of the run")
+    ps.add_argument("--out", help="output directory (default: the config's 'out', else adl1-run)")
     ps.set_defaults(fn=cmd_solve)
 
     pe = sub.add_parser("experiment", help="run a named experiment protocol")
@@ -252,9 +240,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (AdlError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         kind = type(exc).__name__

@@ -10,10 +10,11 @@ updates the digest and says why.
 
 The experiment runs are tiny ``run_protocol`` runs at seed 1234, and the
 default resolved config of every protocol is pinned by its hash; the solves
-run ``adl1 solve demos/tiny_bp.json`` with a few solver and model flags. A
-``{weights}`` flag stands for the path of ``WEIGHTS``, written per test. The
-history digests pin what no artifact shows: every row of every solve's
-history, over each solver, model and stop rule on three tiny instances.
+run ``adl1 solve`` on ``demos/tiny_bp.json`` with a few solver and model keys
+patched. A ``{weights}`` value stands for the path of ``WEIGHTS``, written
+per test. The history digests pin what no artifact shows: every row of
+every solve's history, over each solver, model and stop rule on three tiny
+instances.
 """
 
 import dataclasses
@@ -81,44 +82,62 @@ CONFIG_HASHES = {
     ("race-bp", "full"): "d8bbc3b791c2df37e5573b119f33ad6da8fe5f94ed12c9f2639bf182d45b5426",
 }
 
-# extra CLI flags -> (exit code, status, iterations, aat, model label, x.bin sha256,
-# x.csv sha256)
+# patch of demos/tiny_bp.json, as ("block.key", value) pairs -> (exit code,
+# status, iterations, aat, model label, x.bin sha256, x.csv sha256)
 SOLVE_DIGESTS = {
     (): (0, "converged", 173, 346, "bp()",
          "cb18c1209649e8936776b0bade8ab007f8cffe1b6c0ac580dc00a1ebdc49a45c",
          "01c0bbeeb80608e89f04e3daadb83d5cef6b75aa501d66a0745b34090f6d6bff"),
-    ("--solver", "padm", "--stop", "res"): (
+    (("solver.name", "padm"), ("solver.stop", "res")): (
         0, "converged", 251, 753, "bp()",
         "1caf43e8c6bf559de4b9d5aad1fd5df119e7721261bfbc7c583a24c3b82c5e86",
         "1344393d9f4f3281b95aa9a91c5936168bf0cc14554da725544c433c555a877c"),
-    ("--model", "l1l1", "--nu", "0.5", "--nonneg", "--max-iter", "300"): (
+    (("model.family", "l1l1"), ("model.nu", 0.5), ("model.nonneg", True),
+     ("solver.max_iter", 300)): (
         2, "max_iter", 300, 600, "l1l1(nu=0.5)+nonneg",
         "ccc2160050ea475edc139655c22ca915ccbc368d72c224c2657bf86afbdcf776",
         "134e4f053e79d37ebbc2c7a3aee03f093320748ed0903ea1847241e0022f04ef"),
-    ("--solver", "fista", "--model", "qp", "--mu", "1e-3", "--eps", "1e-8"): (
+    (("solver.name", "fista"), ("model.family", "qp"), ("model.mu", 1e-3),
+     ("solver.tol", 1e-8)): (
         0, "converged", 290, 580, "qp(mu=0.001)",
         "d38f870ddfecdd5a749643758d9a2f70870bf5768d3664fa30e9e42b17cf0772",
         "69bb2418c7a26248b9efaa14e87c54d2ca630ac5ff9483fb8ab24ef9bdf71e0f"),
-    ("--solver", "padm", "--model", "bpdn", "--delta", "1e-3", "--max-iter", "300"): (
+    (("solver.name", "padm"), ("model.family", "bpdn"), ("model.delta", 1e-3),
+     ("solver.max_iter", 300)): (
         2, "max_iter", 300, 600, "bpdn(delta=0.001)",
         "7d517311627a952185a2da5c3fbf2d0e75fdac4d7a278e61d50d13f733932e92",
         "e6b2cba51b2a091dc324509a2284224ac310d03107e69ed32e1083819bb7e4d3"),
-    ("--solver", "dadm", "--model", "bpdn", "--delta", "1e-3", "--stop", "res",
-     "--max-iter", "300"): (
+    (("solver.name", "dadm"), ("model.family", "bpdn"), ("model.delta", 1e-3),
+     ("solver.stop", "res"), ("solver.max_iter", 300)): (
         2, "max_iter", 300, 600, "bpdn(delta=0.001)",
         "12130165dc7158f958936408aae74037e0f952c657721cb87bb8fab81f2a93af",
         "7e1805cb6ff6cad5915da363507656d3bdcfdd39ee5f9ad1e49dcedcd313aae3"),
-    ("--solver", "padm", "--model", "qp", "--mu", "1e-3", "--weights", "{weights}",
-     "--max-iter", "300"): (
+    (("solver.name", "padm"), ("model.family", "qp"), ("model.mu", 1e-3),
+     ("model.weights", "{weights}"), ("solver.max_iter", 300)): (
         0, "converged", 264, 528, "qp(mu=0.001)+weighted",
         "e7fe820608317753cc727f8823d7da41816cb5abbb269242885f95a73464c264",
         "ca6e57b761d25c37a236ba55931e7198408aa23933ebec0034ec9488ccd08ea2"),
-    ("--solver", "dadm", "--model", "qp", "--mu", "1e-3", "--weights", "{weights}",
-     "--nonneg", "--max-iter", "300"): (
+    (("solver.name", "dadm"), ("model.family", "qp"), ("model.mu", 1e-3),
+     ("model.weights", "{weights}"), ("model.nonneg", True), ("solver.max_iter", 300)): (
         2, "max_iter", 300, 600, "qp(mu=0.001)+nonneg+weighted",
         "68dff6f7a730af4937b40ea52923068c99a2ecd18ddedc3aea51b07829dfb685",
         "516c998dba4509bd3181be563fa1ecf4dfc2e529597369f67dc2dc6265e2f772"),
 }
+
+
+# The test id of each case above, in order: the ``adl1 solve`` flags that
+# its patch was first recorded with, so that a digest keeps its name across
+# commits.
+SOLVE_IDS = (
+    "default",
+    "--solver padm --stop res",
+    "--model l1l1 --nu 0.5 --nonneg --max-iter 300",
+    "--solver fista --model qp --mu 1e-3 --eps 1e-8",
+    "--solver padm --model bpdn --delta 1e-3 --max-iter 300",
+    "--solver dadm --model bpdn --delta 1e-3 --stop res --max-iter 300",
+    "--solver padm --model qp --mu 1e-3 --weights {weights} --max-iter 300",
+    "--solver dadm --model qp --mu 1e-3 --weights {weights} --nonneg --max-iter 300",
+)
 
 
 def _sha256(path):
@@ -144,19 +163,53 @@ def test_default_config_hash_is_pinned(protocol, scale):
     assert config_hash(cfg) == CONFIG_HASHES[protocol, scale]
 
 
-@pytest.mark.parametrize("flags", sorted(SOLVE_DIGESTS), ids=lambda f: " ".join(f) or "default")
-def test_cli_solve_is_pinned(tmp_path, flags):
-    rc, status, iterations, aat, model, x_sha, csv_sha = SOLVE_DIGESTS[flags]
-    out = tmp_path / "run"
+def _patched_config(tmp_path, patch):
+    """demos/tiny_bp.json with each ("block.key", value) of ``patch`` set,
+    written to tmp_path; a bare "block" key replaces the whole block."""
+    with open(TINY_BP) as fh:
+        cfg = json.load(fh)
     weights = tmp_path / "w.bin"
     write_vector(weights, WEIGHTS)
-    flags = [f.replace("{weights}", str(weights)) for f in flags]
-    assert cli.main(["solve", TINY_BP, "--out", str(out), *flags]) == rc
+    for dotted, value in patch:
+        *block, key = dotted.split(".")
+        target = cfg[block[0]] if block else cfg
+        target[key] = str(weights) if value == "{weights}" else value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("patch", list(SOLVE_DIGESTS), ids=SOLVE_IDS)
+def test_cli_solve_is_pinned(tmp_path, patch):
+    rc, status, iterations, aat, model, x_sha, csv_sha = SOLVE_DIGESTS[patch]
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(_patched_config(tmp_path, patch)), "--out", str(out)]) == rc
     run = json.loads((out / "run.json").read_text())
     assert (run["status"], run["iterations"], run["aat"], run["model"]) == (
         status, iterations, aat, model)
     assert _sha256(out / "x.bin") == x_sha
     assert _sha256(out / "x.csv") == csv_sha
+
+
+# A partial WHT whose rows and signs the config gives, not a seed.
+WHT_GIVEN = (("operator", {"kind": "wht", "n": 64, "rows": [(7 * j + 3) % 64 for j in range(24)],
+                           "signs": [(-1.0) ** (j // 3) for j in range(64)]}),)
+
+
+@pytest.mark.parametrize("patch", list(SOLVE_DIGESTS) + [WHT_GIVEN],
+                         ids=SOLVE_IDS + ("wht-rows-signs",))
+def test_run_json_config_reproduces_the_run(tmp_path, patch):
+    # run.json's config is the run's whole description: solving it again
+    # gives the same bytes and the same config hash.
+    first, again = tmp_path / "first", tmp_path / "again"
+    rc = cli.main(["solve", str(_patched_config(tmp_path, patch)), "--out", str(first)])
+    run = json.loads((first / "run.json").read_text())
+    recorded = tmp_path / "recorded.json"
+    recorded.write_text(json.dumps(run["config"]))
+    assert cli.main(["solve", str(recorded), "--out", str(again)]) == rc
+    for name in ("x.bin", "x.csv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+    assert json.loads((again / "run.json").read_text())["config_hash"] == run["config_hash"]
 
 
 # History digests: every solve on three seeded tiny instances, per operator

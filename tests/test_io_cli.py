@@ -273,7 +273,9 @@ def test_write_csv_layout(tmp_path):
 # solve subcommand
 
 
-def _bp_config(tmp_path):
+def _bp_config(tmp_path, **blocks):
+    """A bp config written to tmp_path; each keyword's keys are put over the
+    block it names."""
     cfg = {
         "operator": {"kind": "orthgauss", "n": 64, "m": 24, "seed": 3},
         "b": {"synthetic": {"k": 5, "seed": 3}},
@@ -281,6 +283,8 @@ def _bp_config(tmp_path):
         "solver": {"name": "dadm", "tol": 1e-10, "max_iter": 2000},
         "seed": 3,
     }
+    for name, keys in blocks.items():
+        cfg[name] = dict(cfg[name], **keys)
     path = tmp_path / "solve_bp.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
@@ -310,9 +314,9 @@ def test_solve_writes_artifacts_and_converges(tmp_path):
 
 
 def test_solve_exit_two_when_iteration_cap_hits(tmp_path):
-    path, _ = _bp_config(tmp_path)
+    path, _ = _bp_config(tmp_path, solver={"max_iter": 1})
     out = tmp_path / "capped"
-    assert cli.main(["solve", str(path), "--max-iter", "1", "--out", str(out)]) == 2
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 2
     summary = json.loads((out / "run.json").read_text())
     assert summary["status"] == "max_iter"
     assert summary["iterations"] == 1
@@ -388,25 +392,27 @@ def test_solve_zero_data_writes_strict_json(tmp_path):
 
 
 def test_solve_error_paths(tmp_path, capsys):
-    path, _ = _bp_config(tmp_path)
-
     # baseline solvers are tied to the quadratic-penalty model
-    rc = cli.main(["solve", str(path), "--solver", "ist", "--out", str(tmp_path / "o1")])
+    path, _ = _bp_config(tmp_path, solver={"name": "ist"})
+    rc = cli.main(["solve", str(path), "--out", str(tmp_path / "o1")])
     assert rc == 1
     assert "adl1: error (ConfigError)" in capsys.readouterr().err
     # ... and to its plain form: a nonnegative qp model is refused, not solved unconstrained
-    rc = cli.main(["solve", str(path), "--solver", "fista", "--model", "qp", "--mu", "1e-3",
-                   "--nonneg", "--out", str(tmp_path / "o2")])
+    path, _ = _bp_config(tmp_path, solver={"name": "fista"},
+                         model={"family": "qp", "mu": 1e-3, "nonneg": True})
+    rc = cli.main(["solve", str(path), "--out", str(tmp_path / "o2")])
     assert rc == 1
     assert "plain qp model only" in capsys.readouterr().err
     assert not (tmp_path / "o2").exists()
 
     # a step option the solver does not use is refused, not ignored
-    for i, flags in enumerate((["--tau", "1e9"],
-                               ["--solver", "fista", "--model", "qp", "--mu", "1e-3", "--beta", "7"],
-                               ["--solver", "ist", "--model", "qp", "--mu", "1e-3", "--gamma", "1.9"])):
+    qp = {"family": "qp", "mu": 1e-3}
+    for i, blocks in enumerate(({"solver": {"tau": 1e9}},
+                                {"solver": {"name": "fista", "beta": 7.0}, "model": qp},
+                                {"solver": {"name": "ist", "gamma": 1.9}, "model": qp})):
+        path, _ = _bp_config(tmp_path, **blocks)
         out = tmp_path / ("step%d" % i)
-        assert cli.main(["solve", str(path), *flags, "--out", str(out)]) == 1
+        assert cli.main(["solve", str(path), "--out", str(out)]) == 1
         assert "takes no" in capsys.readouterr().err
         assert not out.exists()
 
@@ -434,16 +440,46 @@ def test_solve_error_paths(tmp_path, capsys):
     assert not (tmp_path / "o3").exists()
 
 
-@pytest.mark.parametrize("flags", [
-    ["--eps", "inf"], ["--eps", "nan"], ["--model", "qp", "--mu", "inf"],
-    ["--model", "bpdn", "--delta", "nan"], ["--beta", "inf"],
+@pytest.mark.parametrize("blocks", [
+    {"solver": {"tol": np.inf}}, {"solver": {"tol": np.nan}},
+    {"model": {"family": "qp", "mu": np.inf}}, {"model": {"family": "bpdn", "delta": np.nan}},
+    {"solver": {"beta": np.inf}},
 ], ids=["eps-inf", "eps-nan", "mu-inf", "delta-nan", "beta-inf"])
-def test_solve_rejects_nonfinite_scalars(tmp_path, capsys, flags):
-    path, _ = _bp_config(tmp_path)
+def test_solve_rejects_nonfinite_scalars(tmp_path, capsys, blocks):
+    # json.dump writes these as Infinity and NaN, which json.load reads back.
+    path, _ = _bp_config(tmp_path, **blocks)
     out = tmp_path / "run"
-    assert cli.main(["solve", str(path), "--out", str(out)] + flags) == 1
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
     assert "adl1: error (ConfigError)" in capsys.readouterr().err
     assert not out.exists()
+
+
+# The flags that once set solve settings over the config; each now exits 1.
+FORMER_SOLVE_FLAGS = ("--solver", "--model", "--mu", "--delta", "--nu", "--nonneg", "--weights",
+                      "--beta", "--gamma", "--tau", "--eps", "--max-iter", "--stop", "--seed")
+
+
+def test_usage_errors_exit_one_with_one_line(tmp_path, capsys):
+    # Exit code 2 means the iteration cap, so argparse's own exit 2 must not
+    # reach the shell: a usage error is one ConfigError line and exit 1.
+    path, _ = _bp_config(tmp_path)
+    out = tmp_path / "run"
+    cases = [(["solve"], "config"), (["experiment", "race-qp", "--trials", "x"], "--trials")]
+    cases += [(["solve", str(path), flag, "0.1", "--out", str(out)], flag)
+              for flag in FORMER_SOLVE_FLAGS]
+    for argv, named in cases:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("adl1: error (ConfigError)")
+        assert named in err[0]
+        assert not out.exists()
+    # -h still prints help and exits 0; solve's lists the config and --out alone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "-h"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "config" in usage and "--out" in usage
+    assert not [flag for flag in FORMER_SOLVE_FLAGS if flag in usage]
 
 
 @pytest.mark.parametrize("where,key", [
@@ -564,11 +600,11 @@ def test_solve_dense_nonorthonormal_matrix_with_default_solver(tmp_path, rng):
     # dadm takes its inexact y-step when A A* != I, with no switch to set.
     write_matrix(tmp_path / "A.bin", rng.standard_normal((12, 32)))
     cfg = {"operator": {"kind": "dense", "file": str(tmp_path / "A.bin")},
-           "b": {"synthetic": {"k": 2, "seed": 5}}}
+           "b": {"synthetic": {"k": 2, "seed": 5}}, "solver": {"max_iter": 300}}
     path = tmp_path / "dense.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
-    assert cli.main(["solve", str(path), "--max-iter", "300", "--out", str(out)]) in (0, 2)
+    assert cli.main(["solve", str(path), "--out", str(out)]) in (0, 2)
     summary = json.loads((out / "run.json").read_text())
     assert summary["solver"] == "dadm"
     assert summary["aat"] == 3 * summary["iterations"]
