@@ -44,7 +44,7 @@ from .solvers import SolverOptions, solve
 
 # Keys an ``adl1 solve`` config may hold, by block; ModelSpec.from_dict
 # checks the model block.
-CONFIG_KEYS = ("operator", "b", "model", "solver", "seed", "out")
+CONFIG_KEYS = ("operator", "b", "model", "solver", "seed")
 DRAWN_KEYS = ("kind", "n", "m", "seed")
 OPERATOR_KEYS = dict(dict.fromkeys(PARTIAL_TRANSFORMS, DRAWN_KEYS + ("rows", "signs", "sign_seed")),
                      dense=("kind", "file", "orthonormal_rows"), orthgauss=DRAWN_KEYS)
@@ -181,15 +181,14 @@ def cmd_solve(args):
     rec = solve(name, model, A, b, opts)
     seconds = time.perf_counter() - t0
 
-    outdir = args.out or config.get("out", "adl1-run")
-    os.makedirs(outdir, exist_ok=True)
-    write_vector(os.path.join(outdir, "x.bin"), rec.x)
-    write_vector_csv(os.path.join(outdir, "x.csv"), rec.x)
+    os.makedirs(args.out, exist_ok=True)
+    write_vector(os.path.join(args.out, "x.bin"), rec.x)
+    write_vector_csv(os.path.join(args.out, "x.csv"), rec.x)
     summary = dict(rec.to_dict(), seconds=seconds,
                    relres=relres(A, b, rec.x), config_hash=text_hash(config_text))
     if x_true is not None:
         summary["relerr_pct"] = relerr(rec.x, x_true)
-    write_json_lines(os.path.join(outdir, "run.json"), summary, config=config_text)
+    write_json_lines(os.path.join(args.out, "run.json"), summary, config=config_text)
     return 0 if rec.status == "converged" else 2
 
 
@@ -198,7 +197,7 @@ def cmd_experiment(args):
     flags = {k: getattr(args, k) for k in ("n", "trials", "seed", "max_iter")
              if getattr(args, k) is not None}
     config = ExperimentConfig(protocol=args.protocol, scale="full" if args.full else "desk",
-                              timing=args.timing, **flags)
+                              **flags)
     result = run_protocol(config)
     outdir = args.out or os.path.join("runs", "%s-%s" % (args.protocol, config.scale))
     manifest = result.write(outdir)
@@ -220,7 +219,7 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="solve one problem from a JSON config")
     ps.add_argument("config", help="JSON config holding every setting of the run")
-    ps.add_argument("--out", help="output directory (default: the config's 'out', else adl1-run)")
+    ps.add_argument("--out", default="adl1-run", help="output directory (default: adl1-run)")
     ps.set_defaults(fn=cmd_solve)
 
     pe = sub.add_parser("experiment", help="run a named experiment protocol")
@@ -233,8 +232,6 @@ def build_parser():
     pe.add_argument("--trials", type=int)
     pe.add_argument("--n", type=int)
     pe.add_argument("--max-iter", dest="max_iter", type=int)
-    pe.add_argument("--timing", action="store_true",
-                    help="record wall time in the seconds column (breaks byte determinism)")
     pe.set_defaults(fn=cmd_experiment)
     return parser
 

@@ -70,16 +70,16 @@ PROTOCOL_DIGESTS = {
 # names a run in its manifest and guards its output directory, so a moved
 # default, a renamed key or a changed number type shows here.
 CONFIG_HASHES = {
-    ("model-choice", "desk"): "5d5676d40bdbc0893ca59ab0b5681dd2735d8651066b8aba7037d898b7891af3",
-    ("model-choice", "full"): "409c89160ea84c42f260c53fcd54212de1a9e256d744850af196e5f628f6b7b6",
-    ("err-vs-opt", "desk"): "4893d77893aaf0351d0493353faf8bc2705a3f624ae23a24cc72630d098d9630",
-    ("err-vs-opt", "full"): "7baf175dc15a47aad9b0243f33ef9e9447096fff0c3d8a4626cdb2fa8cf44706",
-    ("race-qp", "desk"): "cc5ae368002c83b070dfe80f2fd7891df090353697521e9b9f80168e53c71a16",
-    ("race-qp", "full"): "2fb518fe70a59a756afb59e17614fd24eb911f3760b69668f8999570483d901e",
-    ("race-bpdn", "desk"): "b46386ddf284ba311031aa72abde359d77619e95dfef77c71c535359f27d87a7",
-    ("race-bpdn", "full"): "ae18102fffdaf601fceb07f0cea0a9906582fe48b231175df9b8eb5d39a77123",
-    ("race-bp", "desk"): "d9f53c73dfd351a4865c9b53ae69d75bcd5bd4be67aaf0dac0a254b441fc7405",
-    ("race-bp", "full"): "d8bbc3b791c2df37e5573b119f33ad6da8fe5f94ed12c9f2639bf182d45b5426",
+    ("model-choice", "desk"): "1e91db1bfb331294fadde9de0fb54030c2bf3ae6b97ee2eab4a5b92fd59247a7",
+    ("model-choice", "full"): "6a8f9dc7876abb56b5335025ef1e43afce118e8de0ea5aba6714e857a8eb4210",
+    ("err-vs-opt", "desk"): "6b3ed297ac35692ab35217b8ed34d56285c4f250da825b77031b279643e80b19",
+    ("err-vs-opt", "full"): "fc0a5d44d4f67ff3a43acc0ff5b01f8000fb2aaab1a692cf6128f5b41c248c62",
+    ("race-qp", "desk"): "73c25b600afd3ebb677dc976673f5f4d5385212733497184fe15e7f2533fc17c",
+    ("race-qp", "full"): "2b91193b189b26c40e8eca376afcc8d2b4d0774e53de64b572dda9557aab8157",
+    ("race-bpdn", "desk"): "0ba3213c071b6faac4097b97dfdd6914323e067743c5f0741d3bfb5a0fb425ab",
+    ("race-bpdn", "full"): "728612fd19304b75e9e02c1321f2c7f72adb249d3925e5b6db100759aef7efe0",
+    ("race-bp", "desk"): "e64232bd8f5c479d9a564eeade8fee3961cb62324eb5344bb12d91b452a644b7",
+    ("race-bp", "full"): "61b04e8f52f017bf7e30d88cc1a175a6788cb847c02a154c5114b6118aa5a67b",
 }
 
 # patch of demos/tiny_bp.json, as ("block.key", value) pairs -> (exit code,

@@ -258,7 +258,7 @@ def test_race_rows_and_determinism():
         assert r["cell"] == "mn0.3_km0.2"
         assert r["aat"] >= 2 * r["iter"]
         assert 0.0 < r["relerr_pct"] < 100.0 and np.isfinite(r["res"])
-        assert r["seconds"] == 0.0  # timing off keeps the CSV deterministic
+        assert r["seconds"] == 0.0  # measured times go to timing_rows, never the CSV
     assert len(res.timing_rows) == len(res.trial_rows)
     assert all(t["seconds"] > 0.0 for t in res.timing_rows)
 
@@ -374,15 +374,9 @@ def test_run_protocol_dispatch():
 
 def test_result_write_guards_and_timing_manifest(tmp_path):
     res = run_protocol(ExperimentConfig("err-vs-opt", n=100, max_iter=20, seed=3))
-    manifest = res.write(tmp_path / "out")
-    assert manifest["deterministic"] is True
+    res.write(tmp_path / "out")
     assert (tmp_path / "out" / "err-vs-opt.csv").exists()
 
     res.config = dict(res.config, seed=4)
     with pytest.raises(ConfigError, match="different config hash"):
         res.write(tmp_path / "out")
-
-    timed = run_protocol(_tiny_race(timing=True, trials=1, max_iter=50))
-    tm = timed.write(tmp_path / "timed")
-    assert tm["deterministic"] is False
-    assert any(r["seconds"] > 0.0 for r in timed.trial_rows)

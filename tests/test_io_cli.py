@@ -464,7 +464,8 @@ def test_usage_errors_exit_one_with_one_line(tmp_path, capsys):
     # reach the shell: a usage error is one ConfigError line and exit 1.
     path, _ = _bp_config(tmp_path)
     out = tmp_path / "run"
-    cases = [(["solve"], "config"), (["experiment", "race-qp", "--trials", "x"], "--trials")]
+    cases = [(["solve"], "config"), (["experiment", "race-qp", "--trials", "x"], "--trials"),
+             (_race_args(out) + ["--timing"], "--timing")]
     cases += [(["solve", str(path), flag, "0.1", "--out", str(out)], flag)
               for flag in FORMER_SOLVE_FLAGS]
     for argv, named in cases:
@@ -484,8 +485,8 @@ def test_usage_errors_exit_one_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("where,key", [
     ((), "sed"), (("operator",), "colour"), (("b", "synthetic"), "sigmaa"),
-    (("solver",), "max_itr"), (("b",), "fiel"), (("solver",), "eps"),
-], ids=["top", "operator", "synthetic", "solver", "b", "solver-eps"])
+    (("solver",), "max_itr"), (("b",), "fiel"), (("solver",), "eps"), ((), "out"),
+], ids=["top", "operator", "synthetic", "solver", "b", "solver-eps", "top-out"])
 def test_solve_rejects_unknown_config_keys(tmp_path, capsys, where, key):
     _, cfg = _bp_config(tmp_path)
     block = cfg
@@ -496,8 +497,9 @@ def test_solve_rejects_unknown_config_keys(tmp_path, capsys, where, key):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     assert cli.main(["solve", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "adl1: error (ConfigError)" in err and repr(key) in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("adl1: error (ConfigError)")
+    assert repr(key) in err[0]
     assert not out.exists()
 
 
@@ -661,16 +663,19 @@ def test_experiment_reruns_are_byte_identical(tmp_path, capsys):
     assert cli.main(_race_args(tmp_path / "b")) == 0
     out = capsys.readouterr().out
     assert out.count("wrote ") == 2
-    for name in ("race-bp.csv", "race-bp_trials.csv"):
+    # every file but the measured wall times, the manifest included
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == ["manifest.json", "race-bp.csv", "race-bp_trials.csv", "timings.json"]
+    assert sorted(os.listdir(tmp_path / "b")) == names
+    for name in names[:-1]:
         first = (tmp_path / "a" / name).read_bytes()
-        assert first == (tmp_path / "b" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes(), name
         assert len(first) > 0
-    ma = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
-    assert ma["config_hash"] == mb["config_hash"]
-    assert ma["deterministic"] is True
-    assert ma["files"] == {"means": "race-bp.csv", "trials": "race-bp_trials.csv"}
-    assert ma["config_hash"][:12] in out
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert set(manifest) == {"config", "config_hash", "version", "files"}
+    assert manifest["config_hash"] == config_hash(manifest["config"])
+    assert manifest["files"] == {"means": "race-bp.csv", "trials": "race-bp_trials.csv"}
+    assert manifest["config_hash"][:12] in out
 
 
 def test_experiment_refuses_mixed_configs_in_one_dir(tmp_path, capsys):
