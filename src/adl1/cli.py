@@ -23,6 +23,7 @@ from .errors import AdlError, ConfigError
 from .harness import ExperimentConfig, NoiseSpec, PROTOCOLS, run_protocol, synthesize
 from .io import (
     canonical_json,
+    file_sha256,
     read_matrix,
     read_matrix_csv,
     read_vector,
@@ -165,6 +166,16 @@ def _build_solver(spec):
     return spec.pop("name", "dadm"), SolverOptions(**spec)
 
 
+def _input_files(config):
+    """The input files a config names by path, by the key naming each: a
+    ``b`` path, a ``model.weights`` path, a dense ``operator.file``."""
+    b, model, op = config.get("b"), config.get("model") or {}, config.get("operator") or {}
+    files = {"b": b.get("file") if isinstance(b, dict) else b,
+             "model.weights": model.get("weights"),
+             "operator.file": op.get("file") if op.get("kind") == "dense" else None}
+    return {key: path for key, path in files.items() if isinstance(path, str)}
+
+
 def cmd_solve(args):
     with open(args.config) as fh:
         config = json.load(fh)
@@ -174,8 +185,10 @@ def cmd_solve(args):
     b, x_true = _build_b(config.get("b", {}), A, default_seed)
     model = _build_model(config.get("model"))
     name, opts = _build_solver(config.get("solver"))
-    # run.json carries this text as its config, so the hash covers its bytes.
+    # run.json carries this text as its config, so the hash covers its bytes;
+    # the files it names by path are hashed by content.
     config_text = canonical_json(config)
+    inputs = {key: file_sha256(path) for key, path in _input_files(config).items()}
 
     t0 = time.perf_counter()
     rec = solve(name, model, A, b, opts)
@@ -188,6 +201,8 @@ def cmd_solve(args):
                    relres=relres(A, b, rec.x), config_hash=text_hash(config_text))
     if x_true is not None:
         summary["relerr_pct"] = relerr(rec.x, x_true)
+    if inputs:
+        summary["input_sha256"] = inputs
     write_json_lines(os.path.join(args.out, "run.json"), summary, config=config_text)
     return 0 if rec.status == "converged" else 2
 

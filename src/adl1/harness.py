@@ -13,6 +13,17 @@ Every protocol scores a solve by the relative error and residual of the
 returned x. Only err-vs-opt, which plots the error of every iterate against
 its optimality residue, hands the ground truth to the solve.
 
+Lanes: the trials of a cell share (n, m, k), the solver and, but for
+race-bpdn's per-instance delta, the model, so ``run_protocol`` solves them
+as the lanes of one lockstep solve (``solvers.solve_lanes``) on the stacked
+operators of their instances. Trials whose models differ run as separate
+batches, race-bpdn's as one-lane batches. A lane freezes at its own stop
+and leaves the batch (compaction), so every CSV row is bit for bit the solo
+solve's. ``LANE_ENTRIES`` caps a batch at LANE_ENTRIES // n lanes. A
+trial's ``timings.json`` seconds is its batch's measured wall time times
+the trial's share of the batch's lane-sweeps (its iterations over the sum
+of the batch's), so each cell's rows sum to the time spent solving it.
+
 Reproducibility contract: the manifest records the resolved config, base
 seed included, and its hash. Trial t of group g always draws from
 SeedSequence(entropy=seed, spawn_key=(g, t)), so results are independent of
@@ -33,8 +44,8 @@ import numpy as np
 from .errors import ConfigError
 from .io import config_hash, write_csv
 from .models import ModelSpec, relerr, relres
-from .operators import SensingOperator, make_operator
-from .solvers import SOLVERS, SolverOptions, solve
+from .operators import SensingOperator, make_operator, stack_operators
+from .solvers import SOLVERS, SolverOptions, solve, solve_lanes
 
 # (m/n, k/m) cells of the solver races; the basis-pursuit race drops the
 # densest cell (0.1, 0.2).
@@ -66,6 +77,9 @@ PROTOCOL_DEFAULTS = {
     "race-bp": dict(_RACE, grid=RACE_GRID_BP, sigma=0.0, solvers=("dadm",), tol=1e-6),
 }
 PROTOCOLS = tuple(PROTOCOL_DEFAULTS)
+
+# A lockstep solve sweeps at most LANE_ENTRIES // n lanes (at least one).
+LANE_ENTRIES = 16384
 
 # The experiment CSV columns as (name, trial-row format, mean-row format).
 # The means CSV groups trial rows by the "%s" columns and averages each other
@@ -323,20 +337,28 @@ def _options(cfg):
     return SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"], stop=cfg["stop"])
 
 
-def _trial_row(cfg, inst, cell, solver, trial, model):
-    """Solve one trial and return its CSV row; the measured wall time rides
-    along as ``_measured`` for ``run_protocol``."""
-    t0 = time.perf_counter()
-    rec = solve(solver, model, inst.A, inst.b, _options(cfg))
-    dt = time.perf_counter() - t0
-    return {
-        "cell": cell, "solver": solver, "trial": trial,
-        "iter": rec.iterations, "aat": rec.aat,
-        "relerr_pct": relerr(rec.x, inst.x_true),
-        "res": relres(inst.A, inst.b, rec.x),
-        "seconds": 0.0,
-        "_measured": dt,
-    }
+def _lane_rows(cfg, insts, solver, model):
+    """Solve ``model`` on each instance as the lanes of lockstep solves of
+    at most LANE_ENTRIES // n lanes; one CSV row per instance, in order,
+    without cell and trial. Each lane's share of its batch's measured wall
+    time rides along as ``_measured`` for ``run_protocol``."""
+    rows = []
+    cap = max(1, LANE_ENTRIES // cfg["n"])
+    for start in range(0, len(insts), cap):
+        batch = insts[start:start + cap]
+        A = stack_operators([inst.A for inst in batch])
+        t0 = time.perf_counter()
+        recs = solve_lanes(solver, model, A, np.stack([inst.b for inst in batch]), _options(cfg))
+        dt = time.perf_counter() - t0
+        sweeps = sum(rec.iterations for rec in recs)
+        rows += [{
+            "solver": solver, "iter": rec.iterations, "aat": rec.aat,
+            "relerr_pct": relerr(rec.x, inst.x_true),
+            "res": relres(inst.A, inst.b, rec.x),
+            "seconds": 0.0,
+            "_measured": dt * rec.iterations / sweeps,
+        } for inst, rec in zip(batch, recs)]
+    return rows
 
 
 def model_for_param(family, param):
@@ -422,9 +444,10 @@ def run_protocol(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment protocol; the one experiment entry point.
 
     Trial t of group g solves the instance drawn from SeedSequence(seed,
-    (g, t)) with every listed solver on every cell of the group; cells with
-    the same model share one solve and its row. Trial rows go group by
-    group, then cell by cell, trial by trial, solver by solver.
+    (g, t)) with every listed solver on every cell of the group. A cell's
+    trials with one model solve as lanes (``_lane_rows``), and cells with
+    the same model share those solves and their rows. Trial rows go group
+    by group, then cell by cell, trial by trial, solver by solver.
     """
     cfg = config.resolved()
     if cfg["protocol"] == "err-vs-opt":
@@ -432,28 +455,31 @@ def run_protocol(config: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult(config=cfg)
     for g, (m, k, noise, cells) in enumerate(_groups(cfg)):
 
-        def one_trial(t):
+        def draw(t):
             ss = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(g, t))
-            inst = make_instance(cfg["kind"], cfg["n"], m, k, noise, ss, field=cfg["field"])
-            # Cells that map to one model (model-choice's parameter-0 cells
-            # are all plain bp) share its solve, timing included.
-            rows, solved = [], {}
-            for label, model_of in cells:
-                model = model_of(inst)
-                for solver in cfg["solvers"]:
-                    key = (json.dumps(model.to_dict()), solver)
-                    if key not in solved:
-                        solved[key] = _trial_row(cfg, inst, label, solver, t, model)
-                    rows.append(dict(solved[key], cell=label))
-            return rows
+            return make_instance(cfg["kind"], cfg["n"], m, k, noise, ss, field=cfg["field"])
 
-        rows = [r for trial_rows in _map_trials(one_trial, cfg["trials"]) for r in trial_rows]
-        # cell by cell, trial by trial
-        labels = [label for label, _ in cells]
-        rows.sort(key=lambda r: (labels.index(r["cell"]), r["trial"]))
-        for r in rows:
-            result.timing_rows.append({"cell": r["cell"], "solver": r["solver"],
-                                       "trial": r["trial"], "seconds": r.pop("_measured")})
-            result.trial_rows.append(r)
+        insts = _map_trials(draw, cfg["trials"])
+        # Rows by (model, solver, trial): cells that map to one model
+        # (model-choice's parameter-0 cells are all plain bp) share its
+        # solves, timing included.
+        solved = {}
+        for label, model_of in cells:
+            models = [model_of(inst) for inst in insts]
+            keys = [json.dumps(model.to_dict()) for model in models]
+            for solver in cfg["solvers"]:
+                lanes = {}
+                for t, key in enumerate(keys):
+                    if (key, solver, t) not in solved:
+                        lanes.setdefault(key, []).append(t)
+                for key, trials in lanes.items():
+                    rows = _lane_rows(cfg, [insts[t] for t in trials], solver, models[trials[0]])
+                    solved.update(((key, solver, t), r) for t, r in zip(trials, rows))
+            for t, key in enumerate(keys):
+                for solver in cfg["solvers"]:
+                    r = dict(solved[key, solver, t], cell=label, trial=t)
+                    result.timing_rows.append({"cell": label, "solver": solver, "trial": t,
+                                               "seconds": r.pop("_measured")})
+                    result.trial_rows.append(r)
     result.mean_rows = _aggregate(result.trial_rows)
     return result

@@ -16,7 +16,8 @@ come back as stored.
   prints as ``0``, -0.0 as ``-0``);
 - ``run.json``: a JSON object with one top-level key per line, keys sorted,
   each value compact JSON. Its ``config`` value is the ``canonical_json``
-  text of the config, whose sha256 is ``config_hash``.
+  text of the config, whose sha256 is ``config_hash``; ``input_sha256``
+  holds the sha256 of each input file the config names by path.
 """
 
 from __future__ import annotations
@@ -149,6 +150,12 @@ def config_hash(obj) -> str:
 def text_hash(text) -> str:
     """``config_hash`` of the object whose ``canonical_json`` is ``text``."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def file_sha256(path) -> str:
+    """sha256 of a file's bytes, as hex."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_json_lines(path, fields, **texts):

@@ -9,7 +9,13 @@ the variables: all n, except on the l1/l1 model's ``AugmentedOperator``.
 ``make_operator(kind, n, m, rng)`` draws every random operator;
 ``make_partial_transform`` also takes given rows or signs.
 
-All vectors are 1-D arrays, complex128 or float64. An operator whose
+Vectors are complex128 or float64 arrays whose last axis holds the n (or
+m) entries; a leading axis holds lanes, independent problems that one call
+maps together. A single operator maps every lane by its one matrix. A
+stacked operator (``stack_operators``: T partial transforms of one kind and
+shape) maps lane i of a (T, n) array by its i-th matrix, and ``take`` keeps
+some of its lanes. A lane's result has the bits the 1-D call gives on that
+lane alone. An operator whose
 ``real_valued`` property is True (the partial Walsh-Hadamard and DCT
 transforms, and an augmented operator on either) maps float64 input to
 float64 output, so a solve on real data runs in real arithmetic. Every other
@@ -22,6 +28,7 @@ Walsh-Hadamard or dense operators alone never loads scipy.
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
@@ -38,6 +45,7 @@ __all__ = [
     "estimate_lambda_max",
     "fwht",
     "make_partial_transform",
+    "stack_operators",
     "PARTIAL_TRANSFORMS",
     "OPERATOR_KINDS",
     "make_operator",
@@ -77,14 +85,16 @@ def as_complex_vector(x, length=None):
     return v
 
 
-def _coerce(x, n, kind, method):
-    """Check the shape of x; cast it to complex128, or to float64 when it is real.
+def _coerce(x, n, lanes, kind, method):
+    """Check the shape of x, (n,) or (lanes, n), any number of lanes when
+    ``lanes`` is None; cast x to complex128, or to float64 when it is real.
 
     ``kind`` and ``method`` name the call in the error message.
     """
     x = np.asarray(x)
-    if x.shape != (n,):
-        raise DimensionMismatchError(f"{kind}.{method}: expected shape ({n},), got {x.shape}")
+    if not (x.shape == (lanes, n) if lanes else 0 < x.ndim <= 2 and x.shape[-1] == n):
+        want = f"({lanes}, {n})" if lanes else f"({n},) or (lanes, {n})"
+        raise DimensionMismatchError(f"{kind}.{method}: expected shape {want}, got {x.shape}")
     if x.dtype != np.complex128 and x.dtype != np.float64:
         x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64)
     return x
@@ -94,13 +104,17 @@ class SensingOperator:
     """Base class: a linear map C^n -> C^m with an explicit adjoint.
 
     Subclasses implement ``_apply`` and ``_adjoint`` on validated inputs:
-    1-D complex128 or float64 vectors. A subclass whose matrix is real and
-    whose transform keeps float64 input in float64 declares ``real_valued``;
+    complex128 or float64 arrays of shape (n,) or (lanes, n). A subclass
+    whose matrix is real and whose transform keeps float64 input in float64
+    declares ``real_valued``;
     otherwise its outputs are complex128. Instances are immutable after
     construction and safe to share across threads.
     """
 
     kind = "abstract"
+    # None for a single operator, which maps any number of lanes; a stacked
+    # operator holds one matrix per lane and maps exactly that many.
+    lanes = None
 
     def __init__(self, m, n, orthonormal_rows):
         if m <= 0 or n <= 0:
@@ -128,13 +142,19 @@ class SensingOperator:
         """The signal estimate an iterate x holds: x itself, all ``signal_n`` = n entries."""
         return x
 
+    def take(self, lanes):
+        """The operator of the lanes that the index array or mask ``lanes``
+        selects, or of lane ``lanes`` alone, unstacked, for an integer: the
+        operator itself, unless it is stacked."""
+        return self
+
     def apply(self, x):
-        """Return A x for a length-n vector x."""
-        return self._apply(_coerce(x, self.n, self.kind, "apply"))
+        """Return A x for x of shape (n,) or (lanes, n), lane by lane."""
+        return self._apply(_coerce(x, self.n, self.lanes, self.kind, "apply"))
 
     def adjoint(self, y):
-        """Return A* y for a length-m vector y."""
-        return self._adjoint(_coerce(y, self.m, self.kind, "adjoint"))
+        """Return A* y for y of shape (m,) or (lanes, m), lane by lane."""
+        return self._adjoint(_coerce(y, self.m, self.lanes, self.kind, "adjoint"))
 
     def lambda_max(self):
         """Largest eigenvalue of A*A, memoized.
@@ -183,10 +203,15 @@ class DenseOperator(SensingOperator):
                 raise ValueError("orthonormal_rows=True but A A* differs from the identity")
 
     def _apply(self, x):
-        return self.matrix @ x
+        return self._product(self.matrix, x)
 
     def _adjoint(self, y):
-        return self._matrix_h @ y
+        return self._product(self._matrix_h, y)
+
+    @staticmethod
+    def _product(matrix, v):
+        # One matrix-vector product per lane, so a lane has the bits of a 1-D call.
+        return matrix @ v if v.ndim == 1 else np.stack([matrix @ row for row in v])
 
 
 # Largest Hadamard factor is 2**_MAX_FACTOR_LOG2 = 16. The split sets the
@@ -228,10 +253,12 @@ def _hadamard_factor(f, pairs):
 def fwht(x):
     """In-order (natural/Hadamard) Walsh-Hadamard transform, unnormalized.
 
-    Returns H x, with H the n x n Sylvester-construction Hadamard matrix, as
-    a new array: complex128 for complex ``x``, float64 otherwise. ``x``
-    must be a nonempty 1-D array of power-of-two length n; anything else
-    raises ValueError.
+    Returns H x along the last axis, with H the n x n Sylvester-construction
+    Hadamard matrix, as a new array of x's shape: complex128 for complex
+    ``x``, float64 otherwise. ``x`` must be a nonempty array of at least one
+    axis whose last axis has power-of-two length n; anything else raises
+    ValueError. Each row of an (..., n) array transforms by the products a
+    1-D call makes, so it has the same bits.
 
     Sylvester's identity H_(ab) = H_a (x) H_b factors H into k = ceil(log2(n)
     / 4) Hadamard matrices of sizes f_1, ..., f_k <= 16. Viewing x as a
@@ -241,10 +268,10 @@ def fwht(x):
     product at twice the flops.
     """
     x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError(f"fwht needs a 1-D vector, got shape {x.shape}")
-    n = x.shape[0]
-    if n == 0 or n & (n - 1):
+    if x.ndim == 0 or x.size == 0:
+        raise ValueError(f"fwht needs a nonempty array of at least one axis, got shape {x.shape}")
+    n = x.shape[-1]
+    if n & (n - 1):
         raise ValueError(f"fwht needs a power-of-two length, got {n}")
     cplx = np.iscomplexobj(x)
     a = np.ascontiguousarray(x, dtype=np.complex128 if cplx else np.float64)
@@ -252,21 +279,26 @@ def fwht(x):
     if not sizes:
         return a.copy()
     v = a.view(np.float64) if cplx else a
-    p = 1
+    rows = p = a.size // n
     for f in sizes[:-1]:
         v = np.matmul(_hadamard_factor(f, False), v.reshape(p, f, -1))
         p *= f
     # The last axis is innermost (next to the re/im pair): multiply from the
     # right by the symmetric factor instead of batching 2-column products.
+    # One product per row: numpy takes a one-row product as a matrix-vector
+    # product, which rounds unlike the rows of a larger one.
     f = sizes[-1]
-    v = (v.reshape(-1, 2 * f if cplx else f) @ _hadamard_factor(f, cplx)).reshape(-1)
-    return v.view(np.complex128) if cplx else v
+    v = np.matmul(v.reshape(rows, -1, 2 * f if cplx else f), _hadamard_factor(f, cplx))
+    return (v.view(np.complex128) if cplx else v).reshape(a.shape)
 
 
 class _PartialTransformOperator(SensingOperator):
     """A = R T D for +/-1 column signs D, a real orthonormal transform T and
     a selector R of distinct ``rows``. Subclasses apply T and T*, looking the
     transform up on its module at each call.
+
+    A stacked operator holds signs of shape (lanes, n) and rows of shape
+    (lanes, m), lane i's in row i; ``stack_operators`` builds it.
     """
 
     def __init__(self, n, rows, signs):
@@ -288,10 +320,37 @@ class _PartialTransformOperator(SensingOperator):
     def real_valued(self):
         return True
 
+    def _with_lanes(self, signs, rows):
+        """This operator's kind and shape with the ``signs`` and ``rows`` of
+        one lane (1-D) or of stacked lanes (2-D)."""
+        out = copy.copy(self)
+        out.signs, out.rows = signs, rows
+        out.lanes = rows.shape[0] if rows.ndim == 2 else None
+        if out.lanes:
+            # Lane i's rows in the flattened (lanes, n) array: R as one gather.
+            out._flat = rows + self.n * np.arange(out.lanes)[:, None]
+        return out
+
+    def take(self, lanes):
+        if self.lanes is None:
+            return self
+        return self._with_lanes(self.signs[lanes], self.rows[lanes])
+
+    def _select(self, v):
+        """R v: the ``rows`` entries of v's last axis, lane by lane."""
+        if self.lanes:
+            return v.reshape(-1)[self._flat]
+        return v[self.rows] if v.ndim == 1 else v[:, self.rows]
+
     def _scatter(self, y):
-        """R* y: y placed at ``rows`` of a length-n zero vector of its dtype."""
-        full = np.zeros(self.n, dtype=y.dtype)
-        full[self.rows] = y
+        """R* y: y placed at ``rows`` of zero vectors of length n and y's dtype."""
+        full = np.zeros(y.shape[:-1] + (self.n,), dtype=y.dtype)
+        if self.lanes:
+            full.reshape(-1)[self._flat] = y
+        elif y.ndim == 1:
+            full[self.rows] = y
+        else:
+            full[:, self.rows] = y
         return full
 
 
@@ -313,26 +372,28 @@ class PartialWalshHadamardOperator(_PartialTransformOperator):
 
     def _apply(self, x):
         # Scaled after the row selection: m multiplies, not n.
-        return fwht(self.signs * x)[self.rows] * self._scale
+        return self._select(fwht(self.signs * x)) * self._scale
 
     def _adjoint(self, y):
         return self.signs * fwht(self._scatter(y)) * self._scale
 
 
 def _dct(x, inverse):
-    """Orthonormal DCT-II of x, or its inverse when ``inverse``, in x's dtype.
+    """Orthonormal DCT-II of x along its last axis, or its inverse when
+    ``inverse``, in x's dtype.
 
     ``scipy.fft`` is imported at the first call, and ``dct``/``idct`` are
-    looked up on it at every call. Complex x is transformed as its (n, 2)
-    float64 view along axis 0: one pass over the real and imaginary parts,
-    bit for bit the complex transform.
+    looked up on it at every call. Complex x of shape (..., n) is
+    transformed as its (..., n, 2) float64 view along axis -2: one pass over
+    the real and imaginary parts, bit for bit the complex transform.
     """
     import scipy.fft
 
     transform = scipy.fft.idct if inverse else scipy.fft.dct
     if x.dtype == np.complex128:
-        pairs = transform(x.view(np.float64).reshape(-1, 2), type=2, norm="ortho", axis=0)
-        return pairs.view(np.complex128).reshape(-1)
+        pairs = transform(x.view(np.float64).reshape(x.shape + (2,)), type=2, norm="ortho",
+                          axis=-2)
+        return pairs.view(np.complex128).reshape(x.shape)
     return transform(x, type=2, norm="ortho")
 
 
@@ -346,7 +407,7 @@ class PartialDCTOperator(_PartialTransformOperator):
     kind = "partial-dct"
 
     def _apply(self, x):
-        return _dct(self.signs * x, False)[self.rows]
+        return self._select(_dct(self.signs * x, False))
 
     def _adjoint(self, y):
         return self.signs * _dct(self._scatter(y), True)
@@ -360,7 +421,8 @@ class AugmentedOperator(SensingOperator):
     """[A, nu I] / sqrt(1 + nu^2): the base operator extended by a scaled identity.
 
     Maps C^(n+m) -> C^m. Inherits orthonormal rows from the base operator,
-    since A_hat A_hat* = (A A* + nu^2 I) / (1 + nu^2).
+    since A_hat A_hat* = (A A* + nu^2 I) / (1 + nu^2), and its lanes, so a
+    stacked base makes it stacked.
 
     The l1/l1 model min ||x||_1 + ||Ax-b||_1/nu is, up to the factor nu,
     basis pursuit with A_hat and ``data(b)`` on xh = (nu x; b - Ax): the
@@ -376,6 +438,7 @@ class AugmentedOperator(SensingOperator):
             raise ValueError(f"nu must be positive, got {nu}")
         super().__init__(base.m, base.n + base.m, orthonormal_rows=base.orthonormal_rows)
         self.base = base
+        self.lanes = base.lanes
         self.signal_n = base.n
         self.nu = float(nu)
         self._scale = 1.0 / np.sqrt(1.0 + nu * nu)
@@ -385,13 +448,17 @@ class AugmentedOperator(SensingOperator):
         return self.base.real_valued
 
     def signal(self, xh):
-        """xh[:n] * (1/nu), as numpy divides complex xh, so float64 and
+        """xh[..., :n] * (1/nu), as numpy divides complex xh, so float64 and
         complex128 iterates give the same real parts. xh must be longer than n.
         """
         n = self.signal_n
-        if xh.shape[0] <= n:
-            raise ValueError(f"augmented solution must be longer than n={n}, got {xh.shape[0]}")
-        return xh[:n] * (1.0 / self.nu)
+        if xh.shape[-1] <= n:
+            raise ValueError(f"augmented solution must be longer than n={n}, got {xh.shape[-1]}")
+        return xh[..., :n] * (1.0 / self.nu)
+
+    def take(self, lanes):
+        base = self.base.take(lanes)
+        return self if base is self.base else AugmentedOperator(base, self.nu)
 
     def data(self, b):
         """The augmented data nu b / sqrt(1 + nu^2) for data b of the base operator."""
@@ -399,15 +466,15 @@ class AugmentedOperator(SensingOperator):
             b, dtype=np.result_type(b, np.float64))
 
     def _apply(self, x):
-        head = x[: self.base.n]
-        tail = x[self.base.n :]
+        head = x[..., : self.base.n]
+        tail = x[..., self.base.n :]
         return (self.base.apply(head) + self.nu * tail) * self._scale
 
     def _adjoint(self, y):
         head = self.base.adjoint(y)
-        out = np.empty(self.n, dtype=np.result_type(head, y))
-        out[: self.base.n] = head
-        np.multiply(self.nu, y, out=out[self.base.n :])
+        out = np.empty(y.shape[:-1] + (self.n,), dtype=np.result_type(head, y))
+        out[..., : self.base.n] = head
+        np.multiply(self.nu, y, out=out[..., self.base.n :])
         out *= self._scale
         return out
 
@@ -456,6 +523,19 @@ def make_partial_transform(kind, n, rng, m=None, rows=None, signs=None):
     if rows is None:
         rows = rng.choice(n, size=m, replace=False)
     return PARTIAL_TRANSFORMS[kind](n, rows, signs)
+
+
+def stack_operators(ops):
+    """One stacked operator whose lane i is ``ops[i]``: partial transforms of
+    one kind and shape. One operator comes back as it is."""
+    first = ops[0]
+    if len(ops) == 1:
+        return first
+    if not isinstance(first, _PartialTransformOperator) or first.lanes is not None or any(
+            type(op) is not type(first) or op.shape != first.shape or op.lanes is not None
+            for op in ops):
+        raise ValueError("only single partial transforms of one kind and shape stack")
+    return first._with_lanes(np.stack([op.signs for op in ops]), np.stack([op.rows for op in ops]))
 
 
 # Kinds of randomly drawn operator that ``make_operator`` builds.

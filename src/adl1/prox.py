@@ -6,6 +6,10 @@ per-component vectors (vectors support the weighted-l1 variants). A negative
 or NaN threshold or radius raises ValueError, and so does an l-infinity
 radius of zero.
 
+The two l2 maps act on the last axis: each row of a 2-D array is a vector
+of its own (a lane), with its own radius or threshold when that is a
+(rows, 1) column, and is mapped by the 1-D computation.
+
 A map returns float64 for real input and complex128 for complex input. On
 real input it computes, bit for bit, the real part of what it computes on
 that input embedded with zero imaginary parts, except that the two l2 maps
@@ -73,12 +77,23 @@ def project_linf_ball(v, radius=1.0):
     return v * (radius / np.maximum(mag, radius))
 
 
+def _by_row(fn, v, t):
+    """fn(row, t_row) for each row of a 2-D v; t is a scalar or a (rows, 1) column."""
+    t = np.ravel(t)
+    out = np.empty_like(v)
+    for i, row in enumerate(v):
+        out[i] = fn(row, t[i % t.size])
+    return out
+
+
 def project_l2_ball(v, delta):
     """Project onto the l2 ball of radius delta centered at the origin."""
+    v = _as_field(v)
+    if v.ndim > 1:
+        return _by_row(project_l2_ball, v, delta)
     delta = float(delta)
     if not delta >= 0:
         raise ValueError("l2 ball radius must be nonnegative")
-    v = _as_field(v)
     nv = np.linalg.norm(v)
     if nv <= delta:
         return v.copy()
@@ -92,10 +107,12 @@ def shrink_l2(v, t):
 
     Zero when ||v|| <= t, otherwise v scaled by (1 - t/||v||).
     """
+    v = _as_field(v)
+    if v.ndim > 1:
+        return _by_row(shrink_l2, v, t)
     t = float(t)
     if not t >= 0:
         raise ValueError("l2 shrink threshold must be nonnegative")
-    v = _as_field(v)
     nv = np.linalg.norm(v)
     if nv <= t:
         return np.zeros_like(v)

@@ -1,19 +1,20 @@
 """Solver entry points and step functions. Every solver is ``<name>_solve(model,
 A, b, opts=None)`` for a name in SOLVERS, and refuses the models and options it
-does not use."""
+does not use. ``<name>_lanes(model, A, b, opts=None)`` solves the T lanes of
+(T, m) data in lockstep, and ``<name>_solve`` is its one-lane case."""
 
 from ..errors import ConfigError
-from .baselines import FistaState, fista_solve, ist_solve, prox_grad_step
+from .baselines import FistaState, fista_lanes, fista_solve, ist_lanes, ist_solve, prox_grad_step
 from .common import STOP_RULES, CountingOperator, RunRecord, SolverOptions, run_solve
-from .dual import GOLDEN_RATIO, DadmParams, DadmState, dadm_solve, dadm_step
-from .primal import PadmParams, PadmState, padm_solve, padm_step
+from .dual import GOLDEN_RATIO, DadmParams, DadmState, dadm_lanes, dadm_solve, dadm_step
+from .primal import PadmParams, PadmState, padm_lanes, padm_solve, padm_step
 
 __all__ = [
-    "SOLVERS", "STOP_RULES", "solve",
+    "SOLVERS", "STOP_RULES", "solve", "solve_lanes",
     "CountingOperator", "RunRecord", "SolverOptions", "run_solve",
-    "PadmParams", "PadmState", "padm_step", "padm_solve",
-    "GOLDEN_RATIO", "DadmParams", "DadmState", "dadm_step", "dadm_solve",
-    "FistaState", "prox_grad_step", "fista_solve", "ist_solve",
+    "PadmParams", "PadmState", "padm_step", "padm_lanes", "padm_solve",
+    "GOLDEN_RATIO", "DadmParams", "DadmState", "dadm_step", "dadm_lanes", "dadm_solve",
+    "FistaState", "prox_grad_step", "fista_lanes", "fista_solve", "ist_lanes", "ist_solve",
 ]
 
 # Every solver name, in the order the solver races report them.
@@ -31,8 +32,25 @@ def solve(name, model, A, b, opts=None):
     -------
     RunRecord
     """
+    return _solver(name, "_solve")(model, A, b, opts)
+
+
+def solve_lanes(name, model, A, b, opts=None):
+    """``solve`` on the T lanes of the (T, m) data b in lockstep: lane i is
+    the problem (A's lane i, b[i]), A stacked (``stack_operators``) or one
+    operator for all. Each lane's RunRecord equals, bit for bit, what
+    ``solve`` returns on its problem alone.
+
+    Returns
+    -------
+    list of RunRecord, one per lane
+    """
+    return _solver(name, "_lanes")(model, A, b, opts)
+
+
+def _solver(name, suffix):
     if name not in SOLVERS:
         raise ConfigError("unknown solver %r (choose from %s)" % (name, ", ".join(SOLVERS)))
     # Looked up per call rather than in a table built at import, so a
     # rebound module attribute (a tracing wrapper) is what runs.
-    return globals()[name + "_solve"](model, A, b, opts)
+    return globals()[name + suffix]

@@ -13,7 +13,9 @@ The shrink threshold tau*mu is the one consistent with the objective
 
 Both run ``prox_grad_step``, with and without momentum. Momentum is applied
 to the cached products as well (A y = A x + w (A x - A x_prev)), so both
-methods cost one forward and one adjoint application per iteration.
+methods cost one forward and one adjoint application per iteration. The
+momentum scalar depends on the sweep count alone, so every lane of a
+lockstep solve (``ist_lanes``, ``fista_lanes``) shares it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..prox import shrink
-from .common import SolverOptions, run_solve, working_data
+from .common import SolverOptions, one_lane, run_solve, working_data
 
-__all__ = ["FistaState", "prox_grad_step", "fista_solve", "ist_solve"]
+__all__ = ["FistaState", "prox_grad_step", "fista_lanes", "fista_solve", "ist_lanes",
+           "ist_solve"]
 
 
 @dataclass
@@ -67,7 +70,7 @@ def prox_grad_step(state, A, b, mu, tau=1.0, accelerate=True):
                       t=t_new, k=state.k + 1)
 
 
-def _baseline_solve(name, model, A, b, opts, accelerate):
+def _baseline_lanes(name, model, A, b, opts, accelerate):
     opts = opts if opts is not None else SolverOptions()
     if model.family != "qp" or model.nonneg or model.weights is not None:
         raise ConfigError("%s solves the plain qp model only, not %s" % (name, model.describe()))
@@ -77,17 +80,32 @@ def _baseline_solve(name, model, A, b, opts, accelerate):
         raise ConfigError("baseline solvers stop on relative change only")
     b = working_data(A, b, model)
     tau = 1.0 if opts.tau is None else float(opts.tau)
-    zero_n, zero_m = np.zeros(A.n, dtype=b.dtype), np.zeros(A.m, dtype=b.dtype)
+    lead = b.shape[:-1]  # the lane axis, if any
+    zero_n, zero_m = np.zeros(lead + (A.n,), dtype=b.dtype), np.zeros(lead + (A.m,), dtype=b.dtype)
     state = FistaState(x=zero_n, x_prev=zero_n, Ax=zero_m, Ax_prev=zero_m)
     return run_solve(name, model.describe(), model, A, b, opts, state,
-                     lambda state, A: prox_grad_step(state, A, b, model.mu, tau, accelerate))
+                     lambda state, A, b, p: prox_grad_step(state, A, b, model.mu, tau, accelerate))
+
+
+def fista_lanes(model, A, b, opts=None):
+    """Run FISTA on the plain qp model, min ||x||_1 + ||Ax-b||^2/(2 mu), on
+    the T lanes of the (T, m) data b, or on one lane's length-m b. Returns
+    one RunRecord per lane."""
+    return _baseline_lanes("fista", model, A, b, opts, accelerate=True)
+
+
+def ist_lanes(model, A, b, opts=None):
+    """Run IST on the plain qp model, min ||x||_1 + ||Ax-b||^2/(2 mu), on
+    the T lanes of the (T, m) data b, or on one lane's length-m b. Returns
+    one RunRecord per lane."""
+    return _baseline_lanes("ist", model, A, b, opts, accelerate=False)
 
 
 def fista_solve(model, A, b, opts=None):
-    """Run FISTA on the plain qp model, min ||x||_1 + ||Ax-b||^2/(2 mu). Returns a RunRecord."""
-    return _baseline_solve("fista", model, A, b, opts, accelerate=True)
+    """``fista_lanes`` on one problem. Returns a RunRecord."""
+    return fista_lanes(model, A, one_lane(A, b), opts)[0]
 
 
 def ist_solve(model, A, b, opts=None):
-    """Run IST on the plain qp model, min ||x||_1 + ||Ax-b||^2/(2 mu). Returns a RunRecord."""
-    return _baseline_solve("ist", model, A, b, opts, accelerate=False)
+    """``ist_lanes`` on one problem. Returns a RunRecord."""
+    return ist_lanes(model, A, one_lane(A, b), opts)[0]

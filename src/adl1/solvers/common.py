@@ -1,9 +1,28 @@
 """Shared solver plumbing: options, run records, matvec accounting, and the
-one solve loop every solver runs. Every solve starts from zero."""
+one solve loop every solver runs. Every solve starts from zero.
+
+The loop runs lanes: T problems that share a model, a solver, options and
+an operator kind and shape (a stacked operator, or one operator for all),
+each with its own data b, swept in lockstep as the rows of (T, .) arrays.
+Every step is lane by lane: elementwise, the transforms of a stacked
+operator, and every norm taken per row by the 1-D call. A lane that stops,
+or reaches ``max_iter``, freezes: its record is built at its own sweep and
+it leaves the batch (compaction), so the rest sweep fewer rows. So each
+lane's x, iterations, ``aat``, status and diagnostics rows have the bits a
+solo solve of its problem gives. A batch of one lane holds no lane axis:
+its arrays are 1-D and its per-lane scalars plain floats, which spares it
+numpy's broadcasting loops. A solo solve is that one-lane case of the same
+loop. The experiment harness batches a cell's trials, at most
+``harness.LANE_ENTRIES // n`` lanes at a time, and gives each lane the
+share of the batch's wall time that its sweeps are of the batch's
+lane-sweeps.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -13,7 +32,7 @@ from ..operators import as_complex_vector
 from ..prox import project_halfspace, project_linf_ball
 
 __all__ = ["STOP_RULES", "SolverOptions", "RunRecord", "CountingOperator", "working_data",
-           "project_dual", "run_solve"]
+           "one_lane", "per_lane", "BetaSteps", "take_lanes", "project_dual", "run_solve"]
 
 # Each stop rule names the Diagnostics field a solve compares with tol.
 STOP_RULES = ("relchg", "res")
@@ -29,10 +48,10 @@ class SolverOptions:
     diagnostics field ``stop`` names is below ``tol``; each sweep computes
     that field alone. ``history=True`` records a full diagnostics row at
     every sweep; otherwise the record holds one, at the final iterate.
-    ``x_true`` is optional instrumentation; each recorded row then carries
-    the relative error against it (percent). Only err-vs-opt, which plots
-    that error per iteration, sets either: every other caller scores the
-    returned ``x``.
+    ``x_true`` is optional instrumentation, a length-n vector, or (T, n)
+    for T lanes; each recorded row then carries the relative error against
+    it (percent). Only err-vs-opt, which plots that error per iteration,
+    sets either: every other caller scores the returned ``x``.
     """
 
     beta: float | None = None
@@ -110,11 +129,16 @@ class CountingOperator:
     (``lambda_max``, memoized there) is never counted. Operators are
     immutable, so each attribute is stored on the wrapper at its first
     lookup: the sweeps read ``m`` and ``orthonormal_rows`` every time.
+    One call maps every lane, so ``count`` is each active lane's count.
     """
 
-    def __init__(self, op):
+    def __init__(self, op, count=0):
         self.op = op
-        self.count = 0
+        self.count = count
+
+    def take(self, lanes):
+        """A counter over ``op.take(lanes)`` that goes on from this count."""
+        return CountingOperator(self.op.take(lanes), self.count)
 
     def __getattr__(self, name):
         # Dunder lookups (copy, pickle) may come before ``op`` is set.
@@ -134,7 +158,8 @@ class CountingOperator:
 
 
 def check_finite(x, y, k):
-    """Raise DivergenceError if an iterate went nonfinite at iteration k.
+    """Raise DivergenceError if an iterate went nonfinite at iteration k, in
+    any lane.
 
     y is the multiplier, or None for a method without one.
     """
@@ -144,22 +169,80 @@ def check_finite(x, y, k):
         raise DivergenceError(f"multiplier became nonfinite at iteration {k}")
 
 
+def one_lane(A, b):
+    """The data of a solo solve, b, as a length-m complex vector: the one
+    lane a ``<name>_solve`` hands its ``<name>_lanes``.
+
+    Raises DimensionMismatchError if b is not a length-m vector, and
+    ValueError if it has nonfinite entries.
+    """
+    return as_complex_vector(b, A.m)
+
+
+def per_lane(fn, v):
+    """fn(row) of each row (lane) of a 2-D v as a (T, 1) column, or fn(v) for
+    a 1-D v: one 1-D call per lane, so each value has a solo solve's bits."""
+    if v.ndim == 1:
+        return fn(v)
+    return np.array([fn(row) for row in v]).reshape(-1, 1)
+
+
+class BetaSteps:
+    """1/beta and gamma beta of a step-parameters dataclass with ``beta`` and
+    ``gamma``, computed once per batch rather than at every sweep, and the
+    parameters of some of its lanes."""
+
+    def take(self, keep):
+        """The parameters of the lanes that ``keep`` selects (see
+        ``take_lanes``); one lane's ``beta`` is a float."""
+        if np.ndim(self.beta) == 0:
+            return self
+        beta = self.beta[keep]
+        return replace(self, beta=beta if beta.ndim == 2 else float(beta[0]))
+
+    @cached_property
+    def beta_inv(self):
+        return 1.0 / self.beta
+
+    @cached_property
+    def gamma_beta(self):
+        return self.gamma * self.beta
+
+
+def take_lanes(obj, keep):
+    """A state with each array field cut to the lanes that the mask or index
+    array ``keep`` selects, or for an integer to that one lane, without its
+    lane axis; every array field of a state has one."""
+    return replace(obj, **{f.name: getattr(obj, f.name)[keep] for f in fields(obj)
+                           if isinstance(getattr(obj, f.name), np.ndarray)})
+
+
 def working_data(A, b, model):
-    """Validate the data b of a solve of ``model`` on A and cast it to the solve's dtype.
+    """Validate the lane data b of a solve of ``model`` on A, (T, m) or one
+    lane's (m,), and cast it to the solve's dtype; one lane's comes back 1-D.
 
     The one place a solve picks its arithmetic: float64 when A is
-    ``real_valued`` and b has no nonzero imaginary part, complex128
-    otherwise. Every solve starts from a zero state in that dtype, and every
-    sweep keeps it.
+    ``real_valued`` and no lane of b has a nonzero imaginary part,
+    complex128 otherwise. Every solve starts from a zero state in that
+    dtype, and every sweep keeps it.
 
-    Raises DimensionMismatchError if b is not a length-m vector or the
-    model's weights are not length n, and ValueError if b has nonfinite
-    entries.
+    Raises DimensionMismatchError if b is neither a length-m vector nor a
+    (T, m) array (T = A.lanes for a stacked A) or the model's weights are not
+    length n, and ValueError if b has nonfinite entries.
     """
     if model.weights is not None and model.weights.shape[0] != A.n:
         raise DimensionMismatchError(f"weights have length {model.weights.shape[0]}, "
                                      f"but the operator has n = {A.n} columns")
-    b = as_complex_vector(b, A.m)
+    b = np.asarray(b)
+    if b.ndim == 2 and len(b) == 1 and A.lanes is None:
+        b = b[0]
+    if b.ndim == 2 and A.lanes in (None, len(b)):
+        b = np.stack([as_complex_vector(row, A.m) for row in b])
+    elif A.lanes is None:
+        b = as_complex_vector(b, A.m)
+    else:
+        raise DimensionMismatchError(f"a {A.lanes}-lane operator needs data of shape "
+                                     f"({A.lanes}, {A.m}), got {b.shape}")
     if A.real_valued and not np.any(b.imag):
         return b.real.copy()
     return b
@@ -173,92 +256,132 @@ def project_dual(v, A, model):
     if not model.nonneg:
         return project_linf_ball(v, w)
     k = A.signal_n
-    if k >= v.shape[0]:
+    if k >= v.shape[-1]:
         return project_halfspace(v, w)
     w_head = w if np.ndim(w) == 0 else w[:k]
     w_tail = w if np.ndim(w) == 0 else w[k:]
-    return np.concatenate([project_halfspace(v[:k], w_head),
-                           project_linf_ball(v[k:], w_tail)])
+    return np.concatenate([project_halfspace(v[..., :k], w_head),
+                           project_linf_ball(v[..., k:], w_tail)], axis=-1)
 
 
-def run_solve(solver, label, model, A, b, opts, state, step, *, dual=None):
-    """Run the solve loop shared by every solver and return its RunRecord.
+def _by_lane(b, *arrays):
+    """Each lane's slices of ``arrays`` (None stays None), for a batch whose
+    data is b: the arrays themselves when b is one lane's vector."""
+    if b.ndim == 1:
+        return (arrays,)
+    return zip(*(repeat(None) if v is None else v for v in arrays))
 
-    Each sweep steps, checks that the new iterate and multiplier are finite
-    (DivergenceError otherwise), computes the one diagnostics field
-    ``opts.stop`` names, records the running ``aat``, and stops when that
-    field is below ``opts.tol`` or after ``opts.max_iter`` sweeps. The field
-    is ``relchg`` alone, or under ``stop="res"`` the ``residues`` (the gap
-    only when mu > 0): the functions ``compute_res`` calls, so it equals the
-    full row's bit for bit. ``compute_res`` builds one full row at the final
-    iterate, or one per sweep under ``opts.history``. Given
-    ``opts.x_true`` (only err-vs-opt passes it), each recorded row's
-    ``relerr`` is the error of the sweep's signal estimate ``A.signal(x)``
-    against it.
+
+def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dual=None):
+    """Run the solve loop shared by every solver on T lanes and return one
+    RunRecord per lane, in lane order.
+
+    Each sweep steps every active lane, checks that the new iterates and
+    multipliers are finite (DivergenceError otherwise), computes per lane
+    the one diagnostics field ``opts.stop`` names, records the running
+    ``aat``, and freezes each lane whose field is below ``opts.tol``, and
+    every lane after ``opts.max_iter`` sweeps. The field is ``relchg``
+    alone, or under ``stop="res"`` the ``residues`` (the gap only when
+    mu > 0): the functions ``compute_res`` calls, so it equals the full
+    row's bit for bit. ``compute_res`` builds one full row at a lane's final
+    iterate, or one per sweep under ``opts.history``. Given ``opts.x_true``
+    (only err-vs-opt passes it), each recorded row's ``relerr`` is the error
+    of the sweep's signal estimate ``A.signal(x)`` against it. Frozen lanes
+    leave the batch: the state, b, the array fields of ``params`` and A
+    (``take``) keep the active lanes only.
+
+    A batch of one lane, from the start or after compaction, holds no lane
+    axis (see the module docstring).
 
     Parameters
     ----------
     solver, label : str
         The solver's name and the caller's model label, written into the
-        record.
+        records.
     model : ModelSpec
         The model the iteration solves: the caller's, or for the l1/l1
         model the basis pursuit on the augmented pair. The diagnostics read
         its terms, and its ``nonneg`` clips the returned signal.
     A, b
-        Operator and data the iteration works on (the augmented pair for
-        the l1/l1 model). A is wrapped here to count applications, and its
-        ``signal`` maps an iterate to the signal estimate. b comes from
-        ``working_data``; the iterates take its dtype.
+        Operator and (T, m) or one lane's (m,) data the iteration works on
+        (the augmented pair for the l1/l1 model). A is wrapped here to count
+        applications, and its ``signal`` maps an iterate to the signal
+        estimate. b comes from ``working_data``; the iterates take its dtype.
     opts : SolverOptions
     state
-        The zero state in b's dtype. Every state carries the iterate ``x``,
-        its cached product ``Ax`` and the sweep count ``k``.
+        The zero state in b's dtype, its arrays with b's lane axis. Every
+        state carries the iterate ``x``, its cached product ``Ax`` and the
+        sweep count ``k``, which all active lanes share.
     step : callable
-        ``step(state, A)`` returns the next state.
+        ``step(state, A, b, params)`` returns the next state.
+    params
+        The step parameters, with a ``take`` method (``BetaSteps``), or None.
     dual : callable, optional
         ``dual(state, A)`` returns ``(y, z, Aty)``, the multiplier, the dual
         auxiliary and A* y; z and Aty may be None, leaving the dual residue,
         gap and res NaN. Omitted for a method without a multiplier.
 
-    The record's x is the signal estimate of the last iterate, clipped at
-    zero for a nonnegative model, in complex128 whatever the working dtype.
+    A record's x is the signal estimate of its lane's last iterate, clipped
+    at zero for a nonnegative model, in complex128 whatever the working
+    dtype.
     """
     counting = CountingOperator(A)
+    lanes = len(b) if b.ndim == 2 else 1
     # Once per solve, so a zero-data warning fires once, not every sweep.
-    b_norm = None if dual is None else data_norm(b)
+    b_norm = None if dual is None else [data_norm(row) for row in b.reshape(lanes, -1)]
+    x_true = None if opts.x_true is None else np.reshape(opts.x_true, (lanes, -1))
+    ids = list(range(lanes))  # the lane each row of the batch holds
+    histories = [[] for _ in range(lanes)]
+    aat_histories = [[] for _ in range(lanes)]
+    records = [None] * lanes
 
-    def row(state, x_prev, y, z, Aty):
-        diag = compute_res(state.x, y, z, counting, b, model,
-                           Ax=state.Ax, Aty=Aty, x_prev=x_prev, b_norm=b_norm)
-        if opts.x_true is not None:
-            diag.relerr = relerr(A.signal(state.x), opts.x_true)
+    def lane(v, i):
+        return v if v is None or b.ndim == 1 else v[i]
+
+    def row(i):
+        diag = compute_res(lane(state.x, i), lane(y, i), lane(z, i), counting, lane(b, i), model,
+                           Ax=lane(state.Ax, i), Aty=lane(Aty, i), x_prev=lane(x_prev, i),
+                           b_norm=None if b_norm is None else b_norm[ids[i]])
+        if x_true is not None:
+            diag.relerr = relerr(A.signal(lane(state.x, i)), x_true[ids[i]])
         return diag
 
-    def stop_field(state, x_prev, y, z, Aty):
-        if opts.stop == "relchg":
-            return relchg(state.x, x_prev)
-        return residues(state.x, y, z, counting, b, model, misfit=state.Ax - b, Aty=Aty,
-                        b_norm=b_norm)[3]
-
-    history, aat_history = [], []
-    status = "max_iter"
-    for _ in range(opts.max_iter):
+    for sweep in range(1, opts.max_iter + 1):
         x_prev = state.x
-        state = step(state, counting)
+        state = step(state, counting, b, params)
         y, z, Aty = (None, None, None) if dual is None else dual(state, counting)
         check_finite(state.x, y, state.k)
-        if opts.history:
-            history.append(row(state, x_prev, y, z, Aty))
-        aat_history.append(counting.count)
-        if stop_field(state, x_prev, y, z, Aty) < opts.tol:
-            status = "converged"
-            break
-    if not opts.history:
-        history.append(row(state, x_prev, y, z, Aty))
-
-    x = A.signal(state.x)
-    x = np.maximum(x.real, 0.0) if model.nonneg else x
-    return RunRecord(solver=solver, model=label, status=status, iterations=state.k,
-                     aat=counting.count, x=x.astype(np.complex128, copy=False),
-                     history=history, aat_history=aat_history)
+        for i, lane_id in enumerate(ids):
+            if opts.history:
+                histories[lane_id].append(row(i))
+            aat_histories[lane_id].append(counting.count)
+        if opts.stop == "relchg":
+            done = [relchg(x, p) < opts.tol for x, p in _by_lane(b, state.x, x_prev)]
+        else:
+            done = [residues(x, y_, z_, counting, b_, model, misfit=mis, Aty=aty,
+                             b_norm=b_norm[lane_id])[3] < opts.tol
+                    for (x, y_, z_, b_, mis, aty), lane_id
+                    in zip(_by_lane(b, state.x, y, z, b, state.Ax - b, Aty), ids)]
+        last = sweep == opts.max_iter
+        if not (last or True in done):
+            continue
+        for i, lane_id in enumerate(ids):
+            if not (done[i] or last):
+                continue
+            if not opts.history:
+                histories[lane_id].append(row(i))
+            x = A.signal(lane(state.x, i))
+            x = np.maximum(x.real, 0.0) if model.nonneg else x
+            records[lane_id] = RunRecord(
+                solver=solver, model=label, status="converged" if done[i] else "max_iter",
+                iterations=state.k, aat=counting.count, x=x.astype(np.complex128, copy=False),
+                history=histories[lane_id], aat_history=aat_histories[lane_id])
+        if last or all(done):
+            return records
+        keep = [i for i, stopped in enumerate(done) if not stopped]
+        ids = [ids[i] for i in keep]
+        # A lone lane left sheds the lane axis.
+        keep = keep[0] if len(keep) == 1 else np.array(keep)
+        b, state, counting = b[keep], take_lanes(state, keep), counting.take(keep)
+        if params is not None:
+            params = params.take(keep)

@@ -24,11 +24,15 @@ model only swaps the z-projection of the operator's signal block
 solve clips the final output. The z-projection is ``common.project_dual``,
 which the primal solver's res stop shares. Every solve starts from the zero
 state.
+
+``dadm_lanes`` solves T lanes in lockstep (``common.run_solve``), each with
+its own data and a per-lane ``beta`` column; ``dadm_solve`` is one lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,42 +40,53 @@ from ..errors import ConfigError, StepSizeError
 from ..models import ModelSpec
 from ..operators import AugmentedOperator
 from ..prox import shrink_l2
-from .common import SolverOptions, project_dual, run_solve, working_data
+from .common import (BetaSteps, SolverOptions, one_lane, per_lane, project_dual, run_solve,
+                     working_data)
 
 __all__ = ["DadmParams", "DadmState", "GOLDEN_RATIO",
-           "dadm_step", "dadm_solve"]
+           "dadm_step", "dadm_lanes", "dadm_solve"]
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 DEFAULT_GAMMA = 1.618
 
 
 @dataclass(frozen=True, eq=False)
-class DadmParams:
+class DadmParams(BetaSteps):
     """Validated step sizes for the dual solver, and the model it sweeps.
 
     ``model`` is the ModelSpec the steps read mu, delta, weights and
     nonneg from (for the l1/l1 model, basis pursuit on the augmented pair).
+    ``beta`` is a scalar, or a (T, 1) column of one per lane.
     """
 
-    beta: float
+    beta: float | np.ndarray
     gamma: float
     model: ModelSpec = ModelSpec.bp()
 
     def __post_init__(self):
-        if not (self.beta > 0):
+        if not np.all(np.asarray(self.beta) > 0):
             raise StepSizeError(f"beta must be positive, got {self.beta}")
         if not (0 < self.gamma < GOLDEN_RATIO):
             raise StepSizeError(
                 f"gamma must lie in (0, (1+sqrt(5))/2), got {self.gamma}")
 
+    @cached_property
+    def y_scale(self):
+        """beta / (mu + beta), the exact qp y-update's factor."""
+        return self.beta / (self.model.mu + self.beta)
+
     @classmethod
     def from_operator(cls, A, b, model=ModelSpec.bp(), *, gamma=None, beta=None):
-        """Fill the standard defaults: gamma=1.618, beta=||b||_1/m."""
+        """Fill the standard defaults: gamma=1.618, beta=||b||_1/m, per lane
+        of a (T, m) b."""
         gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
         if beta is None:
-            b_l1 = float(np.sum(np.abs(b)))
-            beta = b_l1 / A.m if b_l1 > 0 else 1.0
-        return cls(beta=float(beta), gamma=gamma, model=model)
+            beta = per_lane(lambda row: _default_beta(A.m, float(np.sum(np.abs(row)))), b)
+        return cls(beta=beta if np.ndim(beta) else float(beta), gamma=gamma, model=model)
+
+
+def _default_beta(m, b_l1):
+    return b_l1 / m if b_l1 > 0 else 1.0
 
 
 @dataclass
@@ -95,7 +110,10 @@ def dadm_step(state, A, b, p):
     delta > 0, bp otherwise), and A x follows by an identity: two
     applications per sweep. On any other operator it is one steepest-descent
     step with exact steplength, at three applications; the delta-ball model
-    has no closed steplength there, so bpdn raises ConfigError.
+    has no closed steplength there, so bpdn raises ConfigError. The state
+    may hold lanes, its arrays (T, .), with ``p.beta`` a (T, 1) column; a
+    lane whose steepest-descent step is void keeps its y while the others
+    step, though the adjoint they take is counted for it too.
     """
     exact = A.orthonormal_rows
     mu, delta = p.model.mu, p.model.delta
@@ -104,12 +122,12 @@ def dadm_step(state, A, b, p):
     # Division by a scalar is written as a product with its reciprocal: numpy
     # computes complex x / beta that way, so float64 iterates equal the real
     # parts of complex ones bit for bit.
-    z_new = project_dual(state.Aty + state.x * (1.0 / p.beta), A, p.model)
+    z_new = project_dual(state.Aty + state.x * p.beta_inv, A, p.model)
     if exact:
         Az = A.apply(z_new)
-        v = Az - (state.Ax - b) * (1.0 / p.beta)
+        v = Az - (state.Ax - b) * p.beta_inv
         if mu > 0:
-            y_new = (p.beta / (mu + p.beta)) * v
+            y_new = p.y_scale * v
         elif delta > 0:
             y_new = shrink_l2(v, delta / p.beta)
         else:
@@ -117,25 +135,41 @@ def dadm_step(state, A, b, p):
         Aty_new = A.adjoint(y_new)
     else:
         g = mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
-        g_sq = float(np.linalg.norm(g) ** 2)
+        g_sq = per_lane(_sq_norm, g)
         # y stays when g = 0, or when g lies in the null space of A* with
         # mu = 0: no curvature along it, so no bounded step.
         y_new, Aty_new = state.y, state.Aty
-        if g_sq > 0.0:
+        if np.any(g_sq > 0.0):
             Atg = A.adjoint(g)
-            denom = mu * g_sq + p.beta * float(np.linalg.norm(Atg) ** 2)
-            if denom > 0.0:
-                alpha = g_sq / denom
-                y_new = state.y - alpha * g
-                Aty_new = state.Aty - alpha * Atg
-    x_new = state.x - p.gamma * p.beta * (z_new - Aty_new)
+            denom = mu * g_sq + p.beta * per_lane(_sq_norm, Atg)
+            steps = (g_sq > 0.0) & (denom > 0.0)
+            alpha = np.where(steps, g_sq / np.where(steps, denom, 1.0), 0.0)
+            y_new = np.where(steps, state.y - alpha * g, state.y)
+            Aty_new = np.where(steps, state.Aty - alpha * Atg, state.Aty)
+    x_new = state.x - p.gamma_beta * (z_new - Aty_new)
     # Exact under A A* = I; keeps that sweep at two applications.
-    Ax_new = state.Ax - p.gamma * p.beta * (Az - y_new) if exact else A.apply(x_new)
+    Ax_new = state.Ax - p.gamma_beta * (Az - y_new) if exact else A.apply(x_new)
     return DadmState(x=x_new, y=y_new, z=z_new, Ax=Ax_new, Aty=Aty_new, k=state.k + 1)
 
 
+def _sq_norm(v):
+    return float(np.linalg.norm(v) ** 2)
+
+
 def dadm_solve(model, A, b, opts=None):
-    """Run the dual solver on any of the eight models.
+    """Run the dual solver on one problem; ``dadm_lanes`` with one lane.
+
+    Returns
+    -------
+    RunRecord
+    """
+    return dadm_lanes(model, A, one_lane(A, b), opts)[0]
+
+
+def dadm_lanes(model, A, b, opts=None):
+    """Run the dual solver on any of the eight models, on the T lanes of the
+    (T, m) data b (A stacked, or one operator for all), or on one lane's
+    length-m b; one RunRecord per lane.
 
     The l1/l1 families are rewritten as basis pursuit on the augmented
     operator before iterating; their history rows (relative change,
@@ -151,7 +185,7 @@ def dadm_solve(model, A, b, opts=None):
 
     Returns
     -------
-    RunRecord
+    list of RunRecord
     """
     opts = opts if opts is not None else SolverOptions()
     if opts.tau is not None:
@@ -166,8 +200,9 @@ def dadm_solve(model, A, b, opts=None):
         solved = ModelSpec.bp(nonneg=model.nonneg, weights=weights)
 
     params = DadmParams.from_operator(op, data, solved, gamma=opts.gamma, beta=opts.beta)
-    zero_n, zero_m = np.zeros(op.n, dtype=data.dtype), np.zeros(op.m, dtype=data.dtype)
+    lead = data.shape[:-1]  # the lane axis, if any
+    zero_n = np.zeros(lead + (op.n,), dtype=data.dtype)
+    zero_m = np.zeros(lead + (op.m,), dtype=data.dtype)
     state = DadmState(x=zero_n, y=zero_m, z=zero_n, Ax=zero_m, Aty=zero_n)
-    return run_solve("dadm", model.describe(), solved, op, data, opts, state,
-                     lambda state, A: dadm_step(state, A, data, params),
+    return run_solve("dadm", model.describe(), solved, op, data, opts, state, dadm_step, params,
                      dual=lambda state, A: (state.y, state.z, state.Aty))

@@ -13,48 +13,63 @@ requires tau lambda_max(A*A) + gamma < 2, enforced at parameter
 construction; no orthonormality of A is needed, which makes this the
 fallback solver for general dense operators. Each sweep reads its model
 from ``PadmParams.model``, a ModelSpec; every solve starts from the zero
-state.
+state. ``padm_lanes`` solves T lanes in lockstep, each with its own data
+and a per-lane ``beta`` column; ``padm_solve`` is one lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ConfigError, StepSizeError
 from ..models import ModelSpec
 from ..prox import project_l2_ball, shrink
-from .common import SolverOptions, project_dual, run_solve, working_data
+from .common import (BetaSteps, SolverOptions, one_lane, per_lane, project_dual, run_solve,
+                     working_data)
 
-__all__ = ["PadmParams", "PadmState", "padm_step", "padm_solve"]
+__all__ = ["PadmParams", "PadmState", "padm_step", "padm_lanes", "padm_solve"]
 
 DEFAULT_TAU = 0.8
 DEFAULT_GAMMA = 1.199
 
 
 @dataclass(frozen=True, eq=False)
-class PadmParams:
+class PadmParams(BetaSteps):
     """Validated step sizes for the primal solver, and the model it sweeps.
 
     ``model`` is the ModelSpec the step reads mu, delta and weights from.
     Build through ``from_operator`` in normal use: it fills the standard
     defaults (tau=0.8, gamma=1.199, beta=2m/||b||_1) and enforces the
-    convergence guard tau lambda_max + gamma < 2.
+    convergence guard tau lambda_max + gamma < 2. ``beta`` is a scalar, or
+    a (T, 1) column of one per lane.
     """
 
-    beta: float
+    beta: float | np.ndarray
     gamma: float
     tau: float
     model: ModelSpec = ModelSpec.bp()
 
     def __post_init__(self):
-        if not (self.beta > 0):
+        if not np.all(np.asarray(self.beta) > 0):
             raise StepSizeError(f"beta must be positive, got {self.beta}")
         if not (self.tau > 0):
             raise StepSizeError(f"tau must be positive, got {self.tau}")
         if not (0 < self.gamma < 2):
             raise StepSizeError(f"gamma must lie in (0, 2), got {self.gamma}")
+
+    @cached_property
+    def r_scale(self):
+        """mu beta / (1 + mu beta), the qp r-update's factor."""
+        return self.model.mu * self.beta / (1.0 + self.model.mu * self.beta)
+
+    @cached_property
+    def threshold(self):
+        """tau / beta, times the model's weights if it has them."""
+        thresh = self.tau / self.beta
+        return thresh if self.model.weights is None else thresh * self.model.weights
 
     @classmethod
     def from_operator(cls, A, b, model=ModelSpec.bp(), *, tau=None, gamma=None, beta=None):
@@ -65,14 +80,18 @@ class PadmParams:
         tau = DEFAULT_TAU if tau is None else float(tau)
         gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
         if beta is None:
-            b_l1 = float(np.sum(np.abs(b)))
-            beta = 2.0 * A.m / b_l1 if b_l1 > 0 else 1.0
+            beta = per_lane(lambda row: _default_beta(A.m, float(np.sum(np.abs(row)))), b)
         lam = A.lambda_max()
         if tau * lam + gamma >= 2.0:
             raise StepSizeError(
                 f"step sizes violate tau*lambda_max + gamma < 2: "
                 f"{tau} * {lam:.6g} + {gamma} = {tau * lam + gamma:.6g}")
-        return cls(beta=float(beta), gamma=gamma, tau=tau, model=model)
+        return cls(beta=beta if np.ndim(beta) else float(beta), gamma=gamma, tau=tau,
+                   model=model)
+
+
+def _default_beta(m, b_l1):
+    return 2.0 * m / b_l1 if b_l1 > 0 else 1.0
 
 
 @dataclass
@@ -90,27 +109,39 @@ def padm_step(state, A, b, p):
     """One sweep r -> x -> y of the model ``p.model``.
 
     The models differ only in the r-update: qp when mu > 0, bpdn when
-    delta > 0, bp (r pinned at zero) otherwise.
+    delta > 0, bp (r pinned at zero) otherwise. The state may hold lanes,
+    its arrays (T, .), with ``p.beta`` a (T, 1) column.
     """
-    mu, delta, weights = p.model.mu, p.model.delta, p.model.weights
+    mu, delta = p.model.mu, p.model.delta
     # y * (1/beta), not y / beta: see dadm_step.
+    y_beta = state.y * p.beta_inv
     if mu > 0:
-        coeff = mu * p.beta / (1.0 + mu * p.beta)
-        r_new = coeff * (state.y * (1.0 / p.beta) - (state.Ax - b))
+        r_new = p.r_scale * (y_beta - (state.Ax - b))
     elif delta > 0:
-        r_new = project_l2_ball(state.y * (1.0 / p.beta) - (state.Ax - b), delta)
+        r_new = project_l2_ball(y_beta - (state.Ax - b), delta)
     else:
         r_new = np.zeros_like(b)
-    g = A.adjoint(state.Ax + r_new - b - state.y * (1.0 / p.beta))
-    thresh = p.tau / p.beta if weights is None else (p.tau / p.beta) * weights
-    x_new = shrink(state.x - p.tau * g, thresh)
+    g = A.adjoint(state.Ax + r_new - b - y_beta)
+    x_new = shrink(state.x - p.tau * g, p.threshold)
     Ax_new = A.apply(x_new)
-    y_new = state.y - p.gamma * p.beta * (Ax_new + r_new - b)
+    y_new = state.y - p.gamma_beta * (Ax_new + r_new - b)
     return PadmState(x=x_new, r=r_new, y=y_new, Ax=Ax_new, k=state.k + 1)
 
 
 def padm_solve(model, A, b, opts=None):
-    """Run the primal solver on a bp, bpdn, or qp model.
+    """Run the primal solver on one problem; ``padm_lanes`` with one lane.
+
+    Returns
+    -------
+    RunRecord
+        Status "converged" when the stopping rule fired, else "max_iter".
+    """
+    return padm_lanes(model, A, one_lane(A, b), opts)[0]
+
+
+def padm_lanes(model, A, b, opts=None):
+    """Run the primal solver on a bp, bpdn, or qp model, on the T lanes of
+    the (T, m) data b; one RunRecord per lane.
 
     Parameters
     ----------
@@ -119,14 +150,14 @@ def padm_solve(model, A, b, opts=None):
         are handled by the dual solver (via reformulation and the modified
         dual projection) and are rejected here.
     A : SensingOperator
+        Stacked with T lanes, or one operator for all.
     b : array_like
-        Length-m data vector.
+        (T, m) data, one row per lane, or one lane's length-m vector.
     opts : SolverOptions, optional
 
     Returns
     -------
-    RunRecord
-        Status "converged" when the stopping rule fired, else "max_iter".
+    list of RunRecord
     """
     opts = opts if opts is not None else SolverOptions()
     if model.family == "l1l1":
@@ -146,7 +177,8 @@ def padm_solve(model, A, b, opts=None):
         Aty = A.adjoint(state.y)
         return state.y, project_dual(Aty, A, model), Aty
 
-    zero_m = np.zeros(A.m, dtype=b.dtype)
-    state = PadmState(x=np.zeros(A.n, dtype=b.dtype), r=zero_m, y=zero_m, Ax=zero_m)
-    return run_solve("padm", model.describe(), model, A, b, opts, state,
-                     lambda state, A: padm_step(state, A, b, params), dual=dual)
+    lead = b.shape[:-1]  # the lane axis, if any
+    zero_m = np.zeros(lead + (A.m,), dtype=b.dtype)
+    state = PadmState(x=np.zeros(lead + (A.n,), dtype=b.dtype), r=zero_m, y=zero_m, Ax=zero_m)
+    return run_solve("padm", model.describe(), model, A, b, opts, state, padm_step, params,
+                     dual=dual)

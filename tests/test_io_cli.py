@@ -345,6 +345,40 @@ def test_solve_from_matrix_and_vector_files(tmp_path, rng):
     assert "relerr_pct" not in summary  # file-based b has no reference signal
 
 
+def _sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_run_json_hashes_each_input_file(tmp_path, rng):
+    # A config names its input files by path, so config_hash alone cannot
+    # tell two runs on rewritten files apart; input_sha256 can.
+    q = np.linalg.qr(rng.standard_normal((16, 8)))[0].T
+    write_matrix(tmp_path / "A.bin", q)
+    write_vector(tmp_path / "w.bin", np.full(16, 2.0))
+    x = np.zeros(16)
+    x[[2, 9]] = [1.5, -0.7]
+    write_vector(tmp_path / "b.bin", q @ x)
+    cfg = {"operator": {"kind": "dense", "file": str(tmp_path / "A.bin"),
+                        "orthonormal_rows": True},
+           "b": {"file": str(tmp_path / "b.bin")},
+           "model": {"family": "qp", "mu": 0.01, "weights": str(tmp_path / "w.bin")}}
+    path = tmp_path / "files.json"
+    path.write_text(json.dumps(cfg))
+    runs = []
+    for name in ("first", "rewritten"):
+        assert cli.main(["solve", str(path), "--out", str(tmp_path / name)]) in (0, 2)
+        runs.append(json.loads((tmp_path / name / "run.json").read_text()))
+        assert runs[-1]["input_sha256"] == {
+            "b": _sha256_file(tmp_path / "b.bin"),
+            "model.weights": _sha256_file(tmp_path / "w.bin"),
+            "operator.file": _sha256_file(tmp_path / "A.bin")}
+        x[[2, 9]] = [-0.4, 1.1]
+        write_vector(tmp_path / "b.bin", q @ x)
+    assert runs[0]["config_hash"] == runs[1]["config_hash"]
+    assert runs[0]["input_sha256"]["b"] != runs[1]["input_sha256"]["b"]
+    assert runs[0]["input_sha256"]["operator.file"] == runs[1]["input_sha256"]["operator.file"]
+
+
 # run.json's top-level keys when b carries a planted signal
 RUN_KEYS = {"solver", "model", "status", "iterations", "aat", "seconds", "relres", "relerr_pct",
             "config", "config_hash"}

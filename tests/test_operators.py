@@ -23,6 +23,7 @@ from adl1.operators import (
     estimate_lambda_max,
     fwht,
     make_operator,
+    stack_operators,
 )
 from adl1.solvers import CountingOperator
 
@@ -108,12 +109,69 @@ def test_fwht_matches_butterfly_oracle(e, rng):
         assert np.array_equal(x, before)
 
 
+# fwht transforms the last axis, so a 2-D array is refused only for a
+# last axis of non-power-of-two length, or when it holds no entries.
 @pytest.mark.parametrize("bad", [np.zeros(3), np.ones(6, np.complex128), np.ones(1000),
-                                 np.zeros(0), np.zeros((4, 4)), np.float64(1.0)],
-                         ids=["n3", "n6", "n1000", "empty", "2d", "scalar"])
+                                 np.zeros(0), np.zeros((4, 6)), np.zeros((0, 4)),
+                                 np.float64(1.0)],
+                         ids=["n3", "n6", "n1000", "empty", "2d", "2d-empty", "scalar"])
 def test_fwht_rejects_bad_shapes(bad):
     with pytest.raises(ValueError):
         fwht(bad)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("e", range(14))
+def test_stacked_fwht_rows_equal_1d_calls(e, rng):
+    # A solve's lanes sweep as the rows of one (T, n) array: each row must
+    # carry the bits of the 1-D transform of that row alone.
+    n = 1 << e
+    for lanes in (2, 3, 10):
+        x = rng.standard_normal((lanes, n))
+        for v in (x, x + 1j * rng.standard_normal((lanes, n))):
+            got = fwht(v)
+            assert all(_same_bits(got[i], fwht(v[i].copy())) for i in range(lanes)), (n, lanes)
+
+
+def test_stacked_dct_rows_equal_1d_calls(rng):
+    from adl1.operators import _dct
+
+    for lanes in (2, 3, 10):
+        x = rng.standard_normal((lanes, 1000))
+        for v in (x, x + 1j * rng.standard_normal((lanes, 1000))):
+            for inverse in (False, True):
+                got = _dct(v, inverse)
+                assert all(_same_bits(got[i], _dct(v[i].copy(), inverse))
+                           for i in range(lanes)), (lanes, v.dtype, inverse)
+
+
+@pytest.mark.parametrize("kind,n,m", [("wht", 1024, 307), ("dct", 1000, 300)])
+def test_stacked_operator_lanes_equal_their_operators(kind, n, m, rng):
+    ops = [make_operator(kind, n, m, rng) for _ in range(4)]
+    for stacked, lanes in ((stack_operators(ops), ops),
+                           (AugmentedOperator(stack_operators(ops), 0.5),
+                            [AugmentedOperator(op, 0.5) for op in ops])):
+        assert stacked.lanes == 4
+        x = rng.standard_normal((4, stacked.n))
+        y = rng.standard_normal((4, m))
+        for u, v in ((x, y), (x + 1j * x[::-1], y + 1j * y[::-1])):
+            fwd, back = stacked.apply(u), stacked.adjoint(v)
+            for i, op in enumerate(lanes):
+                assert _same_bits(fwd[i], op.apply(u[i].copy()))
+                assert _same_bits(back[i], op.adjoint(v[i].copy()))
+        kept = stacked.take(np.array([True, False, True, False]))
+        assert kept.lanes == 2
+        assert _same_bits(kept.apply(x[[0, 2]])[1], lanes[2].apply(x[2].copy()))
+        with pytest.raises(DimensionMismatchError):
+            stacked.apply(x[0])
+    # one operator maps any number of lanes, each by its one matrix
+    x = rng.standard_normal((3, n))
+    assert all(_same_bits(ops[0].apply(x)[i], ops[0].apply(x[i].copy())) for i in range(3))
+    with pytest.raises(ValueError):
+        stack_operators([ops[0], make_operator(kind, n, m - 1, rng)])
 
 
 def test_import_leaves_scipy_linalg_unloaded(tmp_path):

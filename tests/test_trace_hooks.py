@@ -7,8 +7,14 @@ module attribute (a name-to-function table built at import), does not fail
 any solver test; it silently empties a layer of the benchmark's report.
 These tests load the tracer from its path, unedited, and run one tiny CLI
 solve and two tiny experiments under it.
+
+The tracer counts solves and sweeps at ``<name>_solve``, the per-solve
+entry. An experiment solves a cell's trials as the lanes of one
+``<name>_lanes`` call, which the tracer does not wrap, so the experiment
+tests read their solve and sweep counts from the run's trial CSV.
 """
 
+import csv
 import importlib.util
 import os
 import sys
@@ -57,13 +63,19 @@ def test_cli_solve_records_one_solver_span(tracer_module, tmp_path):
     assert metrics["models.relerr.calls"] == 1
 
 
+def _trial_rows(outdir, protocol):
+    with open(os.path.join(outdir, protocol + "_trials.csv")) as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_experiment_reaches_every_solver_and_the_trial_loop(tracer_module, tmp_path):
     argv = ["experiment", "race-qp", "--n", "64", "--trials", "1", "--max-iter", "20",
             "--out", str(tmp_path / "race")]
     rc, metrics = _traced(tracer_module, argv)
     assert rc == 0
+    rows = _trial_rows(tmp_path / "race", "race-qp")
     for solver in tracer_module.SOLVERS:
-        assert metrics["solvers.%s.solves" % solver] == 6, solver  # one per race cell
+        assert sum(r["solver"] == solver for r in rows) == 6, solver  # one per race cell
     assert metrics["harness.pool.workers"] == 1
     assert metrics["harness.make_instance.calls"] == 6
     assert metrics["models.relerr.calls"] == 6 * 4  # one per trial row, none per sweep
@@ -77,8 +89,15 @@ def test_model_choice_draws_one_instance_per_trial(tracer_module, tmp_path):
     rc, metrics = _traced(tracer_module, argv)
     assert rc == 0
     assert metrics["harness.make_instance.calls"] == 2
-    assert metrics["solvers.dadm.solves"] == 2 * 61
-    # every dadm sweep on the partial DCT applies A and A* at least once each,
-    # and the tracer sees each transform through scipy.fft
-    assert metrics["operators.dct.calls"] >= 2 * metrics["solvers.dadm.iterations"]
+    # one solve per model and trial: the parameter-0 cells name one model
+    iters = {}
+    for r in _trial_rows(tmp_path / "mc", "model-choice"):
+        model = "bp" if r["cell"].endswith(":0.00") else r["cell"]
+        iters.setdefault(model, {})[r["trial"]] = int(r["iter"])
+    assert sum(len(by_trial) for by_trial in iters.values()) == 2 * 61
+    # every dadm sweep on the partial DCT applies A and A* at least once
+    # each, to all its lanes at once, so a model's two trials take as many
+    # transforms as its longer solve; the tracer sees each through scipy.fft
+    longest = sum(max(by_trial.values()) for by_trial in iters.values())
+    assert metrics["operators.dct.calls"] >= 2 * longest
     assert metrics["harness.pool.workers"] == 1
