@@ -7,8 +7,9 @@ or NaN threshold or radius raises ValueError, and so does an l-infinity
 radius of zero.
 
 The two l2 maps act on the last axis: each row of a 2-D array is a vector
-of its own (a lane), with its own radius or threshold when that is a
-(rows, 1) column, and is mapped by the 1-D computation.
+of its own (a lane), with one radius or threshold for all rows or a
+(rows, 1) column of them (any other shape raises ValueError), and takes the
+bits of its 1-D map (``models.row_norm``).
 
 A map returns float64 for real input and complex128 for complex input. On
 real input it computes, bit for bit, the real part of what it computes on
@@ -19,6 +20,8 @@ take a norm, whose sum may round differently in the two dtypes.
 from __future__ import annotations
 
 import numpy as np
+
+from .models import row_norm
 
 __all__ = [
     "shrink",
@@ -77,46 +80,46 @@ def project_linf_ball(v, radius=1.0):
     return v * (radius / np.maximum(mag, radius))
 
 
-def _by_row(fn, v, t):
-    """fn(row, t_row) for each row of a 2-D v; t is a scalar or a (rows, 1) column."""
-    t = np.ravel(t)
-    out = np.empty_like(v)
-    for i, row in enumerate(v):
-        out[i] = fn(row, t[i % t.size])
-    return out
+def _l2_rows(v, t, what):
+    """v in its field, t checked (a nonnegative scalar, or a (rows, 1)
+    column of them), the norm of each row of v as a (rows, 1) column (a
+    scalar for 1-D v), and where that norm is at most t."""
+    v = _as_field(v)
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim == 0:
+        t = float(t)
+        ok = t >= 0  # written so that NaN fails too
+    else:
+        ok = v.ndim > 1 and t.shape == v.shape[:-1] + (1,) and np.all(t >= 0)
+    if not ok:
+        raise ValueError(f"{what} must be a nonnegative scalar or a (rows, 1) column")
+    nv = row_norm(v)
+    if v.ndim > 1:
+        nv = nv[..., None]
+    return v, t, nv, nv <= t
+
+
+def _outside_rows(inside, v_inside, scaled):
+    """``scaled`` with the rows ``inside`` marks set to ``v_inside``, whose
+    bits no product can give (+0, not -0). Most calls have no row inside and
+    skip the select, which costs as much as the rest of a one-lane map."""
+    return np.where(inside, v_inside, scaled) if np.count_nonzero(inside) else scaled
 
 
 def project_l2_ball(v, delta):
-    """Project onto the l2 ball of radius delta centered at the origin."""
-    v = _as_field(v)
-    if v.ndim > 1:
-        return _by_row(project_l2_ball, v, delta)
-    delta = float(delta)
-    if not delta >= 0:
-        raise ValueError("l2 ball radius must be nonnegative")
-    nv = np.linalg.norm(v)
-    if nv <= delta:
-        return v.copy()
-    if delta == 0.0:
-        return np.zeros_like(v)
-    return v * (delta / nv)
+    """Project each row onto the l2 ball of radius delta centered at the origin."""
+    v, delta, nv, inside = _l2_rows(v, delta, "l2 ball radius")
+    # nv + inside is nv on a row outside, and spares a zero row inside a 0/0.
+    return _outside_rows(inside, v, v * (delta / (nv + inside)))
 
 
 def shrink_l2(v, t):
-    """Shrink the whole vector toward the origin: v - P_{l2 ball t}(v).
+    """Shrink each row toward the origin: v - P_{l2 ball t}(v).
 
     Zero when ||v|| <= t, otherwise v scaled by (1 - t/||v||).
     """
-    v = _as_field(v)
-    if v.ndim > 1:
-        return _by_row(shrink_l2, v, t)
-    t = float(t)
-    if not t >= 0:
-        raise ValueError("l2 shrink threshold must be nonnegative")
-    nv = np.linalg.norm(v)
-    if nv <= t:
-        return np.zeros_like(v)
-    return v * (1.0 - t / nv)
+    v, t, nv, inside = _l2_rows(v, t, "l2 shrink threshold")
+    return _outside_rows(inside, 0.0, v * (1.0 - t / (nv + inside)))
 
 
 def project_halfspace(v, bound=1.0):

@@ -5,12 +5,14 @@ The loop runs lanes: T problems that share a model, a solver, options and
 an operator kind and shape (a stacked operator, or one operator for all),
 each with its own data b, swept in lockstep as the rows of (T, .) arrays.
 Every step is lane by lane: elementwise, the transforms of a stacked
-operator, and every norm taken per row by the 1-D call. A lane that stops,
-or reaches ``max_iter``, freezes: its record is built at its own sweep and
-it leaves the batch (compaction), so the rest sweep fewer rows. So each
-lane's x, iterations, ``aat``, status and diagnostics rows have the bits a
-solo solve of its problem gives. A batch of one lane holds no lane axis:
-its arrays are 1-D and its per-lane scalars plain floats, which spares it
+operator, and the reductions (norms, l1 norms, the gap's inner product),
+each one batched call over all rows whose value for a row has the bits of
+the 1-D call on that row alone (``models.row_norm``). A lane that stops, or
+reaches ``max_iter``, freezes: its record is built at its own sweep and it
+leaves the batch (compaction), so the rest sweep fewer rows. So each lane's
+x, iterations, ``aat``, status and diagnostics rows have the bits a solo
+solve of its problem gives. A batch of one lane holds no lane axis: its
+arrays are 1-D and its per-lane values numpy scalars, which spares it
 numpy's broadcasting loops. A solo solve is that one-lane case of the same
 loop. The experiment harness batches a cell's trials, at most
 ``harness.LANE_ENTRIES // n`` lanes at a time, and gives each lane the
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from ..operators import as_complex_vector
 from ..prox import project_halfspace, project_linf_ball
 
 __all__ = ["STOP_RULES", "SolverOptions", "RunRecord", "CountingOperator", "working_data",
-           "one_lane", "per_lane", "BetaSteps", "take_lanes", "project_dual", "run_solve"]
+           "one_lane", "BetaSteps", "take_lanes", "project_dual", "run_solve"]
 
 # Each stop rule names the Diagnostics field a solve compares with tol.
 STOP_RULES = ("relchg", "res")
@@ -179,14 +180,6 @@ def one_lane(A, b):
     return as_complex_vector(b, A.m)
 
 
-def per_lane(fn, v):
-    """fn(row) of each row (lane) of a 2-D v as a (T, 1) column, or fn(v) for
-    a 1-D v: one 1-D call per lane, so each value has a solo solve's bits."""
-    if v.ndim == 1:
-        return fn(v)
-    return np.array([fn(row) for row in v]).reshape(-1, 1)
-
-
 class BetaSteps:
     """1/beta and gamma beta of a step-parameters dataclass with ``beta`` and
     ``gamma``, computed once per batch rather than at every sweep, and the
@@ -264,31 +257,24 @@ def project_dual(v, A, model):
                            project_linf_ball(v[..., k:], w_tail)], axis=-1)
 
 
-def _by_lane(b, *arrays):
-    """Each lane's slices of ``arrays`` (None stays None), for a batch whose
-    data is b: the arrays themselves when b is one lane's vector."""
-    if b.ndim == 1:
-        return (arrays,)
-    return zip(*(repeat(None) if v is None else v for v in arrays))
-
-
 def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dual=None):
     """Run the solve loop shared by every solver on T lanes and return one
     RunRecord per lane, in lane order.
 
     Each sweep steps every active lane, checks that the new iterates and
-    multipliers are finite (DivergenceError otherwise), computes per lane
-    the one diagnostics field ``opts.stop`` names, records the running
-    ``aat``, and freezes each lane whose field is below ``opts.tol``, and
-    every lane after ``opts.max_iter`` sweeps. The field is ``relchg``
-    alone, or under ``stop="res"`` the ``residues`` (the gap only when
-    mu > 0): the functions ``compute_res`` calls, so it equals the full
-    row's bit for bit. ``compute_res`` builds one full row at a lane's final
-    iterate, or one per sweep under ``opts.history``. Given ``opts.x_true``
-    (only err-vs-opt passes it), each recorded row's ``relerr`` is the error
-    of the sweep's signal estimate ``A.signal(x)`` against it. Frozen lanes
-    leave the batch: the state, b, the array fields of ``params`` and A
-    (``take``) keep the active lanes only.
+    multipliers are finite (DivergenceError otherwise), records the running
+    ``aat``, computes the one diagnostics field ``opts.stop`` names for all
+    active lanes in one call, and freezes each lane whose field is below
+    ``opts.tol``, and every lane after ``opts.max_iter`` sweeps. The field
+    is ``relchg`` alone, or under ``stop="res"`` the ``residues`` (the gap
+    only when mu > 0): the functions ``compute_res`` calls, whose batched
+    reductions give each lane the bits of its 1-D row, so the field equals
+    the full row's bit for bit. ``compute_res`` builds one full row at a
+    lane's final iterate, or one per sweep under ``opts.history``. Given
+    ``opts.x_true`` (only err-vs-opt passes it), each recorded row's
+    ``relerr`` is the error of the sweep's signal estimate ``A.signal(x)``
+    against it. Frozen lanes leave the batch: the state, b, its norms, the
+    array fields of ``params`` and A (``take``) keep the active lanes only.
 
     A batch of one lane, from the start or after compaction, holds no lane
     axis (see the module docstring).
@@ -328,11 +314,11 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
     counting = CountingOperator(A)
     lanes = len(b) if b.ndim == 2 else 1
     # Once per solve, so a zero-data warning fires once, not every sweep.
-    b_norm = None if dual is None else [data_norm(row) for row in b.reshape(lanes, -1)]
+    b_norm = None if dual is None else data_norm(b)
     x_true = None if opts.x_true is None else np.reshape(opts.x_true, (lanes, -1))
     ids = list(range(lanes))  # the lane each row of the batch holds
     histories = [[] for _ in range(lanes)]
-    aat_histories = [[] for _ in range(lanes)]
+    aat_history = []  # the active lanes share their counts
     records = [None] * lanes
 
     def lane(v, i):
@@ -341,7 +327,7 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
     def row(i):
         diag = compute_res(lane(state.x, i), lane(y, i), lane(z, i), counting, lane(b, i), model,
                            Ax=lane(state.Ax, i), Aty=lane(Aty, i), x_prev=lane(x_prev, i),
-                           b_norm=None if b_norm is None else b_norm[ids[i]])
+                           b_norm=lane(b_norm, i))
         if x_true is not None:
             diag.relerr = relerr(A.signal(lane(state.x, i)), x_true[ids[i]])
         return diag
@@ -351,20 +337,21 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
         state = step(state, counting, b, params)
         y, z, Aty = (None, None, None) if dual is None else dual(state, counting)
         check_finite(state.x, y, state.k)
-        for i, lane_id in enumerate(ids):
-            if opts.history:
+        aat_history.append(counting.count)
+        if opts.history:
+            for i, lane_id in enumerate(ids):
                 histories[lane_id].append(row(i))
-            aat_histories[lane_id].append(counting.count)
         if opts.stop == "relchg":
-            done = [relchg(x, p) < opts.tol for x, p in _by_lane(b, state.x, x_prev)]
+            stop_value = relchg(state.x, x_prev)
         else:
-            done = [residues(x, y_, z_, counting, b_, model, misfit=mis, Aty=aty,
-                             b_norm=b_norm[lane_id])[3] < opts.tol
-                    for (x, y_, z_, b_, mis, aty), lane_id
-                    in zip(_by_lane(b, state.x, y, z, b, state.Ax - b, Aty), ids)]
+            stop_value = residues(state.x, y, z, counting, b, model, misfit=state.Ax - b,
+                                  Aty=Aty, b_norm=b_norm)[3]
+        done = stop_value < opts.tol
         last = sweep == opts.max_iter
-        if not (last or True in done):
+        # count_nonzero takes a lone lane's numpy bool faster than any().
+        if not (last or np.count_nonzero(done)):
             continue
+        done = np.atleast_1d(done)
         for i, lane_id in enumerate(ids):
             if not (done[i] or last):
                 continue
@@ -375,13 +362,15 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
             records[lane_id] = RunRecord(
                 solver=solver, model=label, status="converged" if done[i] else "max_iter",
                 iterations=state.k, aat=counting.count, x=x.astype(np.complex128, copy=False),
-                history=histories[lane_id], aat_history=aat_histories[lane_id])
-        if last or all(done):
+                history=histories[lane_id], aat_history=list(aat_history))
+        if last or done.all():
             return records
         keep = [i for i, stopped in enumerate(done) if not stopped]
         ids = [ids[i] for i in keep]
         # A lone lane left sheds the lane axis.
         keep = keep[0] if len(keep) == 1 else np.array(keep)
         b, state, counting = b[keep], take_lanes(state, keep), counting.take(keep)
+        if b_norm is not None:
+            b_norm = b_norm[keep]
         if params is not None:
             params = params.take(keep)

@@ -37,11 +37,10 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ConfigError, StepSizeError
-from ..models import ModelSpec
+from ..models import ModelSpec, row_norm
 from ..operators import AugmentedOperator
 from ..prox import shrink_l2
-from .common import (BetaSteps, SolverOptions, one_lane, per_lane, project_dual, run_solve,
-                     working_data)
+from .common import BetaSteps, SolverOptions, one_lane, project_dual, run_solve, working_data
 
 __all__ = ["DadmParams", "DadmState", "GOLDEN_RATIO",
            "dadm_step", "dadm_lanes", "dadm_solve"]
@@ -81,12 +80,9 @@ class DadmParams(BetaSteps):
         of a (T, m) b."""
         gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
         if beta is None:
-            beta = per_lane(lambda row: _default_beta(A.m, float(np.sum(np.abs(row)))), b)
+            b_l1 = np.abs(b).sum(axis=-1, keepdims=b.ndim > 1)
+            beta = np.where(b_l1 > 0, b_l1, A.m) / A.m  # 1 for a zero lane
         return cls(beta=beta if np.ndim(beta) else float(beta), gamma=gamma, model=model)
-
-
-def _default_beta(m, b_l1):
-    return b_l1 / m if b_l1 > 0 else 1.0
 
 
 @dataclass
@@ -135,13 +131,13 @@ def dadm_step(state, A, b, p):
         Aty_new = A.adjoint(y_new)
     else:
         g = mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
-        g_sq = per_lane(_sq_norm, g)
+        g_sq = row_norm(g)[..., None] ** 2
         # y stays when g = 0, or when g lies in the null space of A* with
         # mu = 0: no curvature along it, so no bounded step.
         y_new, Aty_new = state.y, state.Aty
         if np.any(g_sq > 0.0):
             Atg = A.adjoint(g)
-            denom = mu * g_sq + p.beta * per_lane(_sq_norm, Atg)
+            denom = mu * g_sq + p.beta * row_norm(Atg)[..., None] ** 2
             steps = (g_sq > 0.0) & (denom > 0.0)
             alpha = np.where(steps, g_sq / np.where(steps, denom, 1.0), 0.0)
             y_new = np.where(steps, state.y - alpha * g, state.y)
@@ -150,10 +146,6 @@ def dadm_step(state, A, b, p):
     # Exact under A A* = I; keeps that sweep at two applications.
     Ax_new = state.Ax - p.gamma_beta * (Az - y_new) if exact else A.apply(x_new)
     return DadmState(x=x_new, y=y_new, z=z_new, Ax=Ax_new, Aty=Aty_new, k=state.k + 1)
-
-
-def _sq_norm(v):
-    return float(np.linalg.norm(v) ** 2)
 
 
 def dadm_solve(model, A, b, opts=None):

@@ -27,8 +27,7 @@ import numpy as np
 from ..errors import ConfigError, StepSizeError
 from ..models import ModelSpec
 from ..prox import project_l2_ball, shrink
-from .common import (BetaSteps, SolverOptions, one_lane, per_lane, project_dual, run_solve,
-                     working_data)
+from .common import BetaSteps, SolverOptions, one_lane, project_dual, run_solve, working_data
 
 __all__ = ["PadmParams", "PadmState", "padm_step", "padm_lanes", "padm_solve"]
 
@@ -80,7 +79,8 @@ class PadmParams(BetaSteps):
         tau = DEFAULT_TAU if tau is None else float(tau)
         gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
         if beta is None:
-            beta = per_lane(lambda row: _default_beta(A.m, float(np.sum(np.abs(row)))), b)
+            b_l1 = np.abs(b).sum(axis=-1, keepdims=b.ndim > 1)
+            beta = 2.0 * A.m / np.where(b_l1 > 0, b_l1, 2.0 * A.m)  # 1 for a zero lane
         lam = A.lambda_max()
         if tau * lam + gamma >= 2.0:
             raise StepSizeError(
@@ -88,10 +88,6 @@ class PadmParams(BetaSteps):
                 f"{tau} * {lam:.6g} + {gamma} = {tau * lam + gamma:.6g}")
         return cls(beta=beta if np.ndim(beta) else float(beta), gamma=gamma, tau=tau,
                    model=model)
-
-
-def _default_beta(m, b_l1):
-    return 2.0 * m / b_l1 if b_l1 > 0 else 1.0
 
 
 @dataclass

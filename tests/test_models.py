@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adl1.errors import ConfigError
-from adl1.models import ModelSpec, compute_res, data_norm, l1_norm, relchg, relerr
+from adl1.models import ModelSpec, compute_res, data_norm, l1_norm, relchg, relerr, row_norm
 from adl1.operators import DenseOperator
 
 from oracles import objective_value, snr_db
@@ -99,6 +99,34 @@ def test_relchg_relerr_sentinels():
     assert relerr(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == pytest.approx(50.0)
     with pytest.raises(ValueError):
         relerr(x, np.zeros(2))
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 1024, 1300, 8192, 16384])
+def test_batched_reductions_equal_1d_calls(n, rng):
+    # A solve reduces all its lanes in one call: each lane's value must carry
+    # the bits of the 1-D call on its row alone, which a solo solve takes.
+    w = rng.uniform(0.5, 2.0, n)
+    for lanes in (1, 2, 3, 10, 16):
+        scale = 10.0 ** rng.uniform(-5.0, 5.0, (lanes, 1))
+        x = rng.standard_normal((lanes, n)) * scale
+        u = rng.standard_normal((lanes, n)) * scale
+        for v, y in ((x, u), (x + 1j * u[::-1], u + 1j * x[::-1])):
+            norms, sums, weighted = row_norm(v), l1_norm(v), l1_norm(v, w)
+            gaps = np.real(np.vecdot(v, y))  # the gap term of ``residues``
+            betas = np.abs(v).sum(axis=-1, keepdims=True)  # the default-beta sums
+            for i in range(lanes):
+                row = v[i].copy()
+                case = (lanes, i, v.dtype)
+                assert _same_bits(norms[i], np.linalg.norm(row)), case
+                assert _same_bits(row_norm(row), np.linalg.norm(row)), case
+                assert _same_bits(sums[i], np.sum(np.abs(row))), case
+                assert _same_bits(weighted[i], np.dot(w, np.abs(row))), case
+                assert _same_bits(gaps[i], np.real(np.vdot(row, y[i].copy()))), case
+                assert _same_bits(betas[i, 0], np.sum(np.abs(row))), case
 
 
 def test_snr_db_values():

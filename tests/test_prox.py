@@ -195,6 +195,26 @@ def test_nan_thresholds_and_radii_are_rejected():
             call()
 
 
+def test_l2_maps_take_a_scalar_or_one_radius_per_row(rng):
+    v = _complex(rng, (3, 4)) * 2
+    radii = np.array([[0.5], [1.0], [8.0]])
+    for fn in (project_l2_ball, shrink_l2):
+        # a (rows, 1) column maps each row with its own value
+        got = fn(v, radii)
+        for i in range(3):
+            assert np.array_equal(got[i], fn(v[i], radii[i, 0]))
+        assert np.array_equal(fn(v, 1.5), np.stack([fn(row, 1.5) for row in v]))
+        # any other shape would pair rows with the wrong values
+        for bad in (radii[:2], [[0.5], [1.0]], radii.T, np.ones((3, 4)), np.ones(3)):
+            with pytest.raises(ValueError):
+                fn(v, bad)
+        for bad in (np.ones(4), np.ones((1, 1)), [0.5]):
+            with pytest.raises(ValueError):
+                fn(v[0], bad)
+        with pytest.raises(ValueError):
+            fn(v, np.array([[0.5], [np.nan], [1.0]]))
+
+
 @given(
     re=st.floats(-1e6, 1e6),
     im=st.floats(-1e6, 1e6),
