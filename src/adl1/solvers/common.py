@@ -49,10 +49,10 @@ class SolverOptions:
     diagnostics field ``stop`` names is below ``tol``; each sweep computes
     that field alone. ``history=True`` records a full diagnostics row at
     every sweep; otherwise the record holds one, at the final iterate.
-    ``x_true`` is optional instrumentation, a length-n vector, or (T, n)
-    for T lanes; each recorded row then carries the relative error against
-    it (percent). Only err-vs-opt, which plots that error per iteration,
-    sets either: every other caller scores the returned ``x``.
+    ``x_true`` is optional instrumentation, a length-n vector for one lane,
+    or (T, n) for T lanes; each recorded row then carries the relative error
+    against it (percent). Only err-vs-opt, which plots that error per
+    iteration, sets either: every other caller scores the returned ``x``.
     """
 
     beta: float | None = None
@@ -220,13 +220,15 @@ def working_data(A, b, model):
     dtype, and every sweep keeps it.
 
     Raises DimensionMismatchError if b is neither a length-m vector nor a
-    (T, m) array (T = A.lanes for a stacked A) or the model's weights are not
-    length n, and ValueError if b has nonfinite entries.
+    (T, m) array with T >= 1 (T = A.lanes for a stacked A) or the model's
+    weights are not length n, and ValueError if b has nonfinite entries.
     """
     if model.weights is not None and model.weights.shape[0] != A.n:
         raise DimensionMismatchError(f"weights have length {model.weights.shape[0]}, "
                                      f"but the operator has n = {A.n} columns")
     b = np.asarray(b)
+    if b.ndim == 2 and len(b) == 0:
+        raise DimensionMismatchError(f"the data holds no lanes: shape {b.shape}")
     if b.ndim == 2 and len(b) == 1 and A.lanes is None:
         b = b[0]
     if b.ndim == 2 and A.lanes in (None, len(b)):
@@ -273,8 +275,11 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
     lane's final iterate, or one per sweep under ``opts.history``. Given
     ``opts.x_true`` (only err-vs-opt passes it), each recorded row's
     ``relerr`` is the error of the sweep's signal estimate ``A.signal(x)``
-    against it. Frozen lanes leave the batch: the state, b, its norms, the
-    array fields of ``params`` and A (``take``) keep the active lanes only.
+    against it; an ``x_true`` of any other shape than (T, n), or (n,) for
+    one lane, with n = ``A.signal_n``, raises DimensionMismatchError before
+    the first sweep. Frozen lanes leave the batch: the state, b, its norms,
+    the array fields of ``params`` and A (``take``) keep the active lanes
+    only.
 
     A batch of one lane, from the start or after compaction, holds no lane
     axis (see the module docstring).
@@ -315,7 +320,13 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
     lanes = len(b) if b.ndim == 2 else 1
     # Once per solve, so a zero-data warning fires once, not every sweep.
     b_norm = None if dual is None else data_norm(b)
-    x_true = None if opts.x_true is None else np.reshape(opts.x_true, (lanes, -1))
+    x_true = None
+    if opts.x_true is not None:
+        shape, n = np.shape(opts.x_true), A.signal_n
+        if shape != (lanes, n) and not (lanes == 1 and shape == (n,)):
+            raise DimensionMismatchError(f"x_true of {lanes} lane(s) needs shape ({lanes}, {n}), "
+                                         f"got {shape}")
+        x_true = np.reshape(opts.x_true, (lanes, n))
     ids = list(range(lanes))  # the lane each row of the batch holds
     histories = [[] for _ in range(lanes)]
     aat_history = []  # the active lanes share their counts

@@ -22,9 +22,9 @@ from adl1.harness import (
     run_protocol,
 )
 from adl1.models import ModelSpec, relerr
-from adl1.operators import DenseOperator, make_operator
+from adl1.operators import DenseOperator, make_operator, stack_operators
 from adl1.prox import project_halfspace, project_l2_ball, project_linf_ball, shrink, shrink_l2
-from adl1.solvers import SolverOptions, dadm_solve, fista_solve, ist_solve, padm_solve
+from adl1.solvers import SolverOptions, dadm_solve, fista_solve, ist_solve, padm_solve, solve_lanes
 from adl1.solvers.dual import DadmParams, DadmState, dadm_step
 from adl1.solvers.primal import PadmParams, PadmState, padm_step
 
@@ -133,12 +133,14 @@ def test_criterion_3_noiseless_bp_machine_residual():
 
 
 def _grid_means(family, instances, opts):
+    # A grid point's instances solve as the lanes of one lockstep solve;
+    # each lane's record is bit for bit its solo solve's.
+    A = stack_operators([inst.A for inst in instances])
+    b = np.stack([inst.b for inst in instances])
     means = {}
     for param in PARAM_GRID:
-        per_trial = []
-        for inst in instances:
-            rec = dadm_solve(model_for_param(family, float(param)), inst.A, inst.b, opts)
-            per_trial.append(relerr(rec.x, inst.x_true) / 100.0)
+        recs = solve_lanes("dadm", model_for_param(family, float(param)), A, b, opts)
+        per_trial = [relerr(rec.x, inst.x_true) / 100.0 for rec, inst in zip(recs, instances)]
         means[float(param)] = float(np.mean(per_trial))
     return means
 

@@ -9,6 +9,7 @@ desk-tiny instances.
 import numpy as np
 import pytest
 
+from adl1 import harness
 from adl1.errors import ConfigError
 from adl1.harness import (
     MODEL_FAMILIES,
@@ -261,6 +262,27 @@ def test_race_rows_and_determinism():
         assert r["seconds"] == 0.0  # measured times go to timing_rows, never the CSV
     assert len(res.timing_rows) == len(res.trial_rows)
     assert all(t["seconds"] > 0.0 for t in res.timing_rows)
+
+
+@pytest.mark.parametrize("protocol,overrides,rows", [
+    ("race-qp", dict(n=128, max_iter=120), 6 * 4 * 3),
+    ("race-bp", dict(n=128, max_iter=120), 5 * 3),
+    ("model-choice", dict(n=100, grid=[0.0, 0.2, 0.5]), 3 * 3 * 3),
+], ids=["race-qp", "race-bp", "model-choice"])
+def test_trial_rows_do_not_depend_on_batching(tmp_path, monkeypatch, protocol, overrides, rows):
+    # A cell's trials run in batches of LANE_ENTRIES // n lanes: every lane
+    # solo, split batches (the full-scale case, where 2 lanes meet 50
+    # trials), or one batch. Each lane is its solo solve, so the trial rows
+    # are the same bytes whatever the batching.
+    n = overrides["n"]
+    written = []
+    for lane_entries in (n, 2 * n, harness.LANE_ENTRIES):
+        monkeypatch.setattr(harness, "LANE_ENTRIES", lane_entries)
+        out = tmp_path / str(lane_entries)
+        run_protocol(ExperimentConfig(protocol, trials=3, seed=7, **overrides)).write(out)
+        written.append((out / (protocol + "_trials.csv")).read_bytes())
+    assert written[0].count(b"\n") == 1 + rows
+    assert written[1] == written[0] and written[2] == written[0]
 
 
 def test_mean_rows_are_trial_averages():

@@ -10,8 +10,6 @@ import hashlib
 import json
 import os
 import struct
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -31,6 +29,7 @@ from adl1.io import (
     write_vector,
     write_vector_csv,
 )
+from adl1.models import relerr, relres
 from adl1.operators import make_operator
 
 from oracles import vector_csv_text
@@ -235,7 +234,8 @@ def test_empty_matrix_csv_says_it_holds_no_rows(tmp_path, capsys):
                                    "b": str(tmp_path / "b.csv")}))
         out = tmp_path / "run"
         assert cli.main(["solve", str(cfg), "--out", str(out)]) == 1
-    assert "holds no rows" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "holds no rows" in err[0]
     assert not out.exists()
 
 
@@ -296,9 +296,9 @@ def test_solve_writes_artifacts_and_converges(tmp_path):
     assert cli.main(["solve", str(path), "--out", str(out)]) == 0
 
     x_bin = read_vector(out / "x.bin")
-    assert np.array_equal(x_bin, read_vector_csv(out / "x.csv"))
+    assert read_vector_csv(out / "x.csv").tobytes() == x_bin.tobytes()
 
-    summary = json.loads((out / "run.json").read_text())
+    summary = json.loads((out / "run.json").read_text(), parse_constant=_refuse_nan)
     assert set(summary) == {"solver", "model", "status", "iterations", "aat", "seconds",
                             "relres", "relerr_pct", "config", "config_hash"}
     assert summary["solver"] == "dadm"
@@ -309,6 +309,11 @@ def test_solve_writes_artifacts_and_converges(tmp_path):
     assert summary["relres"] <= 1e-10
     # synthetic b carries the planted signal, so the error column is present
     assert summary["relerr_pct"] <= 1e-5
+    # both score the returned x, as rebuilt from the recorded config
+    A = cli._build_operator(cfg["operator"], cfg["seed"])
+    b, x_true = cli._build_b(cfg["b"], A, cfg["seed"])
+    assert summary["relerr_pct"] == relerr(x_bin, x_true)
+    assert summary["relres"] == relres(A, b, x_bin)
     assert summary["config"] == cfg
     assert summary["config_hash"] == config_hash(cfg)
 
@@ -526,7 +531,9 @@ def test_solve_rejects_unknown_config_keys(tmp_path, capsys, where, key):
     block = cfg
     for name in where:
         block = block[name]
-    block[key] = 0.5
+    # an "out" key names an output directory that must not appear either
+    named = tmp_path / "named"
+    block[key] = str(named) if key == "out" else 0.5
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
@@ -534,7 +541,7 @@ def test_solve_rejects_unknown_config_keys(tmp_path, capsys, where, key):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("adl1: error (ConfigError)")
     assert repr(key) in err[0]
-    assert not out.exists()
+    assert not out.exists() and not named.exists()
 
 
 @pytest.mark.parametrize("block,key", [("model", "nonneg"), ("operator", "orthonormal_rows")])
@@ -548,13 +555,15 @@ def test_solve_refuses_string_booleans(tmp_path, capsys, rng, block, key):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     assert cli.main(["solve", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "adl1: error (ConfigError)" in err and repr(key) in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("adl1: error (ConfigError)")
+    assert repr(key) in err[0]
     assert not out.exists()
 
 
 # Mistyped numbers, each in a wht 32x12 synthetic config, and the key named.
 MISTYPED_NUMBERS = {
+    "max_iter": ({"solver": {"max_iter": 2.9}}, "max_iter"),
     "max_iter-and-tol": ({"solver": {"max_iter": 2.9, "tol": "1e-12"}}, "max_iter"),
     "k": ({"b": {"synthetic": {"k": 2.7}}}, "k"),
     "rows": ({"operator": {"kind": "wht", "n": 32, "rows": [1.5, 2.9, 7]}}, "rows"),
@@ -738,15 +747,6 @@ def test_experiment_err_vs_opt_refuses_fixed_knobs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "adl1: error (ConfigError)" in err and "trials" in err
     assert not out.exists()
-
-
-def test_installed_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "adl1.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0
-    assert "solve" in proc.stdout and "experiment" in proc.stdout
 
 
 def test_experiment_csv_headers_and_formats(tmp_path):

@@ -93,5 +93,28 @@ def test_lanes_refuse_data_of_another_lane_count():
     A = stack_operators([inst.A for inst in insts])
     with pytest.raises(DimensionMismatchError, match="shape"):
         solve_lanes("dadm", MODELS["qp"], A, np.stack([inst.b for inst in insts[:2]]))
+    with pytest.raises(DimensionMismatchError, match="no lanes"):
+        solve_lanes("dadm", MODELS["qp"], insts[0].A, np.zeros((0, A.m)))
     with pytest.raises(ValueError):
         stack_operators([insts[0].A, _instances("dct", 1)[0].A])
+
+
+@pytest.mark.parametrize("model", ["qp", "l1l1"])
+def test_lanes_refuse_misshapen_truth(model):
+    # x_true is (T, n) for T lanes, or (n,) for one, with n the signal length
+    # (not the l1/l1 augmented operator's); transposed it would be reshaped
+    # into wrong rows and score every lane against the wrong truth.
+    insts = _instances("wht", 2)
+    A = stack_operators([inst.A for inst in insts])
+    b = np.stack([inst.b for inst in insts])
+    x_true = np.stack([inst.x_true for inst in insts])
+    for wrong in (x_true.T, x_true[0], x_true[:, :-1]):
+        with pytest.raises(DimensionMismatchError, match="x_true"):
+            solve_lanes("dadm", MODELS[model], A, b, SolverOptions(x_true=wrong))
+    with pytest.raises(DimensionMismatchError, match="x_true"):
+        solve("dadm", MODELS[model], insts[0].A, insts[0].b, SolverOptions(x_true=x_true))
+    recs = solve_lanes("dadm", MODELS[model], A, b, SolverOptions(x_true=x_true))
+    alone = solve("dadm", MODELS[model], insts[0].A, insts[0].b,
+                  SolverOptions(x_true=insts[0].x_true))
+    assert recs[0].final().relerr == alone.final().relerr < 1.0
+

@@ -2,11 +2,7 @@
 
 import hashlib
 import importlib
-import json
-import os
 import pkgutil
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -28,8 +24,6 @@ from adl1.operators import (
 from adl1.solvers import CountingOperator
 
 from oracles import fwht_butterfly, materialize
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _complex(rng, size):
@@ -172,30 +166,6 @@ def test_stacked_operator_lanes_equal_their_operators(kind, n, m, rng):
     assert all(_same_bits(ops[0].apply(x)[i], ops[0].apply(x[i].copy())) for i in range(3))
     with pytest.raises(ValueError):
         stack_operators([ops[0], make_operator(kind, n, m - 1, rng)])
-
-
-def test_import_leaves_scipy_linalg_unloaded(tmp_path):
-    # Importing scipy costs hundreds of milliseconds, and only the partial
-    # DCT needs it: scipy.fft loads at its first transform. So importing
-    # adl1 and its CLI and solving on a Walsh-Hadamard operator load no scipy.
-    config = tmp_path / "wht.json"
-    config.write_text(json.dumps({"operator": {"kind": "wht", "n": 32, "m": 12},
-                                  "b": {"synthetic": {"k": 2}}}))
-    code = ("import sys\n"
-            "import adl1\n"
-            "print('scipy' in sys.modules)\n"
-            "import adl1.cli\n"
-            "print('scipy' in sys.modules)\n"
-            "rc = adl1.cli.main(['solve', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(rc in (0, 2), 'scipy' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(config), str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False", "False", "True False"]
-    assert (tmp_path / "run" / "x.bin").exists()
 
 
 @pytest.mark.parametrize("kind,n", [("wht", 32), ("dct", 45)],
