@@ -11,7 +11,7 @@ script measures it on a randomly drawn partial Walsh-Hadamard operator
 
 import numpy as np
 
-from adl1 import ModelSpec, gen_spikes, make_operator
+from adl1 import gen_spikes, make_operator
 from adl1.solvers.dual import DadmParams, DadmState, dadm_step
 
 n, m, k = 1024, 256, 40

@@ -20,8 +20,8 @@ from .io import (canonical_json, config_hash, read_matrix, read_matrix_csv,
 from .models import Diagnostics, ModelSpec, compute_res, l1_norm, relchg, relerr
 from .operators import (AugmentedOperator, DenseOperator,
                         PartialDCTOperator, PartialWalshHadamardOperator,
-                        SensingOperator, as_complex_vector,
-                        estimate_lambda_max, fwht, make_operator)
+                        SensingOperator, estimate_lambda_max, fwht,
+                        make_operator)
 from .prox import (project_halfspace, project_l2_ball, project_linf_ball,
                    shrink, shrink_l2)
 from .solvers import (SOLVERS, DadmParams, DadmState, FistaState, PadmParams,

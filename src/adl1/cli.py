@@ -69,10 +69,19 @@ def _check_keys(block, known, what):
     _check_numbers(block, what)
 
 
+def _object(block, what, need="a JSON object"):
+    """block, or a ConfigError naming the block if it is not a JSON object."""
+    if not isinstance(block, dict):
+        raise ConfigError("the %s config must be %s, got %s" % (what, need, json.dumps(block)))
+    return block
+
+
 def _check_numbers(block, what):
-    """Refuse a number key whose value JSON does not type as the key needs."""
+    """Refuse a number or file key that JSON does not type as the key needs."""
     for key, value in block.items():
-        if key == "rows":
+        if key == "file":
+            ok, need = isinstance(value, str), "a path string"
+        elif key == "rows":
             need = "a list of integers"
             ok = isinstance(value, list) and all(type(v) is int for v in value)
         elif key in REAL_LIST_KEYS and not (key == "weights" and isinstance(value, str)):
@@ -103,7 +112,7 @@ def _load_vector_file(path):
 
 def _build_operator(spec, default_seed):
     kind = spec.get("kind")
-    if kind not in OPERATOR_KEYS:
+    if not isinstance(kind, str) or kind not in OPERATOR_KEYS:
         raise ConfigError("unknown operator kind %r (dense, %s)" % (kind, ", ".join(OPERATOR_KINDS)))
     _check_keys(spec, OPERATOR_KEYS[kind], "%s operator" % kind)
     if kind == "dense":
@@ -136,11 +145,11 @@ def _build_b(spec, A, default_seed):
     """Returns (b, x_true or None)."""
     if isinstance(spec, str):
         spec = {"file": spec}
-    _check_keys(spec, ("file", "synthetic"), "b")
+    _check_keys(_object(spec, "b", "a JSON object or a path string"), ("file", "synthetic"), "b")
     if "file" in spec:
         return _load_vector_file(spec["file"]), None
     if "synthetic" in spec:
-        syn = dict(spec["synthetic"])
+        syn = dict(_object(spec["synthetic"], "b.synthetic"))
         _check_keys(syn, SYNTHETIC_KEYS, "b.synthetic")
         _required(syn, "k", "b.synthetic")
         rng = np.random.default_rng(syn.pop("seed", default_seed))
@@ -151,7 +160,7 @@ def _build_b(spec, A, default_seed):
 
 
 def _build_model(spec):
-    spec = dict(spec or {})
+    spec = dict(spec)
     spec.setdefault("family", "bp")
     _check_numbers(spec, "model")
     if isinstance(spec.get("weights"), str):
@@ -161,7 +170,7 @@ def _build_model(spec):
 
 def _build_solver(spec):
     """(solver name, SolverOptions) from the solver block."""
-    spec = dict(spec or {})
+    spec = dict(spec)
     _check_keys(spec, SOLVER_KEYS, "solver")
     return spec.pop("name", "dadm"), SolverOptions(**spec)
 
@@ -169,7 +178,7 @@ def _build_solver(spec):
 def _input_files(config):
     """The input files a config names by path, by the key naming each: a
     ``b`` path, a ``model.weights`` path, a dense ``operator.file``."""
-    b, model, op = config.get("b"), config.get("model") or {}, config.get("operator") or {}
+    b, model, op = config.get("b"), config.get("model", {}), config.get("operator", {})
     files = {"b": b.get("file") if isinstance(b, dict) else b,
              "model.weights": model.get("weights"),
              "operator.file": op.get("file") if op.get("kind") == "dense" else None}
@@ -178,13 +187,13 @@ def _input_files(config):
 
 def cmd_solve(args):
     with open(args.config) as fh:
-        config = json.load(fh)
+        config = _object(json.load(fh), "top-level")
     _check_keys(config, CONFIG_KEYS, "config")
     default_seed = config.get("seed", 0)
-    A = _build_operator(config.get("operator", {}), default_seed)
+    A = _build_operator(_object(config.get("operator", {}), "operator"), default_seed)
     b, x_true = _build_b(config.get("b", {}), A, default_seed)
-    model = _build_model(config.get("model"))
-    name, opts = _build_solver(config.get("solver"))
+    model = _build_model(_object(config.get("model", {}), "model"))
+    name, opts = _build_solver(_object(config.get("solver", {}), "solver"))
     # run.json carries this text as its config, so the hash covers its bytes;
     # the files it names by path are hashed by content.
     config_text = canonical_json(config)

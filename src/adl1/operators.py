@@ -9,18 +9,17 @@ the variables: all n, except on the l1/l1 model's ``AugmentedOperator``.
 ``make_operator(kind, n, m, rng)`` draws every random operator;
 ``make_partial_transform`` also takes given rows or signs.
 
-Vectors are complex128 or float64 arrays whose last axis holds the n (or
-m) entries; a leading axis holds lanes, independent problems that one call
-maps together. A single operator maps every lane by its one matrix. A
-stacked operator (``stack_operators``: T partial transforms of one kind and
-shape) maps lane i of a (T, n) array by its i-th matrix, and ``take`` keeps
-some of its lanes. A lane's result has the bits the 1-D call gives on that
-lane alone. An operator whose
-``real_valued`` property is True (the partial Walsh-Hadamard and DCT
-transforms, and an augmented operator on either) maps float64 input to
-float64 output, so a solve on real data runs in real arithmetic. Every other
-operator computes in complex128, embedding real input with zero imaginary
-parts.
+Vectors are complex128 or float64 arrays. A single operator maps one
+vector of shape (n,) (or (m,) for ``adjoint``). A stacked operator
+(``stack_operators``: T partial transforms of one kind and shape) maps
+lanes, independent problems that one call maps together: lane i of a
+(T, n) array by its i-th matrix, and ``take`` keeps some of its lanes. A
+lane's result has the bits the 1-D call of its operator gives on that lane
+alone. An operator whose ``real_valued`` property is True (the partial
+Walsh-Hadamard and DCT transforms, and an augmented operator on either)
+maps float64 input to float64 output, so a solve on real data runs in real
+arithmetic. Every other operator computes in complex128, embedding real
+input with zero imaginary parts.
 
 The partial DCT imports ``scipy.fft`` at its first transform, so a run on
 Walsh-Hadamard or dense operators alone never loads scipy.
@@ -41,7 +40,6 @@ __all__ = [
     "PartialWalshHadamardOperator",
     "PartialDCTOperator",
     "AugmentedOperator",
-    "as_complex_vector",
     "estimate_lambda_max",
     "fwht",
     "make_partial_transform",
@@ -51,49 +49,17 @@ __all__ = [
     "make_operator",
 ]
 
-def as_complex_vector(x, length=None):
-    """Validate and convert ``x`` to a 1-D complex128 vector.
-
-    Parameters
-    ----------
-    x : array_like
-        Input data, real or complex.
-    length : int, optional
-        Required number of entries.
-
-    Returns
-    -------
-    numpy.ndarray
-        1-D complex128 array.
-
-    Raises
-    ------
-    DimensionMismatchError
-        If ``x`` is not 1-D or has the wrong length.
-    ValueError
-        If any entry is nonfinite.
-    """
-    v = np.asarray(x)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    if length is not None and v.shape[0] != length:
-        raise DimensionMismatchError(f"expected length {length}, got {v.shape[0]}")
-    if v.dtype != np.complex128:
-        v = v.astype(np.complex128)
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("vector contains nonfinite entries")
-    return v
-
 
 def _coerce(x, n, lanes, kind, method):
-    """Check the shape of x, (n,) or (lanes, n), any number of lanes when
-    ``lanes`` is None; cast x to complex128, or to float64 when it is real.
+    """Check the shape of x, (lanes, n) for a stacked operator and (n,) for
+    any other (``lanes`` None); cast x to complex128, or to float64 when it
+    is real.
 
     ``kind`` and ``method`` name the call in the error message.
     """
     x = np.asarray(x)
-    if not (x.shape == (lanes, n) if lanes else 0 < x.ndim <= 2 and x.shape[-1] == n):
-        want = f"({lanes}, {n})" if lanes else f"({n},) or (lanes, {n})"
+    want = (lanes, n) if lanes else (n,)
+    if x.shape != want:
         raise DimensionMismatchError(f"{kind}.{method}: expected shape {want}, got {x.shape}")
     if x.dtype != np.complex128 and x.dtype != np.float64:
         x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64)
@@ -104,7 +70,8 @@ class SensingOperator:
     """Base class: a linear map C^n -> C^m with an explicit adjoint.
 
     Subclasses implement ``_apply`` and ``_adjoint`` on validated inputs:
-    complex128 or float64 arrays of shape (n,) or (lanes, n). A subclass
+    complex128 or float64 arrays of shape (n,), or (lanes, n) for a stacked
+    operator. A subclass
     whose matrix is real and whose transform keeps float64 input in float64
     declares ``real_valued``;
     otherwise its outputs are complex128. Instances are immutable after
@@ -112,8 +79,8 @@ class SensingOperator:
     """
 
     kind = "abstract"
-    # None for a single operator, which maps any number of lanes; a stacked
-    # operator holds one matrix per lane and maps exactly that many.
+    # None for a single operator, which maps one vector; a stacked operator
+    # holds one matrix per lane and maps exactly that many lanes.
     lanes = None
 
     def __init__(self, m, n, orthonormal_rows):
@@ -142,18 +109,12 @@ class SensingOperator:
         """The signal estimate an iterate x holds: x itself, all ``signal_n`` = n entries."""
         return x
 
-    def take(self, lanes):
-        """The operator of the lanes that the index array or mask ``lanes``
-        selects, or of lane ``lanes`` alone, unstacked, for an integer: the
-        operator itself, unless it is stacked."""
-        return self
-
     def apply(self, x):
-        """Return A x for x of shape (n,) or (lanes, n), lane by lane."""
+        """Return A x for x of shape (n,), or (lanes, n) lane by lane."""
         return self._apply(_coerce(x, self.n, self.lanes, self.kind, "apply"))
 
     def adjoint(self, y):
-        """Return A* y for y of shape (m,) or (lanes, m), lane by lane."""
+        """Return A* y for y of shape (m,), or (lanes, m) lane by lane."""
         return self._adjoint(_coerce(y, self.m, self.lanes, self.kind, "adjoint"))
 
     def lambda_max(self):
@@ -203,15 +164,10 @@ class DenseOperator(SensingOperator):
                 raise ValueError("orthonormal_rows=True but A A* differs from the identity")
 
     def _apply(self, x):
-        return self._product(self.matrix, x)
+        return self.matrix @ x
 
     def _adjoint(self, y):
-        return self._product(self._matrix_h, y)
-
-    @staticmethod
-    def _product(matrix, v):
-        # One matrix-vector product per lane, so a lane has the bits of a 1-D call.
-        return matrix @ v if v.ndim == 1 else np.stack([matrix @ row for row in v])
+        return self._matrix_h @ y
 
 
 # Largest Hadamard factor is 2**_MAX_FACTOR_LOG2 = 16. The split sets the
@@ -298,7 +254,9 @@ class _PartialTransformOperator(SensingOperator):
     transform up on its module at each call.
 
     A stacked operator holds signs of shape (lanes, n) and rows of shape
-    (lanes, m), lane i's in row i; ``stack_operators`` builds it.
+    (lanes, m), lane i's in row i; ``stack_operators`` builds it. ``_flat``
+    holds the rows as indices into the flattened (lanes, n) array, or the
+    (n,) vector of a single operator, so that R is one gather.
     """
 
     def __init__(self, n, rows, signs):
@@ -313,7 +271,7 @@ class _PartialTransformOperator(SensingOperator):
         if signs.shape != (n,) or not np.all(np.abs(signs) == 1.0):
             raise ValueError("signs must be a length-n vector of +/-1")
         super().__init__(rows.size, n, orthonormal_rows=True)
-        self.rows = rows
+        self.rows = self._flat = rows
         self.signs = signs
 
     @property
@@ -326,31 +284,23 @@ class _PartialTransformOperator(SensingOperator):
         out = copy.copy(self)
         out.signs, out.rows = signs, rows
         out.lanes = rows.shape[0] if rows.ndim == 2 else None
-        if out.lanes:
-            # Lane i's rows in the flattened (lanes, n) array: R as one gather.
-            out._flat = rows + self.n * np.arange(out.lanes)[:, None]
+        out._flat = rows + self.n * np.arange(out.lanes)[:, None] if out.lanes else rows
         return out
 
     def take(self, lanes):
-        if self.lanes is None:
-            return self
+        """The stacked operator of the lanes that the index array or mask
+        ``lanes`` selects, or of lane ``lanes`` alone, unstacked, for an
+        integer."""
         return self._with_lanes(self.signs[lanes], self.rows[lanes])
 
     def _select(self, v):
         """R v: the ``rows`` entries of v's last axis, lane by lane."""
-        if self.lanes:
-            return v.reshape(-1)[self._flat]
-        return v[self.rows] if v.ndim == 1 else v[:, self.rows]
+        return v.reshape(-1)[self._flat]
 
     def _scatter(self, y):
         """R* y: y placed at ``rows`` of zero vectors of length n and y's dtype."""
         full = np.zeros(y.shape[:-1] + (self.n,), dtype=y.dtype)
-        if self.lanes:
-            full.reshape(-1)[self._flat] = y
-        elif y.ndim == 1:
-            full[self.rows] = y
-        else:
-            full[:, self.rows] = y
+        full.reshape(-1)[self._flat] = y
         return full
 
 
@@ -457,8 +407,7 @@ class AugmentedOperator(SensingOperator):
         return xh[..., :n] * (1.0 / self.nu)
 
     def take(self, lanes):
-        base = self.base.take(lanes)
-        return self if base is self.base else AugmentedOperator(base, self.nu)
+        return AugmentedOperator(self.base.take(lanes), self.nu)
 
     def data(self, b):
         """The augmented data nu b / sqrt(1 + nu^2) for data b of the base operator."""

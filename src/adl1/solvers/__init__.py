@@ -37,9 +37,10 @@ def solve(name, model, A, b, opts=None):
 
 def solve_lanes(name, model, A, b, opts=None):
     """``solve`` on the T lanes of the (T, m) data b in lockstep: lane i is
-    the problem (A's lane i, b[i]), A stacked (``stack_operators``) or one
-    operator for all. Each lane's RunRecord equals, bit for bit, what
-    ``solve`` returns on its problem alone.
+    the problem (A's lane i, b[i]), A stacked with T lanes
+    (``stack_operators``), or a single operator when T = 1. Each lane's
+    RunRecord equals, bit for bit, what ``solve`` returns on its problem
+    alone.
 
     Returns
     -------

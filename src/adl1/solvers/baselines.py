@@ -103,9 +103,9 @@ def ist_lanes(model, A, b, opts=None):
 
 def fista_solve(model, A, b, opts=None):
     """``fista_lanes`` on one problem. Returns a RunRecord."""
-    return fista_lanes(model, A, one_lane(A, b), opts)[0]
+    return fista_lanes(model, A, one_lane(b), opts)[0]
 
 
 def ist_solve(model, A, b, opts=None):
     """``ist_lanes`` on one problem. Returns a RunRecord."""
-    return ist_lanes(model, A, one_lane(A, b), opts)[0]
+    return ist_lanes(model, A, one_lane(b), opts)[0]

@@ -2,7 +2,7 @@
 one solve loop every solver runs. Every solve starts from zero.
 
 The loop runs lanes: T problems that share a model, a solver, options and
-an operator kind and shape (a stacked operator, or one operator for all),
+an operator kind and shape (a stacked operator: one matrix per lane),
 each with its own data b, swept in lockstep as the rows of (T, .) arrays.
 Every step is lane by lane: elementwise, the transforms of a stacked
 operator, and the reductions (norms, l1 norms, the gap's inner product),
@@ -29,7 +29,6 @@ import numpy as np
 
 from ..errors import ConfigError, DimensionMismatchError, DivergenceError
 from ..models import Diagnostics, compute_res, data_norm, relchg, relerr, residues
-from ..operators import as_complex_vector
 from ..prox import project_halfspace, project_linf_ball
 
 __all__ = ["STOP_RULES", "SolverOptions", "RunRecord", "CountingOperator", "working_data",
@@ -170,14 +169,13 @@ def check_finite(x, y, k):
         raise DivergenceError(f"multiplier became nonfinite at iteration {k}")
 
 
-def one_lane(A, b):
-    """The data of a solo solve, b, as a length-m complex vector: the one
-    lane a ``<name>_solve`` hands its ``<name>_lanes``.
-
-    Raises DimensionMismatchError if b is not a length-m vector, and
-    ValueError if it has nonfinite entries.
-    """
-    return as_complex_vector(b, A.m)
+def one_lane(b):
+    """The data b of a solo solve, the one lane a ``<name>_solve`` hands its
+    ``<name>_lanes`` (``working_data`` checks it); DimensionMismatchError
+    unless b is 1-D."""
+    if np.ndim(b) != 1:
+        raise DimensionMismatchError(f"a solo solve needs 1-D data, got shape {np.shape(b)}")
+    return b
 
 
 class BetaSteps:
@@ -211,16 +209,16 @@ def take_lanes(obj, keep):
 
 
 def working_data(A, b, model):
-    """Validate the lane data b of a solve of ``model`` on A, (T, m) or one
-    lane's (m,), and cast it to the solve's dtype; one lane's comes back 1-D.
+    """Validate the data b of a solve of ``model`` on A, (T, m) for a T-lane
+    stacked A and (m,), or (1, m) made 1-D, for any other, and cast it to
+    the solve's dtype.
 
     The one place a solve picks its arithmetic: float64 when A is
     ``real_valued`` and no lane of b has a nonzero imaginary part,
     complex128 otherwise. Every solve starts from a zero state in that
     dtype, and every sweep keeps it.
 
-    Raises DimensionMismatchError if b is neither a length-m vector nor a
-    (T, m) array with T >= 1 (T = A.lanes for a stacked A) or the model's
+    Raises DimensionMismatchError if b has another shape or the model's
     weights are not length n, and ValueError if b has nonfinite entries.
     """
     if model.weights is not None and model.weights.shape[0] != A.n:
@@ -231,13 +229,12 @@ def working_data(A, b, model):
         raise DimensionMismatchError(f"the data holds no lanes: shape {b.shape}")
     if b.ndim == 2 and len(b) == 1 and A.lanes is None:
         b = b[0]
-    if b.ndim == 2 and A.lanes in (None, len(b)):
-        b = np.stack([as_complex_vector(row, A.m) for row in b])
-    elif A.lanes is None:
-        b = as_complex_vector(b, A.m)
-    else:
-        raise DimensionMismatchError(f"a {A.lanes}-lane operator needs data of shape "
-                                     f"({A.lanes}, {A.m}), got {b.shape}")
+    want = (A.lanes, A.m) if A.lanes else (A.m,)
+    if b.shape != want:
+        raise DimensionMismatchError(f"the data needs shape {want}, got {b.shape}")
+    b = np.asarray(b, dtype=np.complex128)
+    if not np.isfinite(b).all():
+        raise ValueError("the data contains nonfinite entries")
     if A.real_valued and not np.any(b.imag):
         return b.real.copy()
     return b

@@ -155,13 +155,13 @@ def dadm_solve(model, A, b, opts=None):
     -------
     RunRecord
     """
-    return dadm_lanes(model, A, one_lane(A, b), opts)[0]
+    return dadm_lanes(model, A, one_lane(b), opts)[0]
 
 
 def dadm_lanes(model, A, b, opts=None):
     """Run the dual solver on any of the eight models, on the T lanes of the
-    (T, m) data b (A stacked, or one operator for all), or on one lane's
-    length-m b; one RunRecord per lane.
+    (T, m) data b (A stacked with T lanes), or on one lane's length-m b;
+    one RunRecord per lane.
 
     The l1/l1 families are rewritten as basis pursuit on the augmented
     operator before iterating; their history rows (relative change,

@@ -132,7 +132,7 @@ def padm_solve(model, A, b, opts=None):
     RunRecord
         Status "converged" when the stopping rule fired, else "max_iter".
     """
-    return padm_lanes(model, A, one_lane(A, b), opts)[0]
+    return padm_lanes(model, A, one_lane(b), opts)[0]
 
 
 def padm_lanes(model, A, b, opts=None):
@@ -146,7 +146,8 @@ def padm_lanes(model, A, b, opts=None):
         are handled by the dual solver (via reformulation and the modified
         dual projection) and are rejected here.
     A : SensingOperator
-        Stacked with T lanes, or one operator for all.
+        Stacked with T lanes for T >= 2 lanes of data; a single operator
+        for one lane.
     b : array_like
         (T, m) data, one row per lane, or one lane's length-m vector.
     opts : SolverOptions, optional

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from adl1.harness import NoiseSpec, _apply_noise
-from adl1.operators import as_complex_vector
 
 
 def fwht_butterfly(x):
@@ -254,7 +253,7 @@ def add_noise(b_clean, sigma, impulse_fraction, seed, target_snr_db=None):
 
     The harness's own noise rule applied to a bare vector, so the tests can
     check that rule apart from an instance."""
-    b_clean = as_complex_vector(b_clean)
+    b_clean = np.asarray(b_clean, dtype=np.complex128)
     noise = NoiseSpec(sigma=sigma, impulse_fraction=impulse_fraction, target_snr_db=target_snr_db)
     b, p_white, p_impulse, _ = _apply_noise(b_clean, noise, np.random.default_rng(seed))
     return b, p_white, p_impulse

@@ -9,7 +9,6 @@ its measured numbers.
 import time
 
 import numpy as np
-import pytest
 
 from adl1 import cli
 from adl1.errors import StepSizeError

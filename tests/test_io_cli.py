@@ -595,6 +595,40 @@ def test_solve_refuses_mistyped_numbers(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# Config blocks of a JSON type the block does not take, and the text the
+# error names the block by. A list config replaces the whole config.
+MISTYPED_BLOCKS = {
+    "top-array": ([], "top-level config"),
+    "operator-null": ({"operator": None}, "operator config"),
+    "operator-string": ({"operator": "wht"}, "operator config"),
+    "kind-array": ({"operator": {"kind": ["wht"], "n": 32, "m": 12}}, "operator kind"),
+    "b-null": ({"b": None}, "b config"),
+    "b-number": ({"b": 5}, "b config"),
+    "synthetic-null": ({"b": {"synthetic": None}}, "b.synthetic config"),
+    "model-string": ({"model": "qp"}, "model config"),
+    "model-null": ({"model": None}, "model config"),
+    "solver-array": ({"solver": []}, "solver config"),
+    "solver-null": ({"solver": None}, "solver config"),
+    "b-file-number": ({"b": {"file": 5}}, "b: 'file'"),
+    "dense-file-number": ({"operator": {"kind": "dense", "file": 5}}, "dense operator: 'file'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISTYPED_BLOCKS))
+def test_solve_refuses_mistyped_config_blocks(tmp_path, capsys, case):
+    override, named = MISTYPED_BLOCKS[case]
+    cfg = override if isinstance(override, list) else dict(
+        {"operator": {"kind": "wht", "n": 32, "m": 12}, "b": {"synthetic": {"k": 2}}}, **override)
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("adl1: error (ConfigError)")
+    assert named in err[0]
+    assert not out.exists()
+
+
 # Configs that lack a key their block needs, and the key named.
 MISSING_KEYS = {
     "wht-n": ({"operator": {"kind": "wht", "m": 12}}, "n"),

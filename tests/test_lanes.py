@@ -99,6 +99,31 @@ def test_lanes_refuse_data_of_another_lane_count():
         stack_operators([insts[0].A, _instances("dct", 1)[0].A])
 
 
+@pytest.mark.parametrize("solver", sorted(SUPPORTED))
+def test_solves_refuse_bad_data(solver):
+    # The data is checked once, before the first sweep: a nonfinite entry
+    # (a NaN, an infinite imaginary part) is a plain ValueError, solo and in
+    # one lane of a batch, and a misshapen b a DimensionMismatchError.
+    insts = _instances("wht", 2)
+    A = stack_operators([inst.A for inst in insts])
+    b = np.stack([inst.b for inst in insts]).astype(np.complex128)
+    for bad in (np.nan, 1j * np.inf):
+        lanes = b.copy()
+        lanes[1, 3] += bad
+        for run in (lambda: solve(solver, MODELS["qp"], insts[1].A, lanes[1]),
+                    lambda: solve_lanes(solver, MODELS["qp"], A, lanes)):
+            with pytest.raises(ValueError, match="nonfinite entries") as info:
+                run()
+            assert info.type is ValueError
+    for run in (lambda: solve(solver, MODELS["qp"], insts[0].A, b[0, :-1]),
+                lambda: solve(solver, MODELS["qp"], insts[0].A, b[:1]),
+                lambda: solve(solver, MODELS["qp"], A, b[0]),
+                lambda: solve_lanes(solver, MODELS["qp"], A, b[:, :-1]),
+                lambda: solve_lanes(solver, MODELS["qp"], insts[0].A, b)):
+        with pytest.raises(DimensionMismatchError):
+            run()
+
+
 @pytest.mark.parametrize("model", ["qp", "l1l1"])
 def test_lanes_refuse_misshapen_truth(model):
     # x_true is (T, n) for T lanes, or (n,) for one, with n the signal length

@@ -15,7 +15,6 @@ from adl1.operators import (
     DenseOperator,
     PartialDCTOperator,
     PartialWalshHadamardOperator,
-    as_complex_vector,
     estimate_lambda_max,
     fwht,
     make_operator,
@@ -161,9 +160,9 @@ def test_stacked_operator_lanes_equal_their_operators(kind, n, m, rng):
         assert _same_bits(kept.apply(x[[0, 2]])[1], lanes[2].apply(x[2].copy()))
         with pytest.raises(DimensionMismatchError):
             stacked.apply(x[0])
-    # one operator maps any number of lanes, each by its one matrix
-    x = rng.standard_normal((3, n))
-    assert all(_same_bits(ops[0].apply(x)[i], ops[0].apply(x[i].copy())) for i in range(3))
+    # only a stacked operator maps lanes; a single one maps one vector
+    with pytest.raises(DimensionMismatchError):
+        ops[0].apply(rng.standard_normal((3, n)))
     with pytest.raises(ValueError):
         stack_operators([ops[0], make_operator(kind, n, m - 1, rng)])
 
@@ -293,19 +292,6 @@ def test_augmented_operator_validation(rng):
         AugmentedOperator(base, -1.0)
     with pytest.raises(TypeError):
         AugmentedOperator(np.eye(3), 1.0)
-
-
-def test_as_complex_vector_validation():
-    v = as_complex_vector([1.0, 2.0], 2)
-    assert v.dtype == np.complex128
-    with pytest.raises(DimensionMismatchError):
-        as_complex_vector(np.ones((2, 2)))
-    with pytest.raises(DimensionMismatchError):
-        as_complex_vector(np.ones(3), 4)
-    with pytest.raises(ValueError):
-        as_complex_vector(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        as_complex_vector(np.array([1.0, np.inf * 1j]))
 
 
 def test_apply_rejects_wrong_length(rng):
