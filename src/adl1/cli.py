@@ -77,10 +77,12 @@ def _object(block, what, need="a JSON object"):
 
 
 def _check_numbers(block, what):
-    """Refuse a number or file key that JSON does not type as the key needs."""
+    """Refuse a number, file or field key that JSON does not type as the key needs."""
     for key, value in block.items():
         if key == "file":
             ok, need = isinstance(value, str), "a path string"
+        elif key == "field":
+            ok, need = value in ("real", "complex"), "'real' or 'complex'"
         elif key == "rows":
             need = "a list of integers"
             ok = isinstance(value, list) and all(type(v) is int for v in value)

@@ -13,16 +13,16 @@ Every protocol scores a solve by the relative error and residual of the
 returned x. Only err-vs-opt, which plots the error of every iterate against
 its optimality residue, hands the ground truth to the solve.
 
-Lanes: the trials of a cell share (n, m, k), the solver and, but for
-race-bpdn's per-instance delta, the model, so ``run_protocol`` solves them
-as the lanes of one lockstep solve (``solvers.solve_lanes``) on the stacked
-operators of their instances. Trials whose models differ run as separate
-batches, race-bpdn's as one-lane batches. A lane freezes at its own stop
-and leaves the batch (compaction), so every CSV row is bit for bit the solo
-solve's. ``LANE_ENTRIES`` caps a batch at LANE_ENTRIES // n lanes. A
-trial's ``timings.json`` seconds is its batch's measured wall time times
-the trial's share of the batch's lane-sweeps (its iterations over the sum
-of the batch's), so each cell's rows sum to the time spent solving it.
+Lanes: ``run_protocol`` solves an instance group's solves of one solver and
+model family (nonnegativity and weights too), across cells and trials, as
+the lanes of lockstep solves (``solvers.solve_lanes``) on the stacked
+operators and models (``models.stack_models``: a mu, delta or nu per lane)
+of their instances and cells. A lane freezes at its own stop and leaves
+the batch (compaction), so every CSV row is bit for bit the solo solve's.
+``LANE_ENTRIES`` caps a batch's lanes. A trial's ``timings.json`` seconds
+is its batch's measured wall time times the trial's share of the batch's
+lane-sweeps (its iterations over the sum of the batch's), so each cell's
+rows sum to the time spent solving it.
 
 Reproducibility contract: the manifest records the resolved config, base
 seed included, and its hash. Trial t of group g always draws from
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .io import config_hash, write_csv
-from .models import ModelSpec, relerr, relres
+from .models import ModelSpec, relerr, relres, stack_models
 from .operators import SensingOperator, make_operator, stack_operators
 from .solvers import SOLVERS, SolverOptions, solve, solve_lanes
 
@@ -78,8 +78,9 @@ PROTOCOL_DEFAULTS = {
 }
 PROTOCOLS = tuple(PROTOCOL_DEFAULTS)
 
-# A lockstep solve sweeps at most LANE_ENTRIES // n lanes (at least one).
-LANE_ENTRIES = 16384
+# A lockstep solve sweeps at most LANE_ENTRIES // n lanes (at least one), a
+# complex entry counting two: 5 at complex n = 1000, 10 at real n = 1024.
+LANE_ENTRIES = 10240
 
 # The experiment CSV columns as (name, trial-row format, mean-row format).
 # The means CSV groups trial rows by the "%s" columns and averages each other
@@ -337,16 +338,18 @@ def _options(cfg):
     return SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"], stop=cfg["stop"])
 
 
-def _lane_rows(cfg, insts, solver, model):
-    """Solve ``model`` on each instance as the lanes of lockstep solves of
-    at most LANE_ENTRIES // n lanes; one CSV row per instance, in order,
+def _lane_rows(cfg, insts, solver, models):
+    """Solve ``models[i]`` on ``insts[i]`` as the lanes of lockstep solves of
+    at most LANE_ENTRIES // n lanes (// 2n for a complex field); models of
+    one family, nonnegativity and weights. One CSV row per instance, in order,
     without cell and trial. Each lane's share of its batch's measured wall
     time rides along as ``_measured`` for ``run_protocol``."""
     rows = []
-    cap = max(1, LANE_ENTRIES // cfg["n"])
+    cap = max(1, LANE_ENTRIES // (cfg["n"] * (2 if cfg["field"] == "complex" else 1)))
     for start in range(0, len(insts), cap):
         batch = insts[start:start + cap]
         A = stack_operators([inst.A for inst in batch])
+        model = stack_models(models[start:start + cap])
         t0 = time.perf_counter()
         recs = solve_lanes(solver, model, A, np.stack([inst.b for inst in batch]), _options(cfg))
         dt = time.perf_counter() - t0
@@ -444,10 +447,10 @@ def run_protocol(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment protocol; the one experiment entry point.
 
     Trial t of group g solves the instance drawn from SeedSequence(seed,
-    (g, t)) with every listed solver on every cell of the group. A cell's
-    trials with one model solve as lanes (``_lane_rows``), and cells with
-    the same model share those solves and their rows. Trial rows go group
-    by group, then cell by cell, trial by trial, solver by solver.
+    (g, t)) with every listed solver on every cell of the group. A group's
+    solves of one solver and model family run as lanes (``_lane_rows``),
+    and cells with the same model share a solve and its rows. Trial rows
+    go group by group, then cell by cell, trial by trial, solver by solver.
     """
     cfg = config.resolved()
     if cfg["protocol"] == "err-vs-opt":
@@ -460,21 +463,25 @@ def run_protocol(config: ExperimentConfig) -> ExperimentResult:
             return make_instance(cfg["kind"], cfg["n"], m, k, noise, ss, field=cfg["field"])
 
         insts = _map_trials(draw, cfg["trials"])
-        # Rows by (model, solver, trial): cells that map to one model
-        # (model-choice's parameter-0 cells are all plain bp) share its
-        # solves, timing included.
-        solved = {}
+        # One solve per (model, solver, trial), shared with its timing by the
+        # cells of one model (model-choice's parameter-0 cells, all bp). Solves
+        # batch by solver and what stacked models share (a bpdn(0) sweeps as bp).
+        cell_keys, pending = [], {}
         for label, model_of in cells:
-            models = [model_of(inst) for inst in insts]
-            keys = [json.dumps(model.to_dict()) for model in models]
-            for solver in cfg["solvers"]:
-                lanes = {}
-                for t, key in enumerate(keys):
-                    if (key, solver, t) not in solved:
-                        lanes.setdefault(key, []).append(t)
-                for key, trials in lanes.items():
-                    rows = _lane_rows(cfg, [insts[t] for t in trials], solver, models[trials[0]])
-                    solved.update(((key, solver, t), r) for t, r in zip(trials, rows))
+            keys = []
+            for t, inst in enumerate(insts):
+                model = model_of(inst)
+                spec = model.to_dict()
+                keys.append(json.dumps(spec))
+                shared = model.family, model.fidelity, model.nonneg, json.dumps(spec.get("weights"))
+                for solver in cfg["solvers"]:
+                    pending.setdefault((solver, shared), {}).setdefault((keys[t], t), model)
+            cell_keys.append((label, keys))
+        solved = {}
+        for (solver, _), lanes in pending.items():
+            rows = _lane_rows(cfg, [insts[t] for _, t in lanes], solver, list(lanes.values()))
+            solved.update(((key, solver, t), r) for (key, t), r in zip(lanes, rows))
+        for label, keys in cell_keys:
             for t, key in enumerate(keys):
                 for solver in cfg["solvers"]:
                     r = dict(solved[key, solver, t], cell=label, trial=t)

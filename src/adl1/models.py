@@ -16,8 +16,10 @@ knows models, not operators.
 
 from __future__ import annotations
 
+import copy
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +27,8 @@ from .errors import ConfigError
 
 __all__ = [
     "ModelSpec",
+    "stack_models",
+    "take_column",
     "Diagnostics",
     "compute_res",
     "row_norm",
@@ -46,7 +50,11 @@ class ModelSpec:
 
     Exactly one of mu/delta/nu is meaningful, selected by ``family``.
     ``weights`` replaces ||x||_1 by sum(w_i |x_i|) and must be positive.
+    A stacked model (``stack_models``) holds that parameter as a (T, 1)
+    column, one value per lane, and ``lanes`` = T.
     """
+
+    lanes = None  # for a model of one lane, as on ``operators.SensingOperator``
 
     family: str
     mu: float = 0.0
@@ -79,6 +87,28 @@ class ModelSpec:
 
     def _param_name(self):
         return _PARAM[self.family]
+
+    @cached_property
+    def fidelity(self):
+        """The branch a sweep and the residues take: the family, but "bp" for a
+        bpdn model with delta = 0; so "qp" when mu > 0, "bpdn" when delta > 0."""
+        return "bp" if self.family == "bpdn" and not np.all(self.delta > 0) else self.family
+
+    def take(self, keep):
+        """The model of the lanes that the index array ``keep`` selects, or
+        for an integer that lane's own model, unstacked; an unstacked model
+        is every lane's."""
+        if self.lanes is None:
+            return self
+        name = self._param_name()
+        value = take_column(getattr(self, name), keep)
+        return self._with_column(value) if np.ndim(value) else replace(self, **{name: value})
+
+    def _with_column(self, column):
+        stacked = copy.copy(self)
+        object.__setattr__(stacked, self._param_name(), column)
+        object.__setattr__(stacked, "lanes", len(column))
+        return stacked
 
     @classmethod
     def bp(cls, nonneg=False, weights=None):
@@ -136,6 +166,34 @@ class ModelSpec:
         if d:
             raise ConfigError(f"unknown model config keys: {sorted(d)}")
         return cls(family, nonneg=nonneg, weights=weights, **kwargs)
+
+
+def stack_models(specs):
+    """One model whose lane i is ``specs[i]``: unstacked models of one
+    family, ``nonneg`` and ``weights``, whose parameter (mu, delta or nu)
+    becomes a (T, 1) column. One spec, or specs with equal parameters, come
+    back as the first. A bpdn stack may not mix delta = 0 with delta > 0,
+    whose sweeps differ. Anything else raises ConfigError."""
+    first = specs[0]
+    if not all(s.family == first.family and s.nonneg == first.nonneg and s.lanes is None
+               and np.array_equal(s.weights, first.weights) for s in specs):
+        raise ConfigError("only unstacked models of one family, nonnegativity and weights stack")
+    name = first._param_name()
+    values = [getattr(s, name) for s in specs] if name else []
+    if all(v == values[0] for v in values):
+        return first
+    if first.family == "bpdn" and min(values) == 0.0:
+        raise ConfigError("a bpdn stack cannot mix delta = 0 with delta > 0")
+    return first._with_column(np.array(values, dtype=np.float64)[:, None])
+
+
+def take_column(value, keep):
+    """The rows of a (T, 1) column that the index array ``keep`` selects, or
+    for an integer that row's value as a float; a scalar is every lane's."""
+    if np.ndim(value) == 0:
+        return value
+    value = value[keep]
+    return value if value.ndim == 2 else float(value[0])
 
 
 def row_norm(v):
@@ -226,14 +284,17 @@ def residues(x, y, z, A, b, model, *, misfit, Aty, b_norm, x_l1=None):
 
     ``misfit`` is Ax - b. r_p needs the multiplier y; r_d, gap and res need
     the dual auxiliary z too, and the gap needs mu > 0 and the iterate's
-    (weighted) l1 norm ``x_l1``, computed here when omitted.
+    (weighted) l1 norm ``x_l1``, computed here when omitted. The model may
+    be stacked, with lanes the iterate's.
     """
-    mu, delta = model.mu, model.delta
+    fit, mu, delta = model.fidelity, model.mu, model.delta
+    if model.lanes:  # a stacked model's column meets the (T,) norms as its (T,) view
+        mu, delta = np.ravel(mu), np.ravel(delta)
     r_p = r_d = gap = res = np.nan
     if y is not None:
-        if mu > 0:
-            rp_norm = row_norm(misfit + mu * y)
-        elif delta > 0:
+        if fit == "qp":
+            rp_norm = row_norm(misfit + model.mu * y)
+        elif fit == "bpdn":
             rp_norm = np.maximum(row_norm(misfit) - delta, 0.0)
         else:
             rp_norm = row_norm(misfit)
@@ -241,7 +302,7 @@ def residues(x, y, z, A, b, model, *, misfit, Aty, b_norm, x_l1=None):
     if z is not None:
         r_d = row_norm(Aty - z) / np.sqrt(A.m)
         res = np.maximum(r_p, r_d)
-        if mu > 0:
+        if fit == "qp":
             if x_l1 is None:
                 x_l1 = l1_norm(x, model.weights)
             y_sq = row_norm(y) ** 2
@@ -279,7 +340,7 @@ def compute_res(x, y, z, A, b, model, *, Ax, Aty, b_norm, x_prev=None):
         component is omitted (NaN) because the r = mu y identification that
         defines it degenerates, and ``delta`` > 0 makes the primal residue
         dist(Ax, delta-ball around b) / ||b||. ``weights`` weight the l1
-        term.
+        term. It is unstacked: the row is one lane's.
     Ax, Aty : ndarray, keyword
         The products A x and A* y (Aty may be None when z is).
     b_norm : float, keyword
@@ -293,10 +354,10 @@ def compute_res(x, y, z, A, b, model, *, Ax, Aty, b_norm, x_prev=None):
         Residues are relative to ``b_norm``.
     """
     misfit = Ax - b
-    mu, x_l1 = model.mu, l1_norm(x, model.weights)
+    x_l1 = l1_norm(x, model.weights)
     r_p, r_d, gap, res = residues(x, y, z, A, b, model, misfit=misfit, Aty=Aty, b_norm=b_norm,
                                   x_l1=x_l1)
-    objective = x_l1 + 0.5 * row_norm(misfit) ** 2 / mu if mu > 0 else x_l1
+    objective = x_l1 + 0.5 * row_norm(misfit) ** 2 / model.mu if model.fidelity == "qp" else x_l1
     chg = relchg(x, x_prev) if x_prev is not None else np.nan
     return Diagnostics(r_p=float(r_p), r_d=float(r_d), gap=float(gap), res=float(res),
                        relchg=float(chg), objective=float(objective), relerr=np.nan)

@@ -33,6 +33,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
+from .models import take_column
 
 __all__ = [
     "SensingOperator",
@@ -376,7 +377,8 @@ class AugmentedOperator(SensingOperator):
 
     The l1/l1 model min ||x||_1 + ||Ax-b||_1/nu is, up to the factor nu,
     basis pursuit with A_hat and ``data(b)`` on xh = (nu x; b - Ax): the
-    signal block is the first ``signal_n`` = n entries, scaled by nu.
+    signal block is the first ``signal_n`` = n entries, scaled by nu. On a
+    stacked base, nu may be a (lanes, 1) column, one value per lane.
     """
 
     kind = "augmented"
@@ -384,13 +386,13 @@ class AugmentedOperator(SensingOperator):
     def __init__(self, base, nu):
         if not isinstance(base, SensingOperator):
             raise TypeError("base must be a SensingOperator")
-        if not (nu > 0):
+        if not np.all(nu > 0):
             raise ValueError(f"nu must be positive, got {nu}")
         super().__init__(base.m, base.n + base.m, orthonormal_rows=base.orthonormal_rows)
         self.base = base
         self.lanes = base.lanes
         self.signal_n = base.n
-        self.nu = float(nu)
+        self.nu = nu if np.ndim(nu) else float(nu)
         self._scale = 1.0 / np.sqrt(1.0 + nu * nu)
 
     @property
@@ -407,7 +409,7 @@ class AugmentedOperator(SensingOperator):
         return xh[..., :n] * (1.0 / self.nu)
 
     def take(self, lanes):
-        return AugmentedOperator(self.base.take(lanes), self.nu)
+        return AugmentedOperator(self.base.take(lanes), take_column(self.nu, lanes))
 
     def data(self, b):
         """The augmented data nu b / sqrt(1 + nu^2) for data b of the base operator."""

@@ -37,10 +37,11 @@ def solve(name, model, A, b, opts=None):
 
 def solve_lanes(name, model, A, b, opts=None):
     """``solve`` on the T lanes of the (T, m) data b in lockstep: lane i is
-    the problem (A's lane i, b[i]), A stacked with T lanes
-    (``stack_operators``), or a single operator when T = 1. Each lane's
-    RunRecord equals, bit for bit, what ``solve`` returns on its problem
-    alone.
+    the problem (A's lane i, b[i]) under the model's lane i, A stacked with
+    T lanes (``stack_operators``), or a single operator when T = 1. The
+    model is one for all lanes, or stacked with T lanes (``stack_models``:
+    one family, a mu, delta or nu per lane). Each lane's RunRecord equals,
+    bit for bit, what ``solve`` returns on its problem alone.
 
     Returns
     -------

@@ -15,7 +15,8 @@ Both run ``prox_grad_step``, with and without momentum. Momentum is applied
 to the cached products as well (A y = A x + w (A x - A x_prev)), so both
 methods cost one forward and one adjoint application per iteration. The
 momentum scalar depends on the sweep count alone, so every lane of a
-lockstep solve (``ist_lanes``, ``fista_lanes``) shares it.
+lockstep solve (``ist_lanes``, ``fista_lanes``) shares it; a stacked qp
+model gives each lane its own mu.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ class FistaState:
 
 def prox_grad_step(state, A, b, mu, tau=1.0, accelerate=True):
     """One FISTA step of the qp model, or with ``accelerate=False`` one IST
-    step (momentum weight pinned at zero). Returns a new state with t advanced."""
-    if not (mu > 0):
+    step (momentum weight pinned at zero). Returns a new state with t advanced.
+    mu is a positive float, or a (T, 1) column of one per lane."""
+    if not (np.all(mu > 0) if isinstance(mu, np.ndarray) else mu > 0):
         raise ConfigError("baseline solvers need mu > 0")
     if not (tau > 0):
         raise ConfigError("tau must be positive")
@@ -83,8 +85,10 @@ def _baseline_lanes(name, model, A, b, opts, accelerate):
     lead = b.shape[:-1]  # the lane axis, if any
     zero_n, zero_m = np.zeros(lead + (A.n,), dtype=b.dtype), np.zeros(lead + (A.m,), dtype=b.dtype)
     state = FistaState(x=zero_n, x_prev=zero_n, Ax=zero_m, Ax_prev=zero_m)
-    return run_solve(name, model.describe(), model, A, b, opts, state,
-                     lambda state, A, b, p: prox_grad_step(state, A, b, model.mu, tau, accelerate))
+    # The model is the step's parameters, so compaction keeps its lanes' mu.
+    return run_solve(name, model, model, A, b, opts, state,
+                     lambda state, A, b, model: prox_grad_step(state, A, b, model.mu, tau,
+                                                               accelerate), model)
 
 
 def fista_lanes(model, A, b, opts=None):

@@ -1,9 +1,10 @@
 """Shared solver plumbing: options, run records, matvec accounting, and the
 one solve loop every solver runs. Every solve starts from zero.
 
-The loop runs lanes: T problems that share a model, a solver, options and
-an operator kind and shape (a stacked operator: one matrix per lane),
-each with its own data b, swept in lockstep as the rows of (T, .) arrays.
+The loop runs lanes: T problems that share a solver, options, a model
+family and an operator kind and shape (a stacked operator: one matrix per
+lane), each with its own data b and model parameter (a stacked model),
+swept in lockstep as the rows of (T, .) arrays.
 Every step is lane by lane: elementwise, the transforms of a stacked
 operator, and the reductions (norms, l1 norms, the gap's inner product),
 each one batched call over all rows whose value for a row has the bits of
@@ -12,12 +13,12 @@ reaches ``max_iter``, freezes: its record is built at its own sweep and it
 leaves the batch (compaction), so the rest sweep fewer rows. So each lane's
 x, iterations, ``aat``, status and diagnostics rows have the bits a solo
 solve of its problem gives. A batch of one lane holds no lane axis: its
-arrays are 1-D and its per-lane values numpy scalars, which spares it
-numpy's broadcasting loops. A solo solve is that one-lane case of the same
-loop. The experiment harness batches a cell's trials, at most
-``harness.LANE_ENTRIES // n`` lanes at a time, and gives each lane the
-share of the batch's wall time that its sweeps are of the batch's
-lane-sweeps.
+arrays are 1-D, its per-lane values numpy scalars and its model
+unstacked, which spares it numpy's broadcasting loops. A solo solve is that
+one-lane case of the same loop. The experiment harness batches the solves
+of a model family, at most ``harness.LANE_ENTRIES // n`` lanes at a time
+(a complex entry counting two), and gives each lane the share of the
+batch's wall time that its sweeps are of the batch's lane-sweeps.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ConfigError, DimensionMismatchError, DivergenceError
-from ..models import Diagnostics, compute_res, data_norm, relchg, relerr, residues
+from ..models import Diagnostics, compute_res, data_norm, relchg, relerr, residues, take_column
 from ..prox import project_halfspace, project_linf_ball
 
 __all__ = ["STOP_RULES", "SolverOptions", "RunRecord", "CountingOperator", "working_data",
@@ -185,11 +186,8 @@ class BetaSteps:
 
     def take(self, keep):
         """The parameters of the lanes that ``keep`` selects (see
-        ``take_lanes``); one lane's ``beta`` is a float."""
-        if np.ndim(self.beta) == 0:
-            return self
-        beta = self.beta[keep]
-        return replace(self, beta=beta if beta.ndim == 2 else float(beta[0]))
+        ``take_lanes``), their model's too; one lane's ``beta`` is a float."""
+        return replace(self, beta=take_column(self.beta, keep), model=self.model.take(keep))
 
     @cached_property
     def beta_inv(self):
@@ -218,12 +216,16 @@ def working_data(A, b, model):
     complex128 otherwise. Every solve starts from a zero state in that
     dtype, and every sweep keeps it.
 
-    Raises DimensionMismatchError if b has another shape or the model's
-    weights are not length n, and ValueError if b has nonfinite entries.
+    Raises DimensionMismatchError if b has another shape, the model's
+    weights are not length n or a stacked model has another lane count
+    than A, and ValueError if b has nonfinite entries.
     """
     if model.weights is not None and model.weights.shape[0] != A.n:
         raise DimensionMismatchError(f"weights have length {model.weights.shape[0]}, "
                                      f"but the operator has n = {A.n} columns")
+    if model.lanes not in (None, A.lanes):
+        raise DimensionMismatchError(f"the model has {model.lanes} lanes, "
+                                     f"but the operator has {A.lanes}")
     b = np.asarray(b)
     if b.ndim == 2 and len(b) == 0:
         raise DimensionMismatchError(f"the data holds no lanes: shape {b.shape}")
@@ -256,7 +258,7 @@ def project_dual(v, A, model):
                            project_linf_ball(v[..., k:], w_tail)], axis=-1)
 
 
-def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dual=None):
+def run_solve(solver, spec, model, A, b, opts, state, step, params=None, *, dual=None):
     """Run the solve loop shared by every solver on T lanes and return one
     RunRecord per lane, in lane order.
 
@@ -269,23 +271,25 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
     only when mu > 0): the functions ``compute_res`` calls, whose batched
     reductions give each lane the bits of its 1-D row, so the field equals
     the full row's bit for bit. ``compute_res`` builds one full row at a
-    lane's final iterate, or one per sweep under ``opts.history``. Given
-    ``opts.x_true`` (only err-vs-opt passes it), each recorded row's
-    ``relerr`` is the error of the sweep's signal estimate ``A.signal(x)``
-    against it; an ``x_true`` of any other shape than (T, n), or (n,) for
-    one lane, with n = ``A.signal_n``, raises DimensionMismatchError before
-    the first sweep. Frozen lanes leave the batch: the state, b, its norms,
-    the array fields of ``params`` and A (``take``) keep the active lanes
-    only.
+    lane's final iterate, from the lane's own model, or one per sweep under
+    ``opts.history``. Given ``opts.x_true`` (only err-vs-opt passes it),
+    each recorded row's ``relerr`` is the error of the sweep's signal
+    estimate ``A.signal(x)`` against it; an ``x_true`` of any other shape
+    than (T, n), or (n,) for one lane, with n = ``A.signal_n``, raises
+    DimensionMismatchError before the first sweep. Frozen lanes leave the
+    batch: the state, b, its norms, the model, ``params`` and A (each by
+    its ``take``) keep the active lanes only.
 
     A batch of one lane, from the start or after compaction, holds no lane
     axis (see the module docstring).
 
     Parameters
     ----------
-    solver, label : str
-        The solver's name and the caller's model label, written into the
-        records.
+    solver : str
+        The solver's name, written into the records.
+    spec : ModelSpec
+        The caller's model, unstacked or stacked with T lanes; lane i's
+        record is labelled ``spec.take(i).describe()``.
     model : ModelSpec
         The model the iteration solves: the caller's, or for the l1/l1
         model the basis pursuit on the augmented pair. The diagnostics read
@@ -303,7 +307,8 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
     step : callable
         ``step(state, A, b, params)`` returns the next state.
     params
-        The step parameters, with a ``take`` method (``BetaSteps``), or None.
+        The step parameters, with a ``take`` method (``BetaSteps``, or a
+        ModelSpec), or None.
     dual : callable, optional
         ``dual(state, A)`` returns ``(y, z, Aty)``, the multiplier, the dual
         auxiliary and A* y; z and Aty may be None, leaving the dual residue,
@@ -332,12 +337,12 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
     def lane(v, i):
         return v if v is None or b.ndim == 1 else v[i]
 
-    def row(i):
-        diag = compute_res(lane(state.x, i), lane(y, i), lane(z, i), counting, lane(b, i), model,
-                           Ax=lane(state.Ax, i), Aty=lane(Aty, i), x_prev=lane(x_prev, i),
-                           b_norm=lane(b_norm, i))
+    def row(i, signal):
+        diag = compute_res(lane(state.x, i), lane(y, i), lane(z, i), counting, lane(b, i),
+                           model.take(i), Ax=lane(state.Ax, i), Aty=lane(Aty, i),
+                           x_prev=lane(x_prev, i), b_norm=lane(b_norm, i))
         if x_true is not None:
-            diag.relerr = relerr(A.signal(lane(state.x, i)), x_true[ids[i]])
+            diag.relerr = relerr(lane(signal, i), x_true[ids[i]])
         return diag
 
     for sweep in range(1, opts.max_iter + 1):
@@ -347,8 +352,9 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
         check_finite(state.x, y, state.k)
         aat_history.append(counting.count)
         if opts.history:
+            signal = counting.signal(state.x)
             for i, lane_id in enumerate(ids):
-                histories[lane_id].append(row(i))
+                histories[lane_id].append(row(i, signal))
         if opts.stop == "relchg":
             stop_value = relchg(state.x, x_prev)
         else:
@@ -360,15 +366,17 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
         if not (last or np.count_nonzero(done)):
             continue
         done = np.atleast_1d(done)
+        signal = counting.signal(state.x)  # the compacted A's: an l1/l1 lane's own nu
         for i, lane_id in enumerate(ids):
             if not (done[i] or last):
                 continue
             if not opts.history:
-                histories[lane_id].append(row(i))
-            x = A.signal(lane(state.x, i))
+                histories[lane_id].append(row(i, signal))
+            x = lane(signal, i)
             x = np.maximum(x.real, 0.0) if model.nonneg else x
             records[lane_id] = RunRecord(
-                solver=solver, model=label, status="converged" if done[i] else "max_iter",
+                solver=solver, model=spec.take(lane_id).describe(),
+                status="converged" if done[i] else "max_iter",
                 iterations=state.k, aat=counting.count, x=x.astype(np.complex128, copy=False),
                 history=histories[lane_id], aat_history=list(aat_history))
         if last or done.all():
@@ -378,6 +386,7 @@ def run_solve(solver, label, model, A, b, opts, state, step, params=None, *, dua
         # A lone lane left sheds the lane axis.
         keep = keep[0] if len(keep) == 1 else np.array(keep)
         b, state, counting = b[keep], take_lanes(state, keep), counting.take(keep)
+        model = model.take(keep)
         if b_norm is not None:
             b_norm = b_norm[keep]
         if params is not None:

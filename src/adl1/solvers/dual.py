@@ -26,7 +26,8 @@ which the primal solver's res stop shares. Every solve starts from the zero
 state.
 
 ``dadm_lanes`` solves T lanes in lockstep (``common.run_solve``), each with
-its own data and a per-lane ``beta`` column; ``dadm_solve`` is one lane.
+its own data, a per-lane ``beta`` column and, for a stacked model, its own
+mu, delta or nu (on the augmented operator); ``dadm_solve`` is one lane.
 """
 
 from __future__ import annotations
@@ -107,13 +108,14 @@ def dadm_step(state, A, b, p):
     applications per sweep. On any other operator it is one steepest-descent
     step with exact steplength, at three applications; the delta-ball model
     has no closed steplength there, so bpdn raises ConfigError. The state
-    may hold lanes, its arrays (T, .), with ``p.beta`` a (T, 1) column; a
+    may hold lanes, its arrays (T, .), with ``p.beta`` and a stacked
+    model's parameter (T, 1) columns; a
     lane whose steepest-descent step is void keeps its y while the others
     step, though the adjoint they take is counted for it too.
     """
-    exact = A.orthonormal_rows
-    mu, delta = p.model.mu, p.model.delta
-    if not exact and delta > 0:
+    exact, model = A.orthonormal_rows, p.model
+    fit = model.fidelity
+    if not exact and fit == "bpdn":
         raise ConfigError("the steepest-descent dual step supports only the bp and qp models")
     # Division by a scalar is written as a product with its reciprocal: numpy
     # computes complex x / beta that way, so float64 iterates equal the real
@@ -122,14 +124,15 @@ def dadm_step(state, A, b, p):
     if exact:
         Az = A.apply(z_new)
         v = Az - (state.Ax - b) * p.beta_inv
-        if mu > 0:
+        if fit == "qp":
             y_new = p.y_scale * v
-        elif delta > 0:
-            y_new = shrink_l2(v, delta / p.beta)
+        elif fit == "bpdn":
+            y_new = shrink_l2(v, model.delta / p.beta)
         else:
             y_new = v
         Aty_new = A.adjoint(y_new)
     else:
+        mu = model.mu
         g = mu * state.y + state.Ax - b + p.beta * A.apply(state.Aty - z_new)
         g_sq = row_norm(g)[..., None] ** 2
         # y stays when g = 0, or when g lies in the null space of A* with
@@ -196,5 +199,5 @@ def dadm_lanes(model, A, b, opts=None):
     zero_n = np.zeros(lead + (op.n,), dtype=data.dtype)
     zero_m = np.zeros(lead + (op.m,), dtype=data.dtype)
     state = DadmState(x=zero_n, y=zero_m, z=zero_n, Ax=zero_m, Aty=zero_n)
-    return run_solve("dadm", model.describe(), solved, op, data, opts, state, dadm_step, params,
+    return run_solve("dadm", model, solved, op, data, opts, state, dadm_step, params,
                      dual=lambda state, A: (state.y, state.z, state.Aty))

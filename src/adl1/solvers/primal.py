@@ -13,8 +13,9 @@ requires tau lambda_max(A*A) + gamma < 2, enforced at parameter
 construction; no orthonormality of A is needed, which makes this the
 fallback solver for general dense operators. Each sweep reads its model
 from ``PadmParams.model``, a ModelSpec; every solve starts from the zero
-state. ``padm_lanes`` solves T lanes in lockstep, each with its own data
-and a per-lane ``beta`` column; ``padm_solve`` is one lane.
+state. ``padm_lanes`` solves T lanes in lockstep, each with its own data, a
+``beta`` column and, for a stacked model, its own mu or delta; ``padm_solve``
+is one lane.
 """
 
 from __future__ import annotations
@@ -106,15 +107,16 @@ def padm_step(state, A, b, p):
 
     The models differ only in the r-update: qp when mu > 0, bpdn when
     delta > 0, bp (r pinned at zero) otherwise. The state may hold lanes,
-    its arrays (T, .), with ``p.beta`` a (T, 1) column.
+    its arrays (T, .), with ``p.beta`` and a stacked model's parameter
+    (T, 1) columns.
     """
-    mu, delta = p.model.mu, p.model.delta
+    fit = p.model.fidelity
     # y * (1/beta), not y / beta: see dadm_step.
     y_beta = state.y * p.beta_inv
-    if mu > 0:
+    if fit == "qp":
         r_new = p.r_scale * (y_beta - (state.Ax - b))
-    elif delta > 0:
-        r_new = project_l2_ball(y_beta - (state.Ax - b), delta)
+    elif fit == "bpdn":
+        r_new = project_l2_ball(y_beta - (state.Ax - b), p.model.delta)
     else:
         r_new = np.zeros_like(b)
     g = A.adjoint(state.Ax + r_new - b - y_beta)
@@ -177,5 +179,4 @@ def padm_lanes(model, A, b, opts=None):
     lead = b.shape[:-1]  # the lane axis, if any
     zero_m = np.zeros(lead + (A.m,), dtype=b.dtype)
     state = PadmState(x=np.zeros(lead + (A.n,), dtype=b.dtype), r=zero_m, y=zero_m, Ax=zero_m)
-    return run_solve("padm", model.describe(), model, A, b, opts, state, padm_step, params,
-                     dual=dual)
+    return run_solve("padm", model, model, A, b, opts, state, padm_step, params, dual=dual)

@@ -24,6 +24,8 @@ from adl1.harness import (
     model_for_param,
     run_protocol,
 )
+from adl1.models import ModelSpec
+from adl1.solvers import RunRecord
 
 from oracles import add_noise
 
@@ -267,22 +269,50 @@ def test_race_rows_and_determinism():
 @pytest.mark.parametrize("protocol,overrides,rows", [
     ("race-qp", dict(n=128, max_iter=120), 6 * 4 * 3),
     ("race-bp", dict(n=128, max_iter=120), 5 * 3),
+    ("race-bpdn", dict(n=128, max_iter=120), 6 * 2 * 3),
     ("model-choice", dict(n=100, grid=[0.0, 0.2, 0.5]), 3 * 3 * 3),
-], ids=["race-qp", "race-bp", "model-choice"])
+], ids=["race-qp", "race-bp", "race-bpdn", "model-choice"])
 def test_trial_rows_do_not_depend_on_batching(tmp_path, monkeypatch, protocol, overrides, rows):
-    # A cell's trials run in batches of LANE_ENTRIES // n lanes: every lane
-    # solo, split batches (the full-scale case, where 2 lanes meet 50
-    # trials), or one batch. Each lane is its solo solve, so the trial rows
-    # are the same bytes whatever the batching.
-    n = overrides["n"]
+    # The solves of a model family run in batches of LANE_ENTRIES // n
+    # lanes, a complex entry counting two: every lane solo, split batches
+    # (the full-scale case, where 2 lanes meet 50 trials; model-choice's
+    # then mix the lanes of two cells), or one batch. Each lane is its solo
+    # solve, whatever the parameter of the lanes beside it, so the trial
+    # rows are the same bytes whatever the batching.
+    entries = overrides["n"] * (2 if protocol == "model-choice" else 1)
+    stacked = []
+    solve_lanes = harness.solve_lanes
+    monkeypatch.setattr(harness, "solve_lanes", lambda solver, model, *args: (
+        stacked.append(model.lanes), solve_lanes(solver, model, *args))[1])
     written = []
-    for lane_entries in (n, 2 * n, harness.LANE_ENTRIES):
+    for lane_entries in (entries, 2 * entries, harness.LANE_ENTRIES):
         monkeypatch.setattr(harness, "LANE_ENTRIES", lane_entries)
         out = tmp_path / str(lane_entries)
         run_protocol(ExperimentConfig(protocol, trials=3, seed=7, **overrides)).write(out)
         written.append((out / (protocol + "_trials.csv")).read_bytes())
     assert written[0].count(b"\n") == 1 + rows
     assert written[1] == written[0] and written[2] == written[0]
+    # race-bpdn's trials, and model-choice's cells, batch across parameters
+    assert (2 in stacked) == (protocol in ("race-bpdn", "model-choice"))
+
+
+@pytest.mark.parametrize("protocol,n,lanes", [("model-choice", 1000, 5), ("race-qp", 1024, 10),
+                                              ("race-qp", 8192, 1)])
+def test_lane_cap_counts_float64_entries(monkeypatch, protocol, n, lanes):
+    # LANE_ENTRIES caps a batch's signal entries, a complex one counting two.
+    cfg = ExperimentConfig(protocol, n=n).resolved()
+    insts = [make_instance(cfg["kind"], n, 16, 2, NoiseSpec(), 60 + i, field=cfg["field"])
+             for i in range(2 * lanes + 1)]
+    batches = []
+
+    def record(solver, model, A, b, opts):
+        batches.append(len(b))
+        return [RunRecord(solver, "bp", "converged", 1, 2, np.zeros(n, complex))
+                for _ in b]
+
+    monkeypatch.setattr(harness, "solve_lanes", record)
+    harness._lane_rows(cfg, insts, "dadm", [ModelSpec.bp()] * len(insts))
+    assert batches == [lanes, lanes, 1]
 
 
 def test_mean_rows_are_trial_averages():

@@ -629,6 +629,22 @@ def test_solve_refuses_mistyped_config_blocks(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", [[], "cplx", 5, None], ids=["array", "cplx", "number", "null"])
+def test_solve_refuses_a_bad_synthetic_field(tmp_path, capsys, field):
+    # Only the strings "real" and "complex" name a field; anything else is
+    # one ConfigError line naming the block and the key, before any output.
+    cfg = {"operator": {"kind": "wht", "n": 32, "m": 12},
+           "b": {"synthetic": {"k": 2, "field": field}}}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("adl1: error (ConfigError)")
+    assert "b.synthetic: 'field'" in err[0]
+    assert not out.exists()
+
+
 # Configs that lack a key their block needs, and the key named.
 MISSING_KEYS = {
     "wht-n": ({"operator": {"kind": "wht", "m": 12}}, "n"),

@@ -1,19 +1,20 @@
 """Lockstep lanes: a lane of ``solve_lanes`` is its solo ``solve``, bit for bit.
 
 Each case solves T instances of one kind and shape as the lanes of one
-lockstep solve and each instance alone. The lanes stop at different sweeps,
+lockstep solve and each instance alone, under one model or a stack of one
+family's models (``stack_models``). The lanes stop at different sweeps,
 and ``max_iter`` is set below the slowest lane's solo count, so one lane
 hits the cap while the others converge first and leave the batch. Every
 lane must match its solo solve in the bytes of x, the iteration count,
-``aat``, the status and the final diagnostics row.
+``aat``, the status, the label and the final diagnostics row.
 """
 
 import numpy as np
 import pytest
 
-from adl1.errors import DimensionMismatchError
+from adl1.errors import ConfigError, DimensionMismatchError
 from adl1.harness import NoiseSpec, make_instance
-from adl1.models import ModelSpec
+from adl1.models import ModelSpec, stack_models
 from adl1.operators import stack_operators
 from adl1.solvers import SolverOptions, solve, solve_lanes
 
@@ -43,6 +44,7 @@ def _bits(diag):
 def _assert_same(lane, alone):
     assert lane.x.dtype == alone.x.dtype and lane.x.tobytes() == alone.x.tobytes()
     assert (lane.iterations, lane.aat, lane.status) == (alone.iterations, alone.aat, alone.status)
+    assert lane.model == alone.model
     assert lane.aat_history == alone.aat_history
     assert len(lane.history) == len(alone.history)
     assert [_bits(d) for d in lane.history] == [_bits(d) for d in alone.history]
@@ -143,3 +145,88 @@ def test_lanes_refuse_misshapen_truth(model):
                   SolverOptions(x_true=insts[0].x_true))
     assert recs[0].final().relerr == alone.final().relerr < 1.0
 
+
+
+# Stacks of one family's models, a parameter per lane: (family, parameters,
+# nonneg, weighted), each case on the solvers that take the family.
+STACKS = {"qp": ("qp", (1e-3, 3e-3, 1e-2), False, False),
+          "bpdn": ("bpdn", (5e-4, 2e-3, 8e-3), False, False),
+          "l1l1": ("l1l1", (0.3, 0.5, 0.8), False, False),
+          "qp+nonneg": ("qp", (1e-3, 3e-3, 1e-2), True, False),
+          "bpdn+weighted": ("bpdn", (5e-4, 2e-3, 8e-3), False, True),
+          "l1l1+weighted": ("l1l1", (0.3, 0.5, 0.8), False, True)}
+# the stacks each solver takes: padm refuses l1/l1 and nonneg, the baselines
+# all but plain qp
+STACK_SOLVERS = {"ist": ("qp",), "fista": ("qp",), "padm": ("qp", "bpdn", "bpdn+weighted"),
+                 "dadm": tuple(STACKS)}
+STACK_CASES = [(solver, kind, stack) for solver, stacks in STACK_SOLVERS.items()
+               for kind in KINDS for stack in stacks]
+
+
+def _stack_specs(stack, n):
+    family, params, nonneg, weighted = STACKS[stack]
+    weights = np.linspace(0.5, 1.5, n) if weighted else None
+    return [getattr(ModelSpec, family)(p, nonneg=nonneg, weights=weights) for p in params]
+
+
+@pytest.mark.parametrize("solver,kind,stack", STACK_CASES)
+def test_stacked_model_lanes_equal_solo_solves(solver, kind, stack):
+    # Lane i solves instance i under model i: each reads its own mu, delta
+    # or nu, down to the lone lane that compaction leaves unstacked.
+    insts = _instances(kind, 3)
+    specs = _stack_specs(stack, insts[0].A.n)
+    stop = "relchg" if solver in ("ist", "fista") else "res"
+    tol = 1e-4
+    free = [solve(solver, spec, inst.A, inst.b,
+                  SolverOptions(tol=tol, max_iter=3000, stop=stop)).iterations
+            for spec, inst in zip(specs, insts)]
+    assert len(set(free)) == 3, free
+    opts = SolverOptions(tol=tol, max_iter=max(free) - 1, stop=stop)
+    model = stack_models(specs)
+    assert model.lanes == 3
+    recs = solve_lanes(solver, model, stack_operators([inst.A for inst in insts]),
+                       np.stack([inst.b for inst in insts]), opts)
+    for spec, inst, rec in zip(specs, insts, recs):
+        _assert_same(rec, solve(solver, spec, inst.A, inst.b, opts))
+    assert sorted(rec.status for rec in recs) == ["converged", "converged", "max_iter"]
+
+
+def test_stacked_models_take_lanes():
+    specs = [ModelSpec.qp(mu) for mu in (1e-3, 2e-3, 4e-3)]
+    model = stack_models(specs)
+    assert model.mu.shape == (3, 1) and model.fidelity == "qp"
+    kept = model.take(np.array([0, 2]))
+    assert kept.lanes == 2 and kept.mu[:, 0].tolist() == [1e-3, 4e-3]
+    lone = model.take(1)
+    assert lone.lanes is None and type(lone.mu) is float
+    assert lone.describe() == specs[1].describe() and lone.to_dict() == specs[1].to_dict()
+    assert kept.take(1).describe() == specs[2].describe()
+    # one model, or equal parameters, need no column
+    assert stack_models(specs[:1]) is specs[0]
+    same = [ModelSpec.bpdn(0.0), ModelSpec.bpdn(0.0)]
+    assert stack_models(same) is same[0] and same[0].fidelity == "bp"
+    assert stack_models([ModelSpec.bp(), ModelSpec.bp()]).lanes is None
+
+
+@pytest.mark.parametrize("specs,match", [
+    ([ModelSpec.qp(1e-3), ModelSpec.bpdn(1e-3)], "one family"),
+    ([ModelSpec.qp(1e-3), ModelSpec.qp(2e-3, nonneg=True)], "nonnegativity"),
+    ([ModelSpec.qp(1e-3), ModelSpec.qp(2e-3, weights=np.ones(4))], "weights"),
+    ([ModelSpec.qp(1e-3, weights=np.ones(4)), ModelSpec.qp(2e-3, weights=np.full(4, 2.0))],
+     "weights"),
+    ([ModelSpec.bpdn(0.0), ModelSpec.bpdn(1e-3)], "delta = 0"),
+    ([stack_models([ModelSpec.qp(1e-3), ModelSpec.qp(2e-3)]), ModelSpec.qp(1e-3)], "unstacked"),
+], ids=["family", "nonneg", "weights", "weight-values", "bpdn-zero", "stacked"])
+def test_stack_models_refusals(specs, match):
+    with pytest.raises(ConfigError, match=match):
+        stack_models(specs)
+
+
+def test_stacked_model_needs_its_lane_count():
+    insts = _instances("wht", 3)
+    model = stack_models([ModelSpec.qp(1e-3), ModelSpec.qp(2e-3)])
+    b = np.stack([inst.b for inst in insts])
+    with pytest.raises(DimensionMismatchError, match="model has 2 lanes"):
+        solve_lanes("dadm", model, stack_operators([inst.A for inst in insts]), b)
+    with pytest.raises(DimensionMismatchError, match="model has 2 lanes"):
+        solve("dadm", model, insts[0].A, insts[0].b)

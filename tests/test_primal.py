@@ -226,7 +226,7 @@ def test_divergence_is_detected(rng):
 
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
-            run_solve("padm", "qp", model, op, b, opts, _zero_state(4, 9), padm_step, p,
+            run_solve("padm", model, model, op, b, opts, _zero_state(4, 9), padm_step, p,
                       dual=lambda state, A: (state.y, None, None))
 
 
